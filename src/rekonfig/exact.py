@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import Callable, Iterator
 
 from .errors import PreconditionError, ResourceBudgetError
@@ -146,21 +148,24 @@ def _set_sort_key(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def feasible_masks(
-    g: Graph, kind: FeasibilityKind, size: int, budget: Budget | None = None
-) -> list[int]:
-    """Bitmasks of every feasible set of exactly `size`, lexicographically
-    ordered. Vertex covers are enumerated through the complement identity:
-    x is a cover iff V minus x is independent."""
+def _feasible_masks(g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock) -> list[int]:
     if not (0 <= size <= g.vertex_count):
         raise PreconditionError(f"size {size} out of range for {g.vertex_count} vertices")
-    clock = _BudgetClock.begin(budget)
     if kind is FeasibilityKind.INDEPENDENT_SET:
         return _independent_masks(g, size, clock)
     full = g.full_mask
     covers = [full ^ m for m in _independent_masks(g, g.vertex_count - size, clock)]
     covers.sort(key=_set_sort_key)
     return covers
+
+
+def feasible_masks(
+    g: Graph, kind: FeasibilityKind, size: int, budget: Budget | None = None
+) -> list[int]:
+    """Bitmasks of every feasible set of exactly `size`, lexicographically
+    ordered. Vertex covers are enumerated through the complement identity:
+    x is a cover iff V minus x is independent."""
+    return _feasible_masks(g, kind, size, _BudgetClock.begin(budget))
 
 
 def enumerate_feasible(
@@ -225,40 +230,157 @@ def _rule_adjacency(g: Graph, rule: Rule, size: int) -> Callable[[int, int], boo
     return kts
 
 
-def _bfs_over(
-    states: list[int],
-    source: int,
-    adjacent: Callable[[int, int], bool],
-    clock: _BudgetClock,
-    target: int | None = None,
+# A neighbour source maps (state, visited states) to the unvisited states
+# adjacent to it, in lexicographic order.
+Neighbours = Callable[[int, dict[int, int | None]], list[int]]
+
+
+def _bfs(
+    source: int, neighbours: Neighbours, clock: _BudgetClock, target: int | None = None
 ) -> tuple[dict[int, int | None], int]:
-    """BFS over an explicit state family; neighbors are found by scanning the
-    still-unvisited states, so no quadratic edge list is materialized.
+    """BFS from `source`, stopping after the expansion that reaches `target`.
+
+    Frontier states are expanded in order and each expansion appends its new
+    neighbours in lexicographic order, so the parent map, and with it the
+    certificate, does not depend on which neighbour source is used.
 
     Returns (parent map over reached states, number of expanded states).
-    Stops early when `target` is reached.
     """
     parent: dict[int, int | None] = {source: None}
     frontier = [source]
-    unvisited = [s for s in states if s != source]
     expanded = 0
     while frontier and (target is None or target not in parent):
         next_frontier: list[int] = []
         for a in frontier:
             expanded += 1
             clock.charge()
-            still: list[int] = []
-            for b in unvisited:
-                if adjacent(a, b):
-                    parent[b] = a
-                    next_frontier.append(b)
-                else:
-                    still.append(b)
-            unvisited = still
+            for b in neighbours(a, parent):
+                parent[b] = a
+                next_frontier.append(b)
             if target is not None and target in parent:
                 break
         frontier = next_frontier
     return parent, expanded
+
+
+def _state_scan(states: list[int], source: int, adjacent: Callable[[int, int], bool]) -> Neighbours:
+    """Neighbour source that tests every still-unvisited state of an explicit
+    family: O(|F|) adjacency tests per expansion, but no edge list is kept."""
+    unvisited = [s for s in states if s != source]
+
+    def neighbours(a: int, visited: dict[int, int | None]) -> list[int]:
+        nonlocal unvisited
+        hits: list[int] = []
+        still: list[int] = []
+        for b in unvisited:
+            if adjacent(a, b):
+                hits.append(b)
+            else:
+                still.append(b)
+        unvisited = still
+        return hits
+
+    return neighbours
+
+
+def _move_generator(inst: ReconfigInstance) -> Neighbours:
+    """Neighbour source that generates the k-TJ or k-TS moves of a state.
+
+    Works on independent sets; a vertex cover is handled through its
+    complement, which keeps |A △ B| and the k-TS matching (the removed and
+    added vertices swap roles). Moves pivot on additions: a vertex u outside
+    A may enter only if its conflicts c(u) = N(u) ∩ A all leave, so only
+    vertices with |c(u)| <= k are candidates.
+    """
+    g = inst.graph
+    nbr = g.neighbor_masks
+    k = inst.rule.k
+    flip = g.full_mask if inst.kind is FeasibilityKind.VERTEX_COVER else 0
+    moves = _slides if inst.rule.kind is RuleKind.KTS else _jumps
+
+    def neighbours(state: int, visited: dict[int, int | None]) -> list[int]:
+        a = state ^ flip
+        candidates = []
+        for u in range(g.vertex_count):
+            if not (a >> u) & 1:
+                c = nbr[u] & a
+                if c.bit_count() <= k:
+                    candidates.append((u, c))
+        new = {b ^ flip for b in moves(a, candidates, nbr, k)}
+        return sorted((b for b in new if b not in visited), key=_set_sort_key)
+
+    return neighbours
+
+
+def _jumps(a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int) -> list[int]:
+    """Independent sets B with 0 < |A - B| = |B - A| <= k.
+
+    E = B - A is an independent set of j candidates whose conflicts number at
+    most j; A - B is those conflicts plus j - |∪c(E)| further tokens."""
+    tokens = [1 << v for v in iter_bits(a)]
+    out: list[int] = []
+    for j in range(1, min(k, len(tokens)) + 1):
+        for group in combinations(candidates, j):
+            added = conflicts = banned = 0
+            for u, c in group:
+                if (banned >> u) & 1:
+                    break
+                added |= 1 << u
+                conflicts |= c
+                banned |= nbr[u]
+            else:
+                extra = j - conflicts.bit_count()
+                if extra < 0:
+                    continue
+                base = (a & ~conflicts) | added
+                if extra == 0:
+                    out.append(base)
+                    continue
+                free = [t for t in tokens if not t & conflicts]
+                for drop in combinations(free, extra):
+                    out.append(base - sum(drop))
+    return out
+
+
+def _slides(a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int) -> list[int]:
+    """Independent sets B reached by sliding j <= k tokens of A along edges.
+
+    Each token of the dropped set D moves to a distinct neighbour u with
+    c(u) ⊆ D (u is outside A ∪ N(A - D)), and the new vertices are pairwise
+    non-adjacent, so the matching between A - B and B - A holds by
+    construction."""
+    tokens = list(iter_bits(a))
+    out: list[int] = []
+
+    def assign(
+        base: int, dropped: tuple[int, ...], allowed: list[tuple[int, int]], added: int, banned: int
+    ) -> None:
+        if not dropped:
+            out.append(base | added)
+            return
+        bit = 1 << dropped[0]
+        for u, c in allowed:
+            if c & bit and not ((added | banned) >> u) & 1:
+                assign(base, dropped[1:], allowed, added | (1 << u), banned | nbr[u])
+
+    for j in range(1, min(k, len(tokens)) + 1):
+        for dropped in combinations(tokens, j):
+            d_mask = set_to_mask(dropped)
+            allowed = [(u, c) for u, c in candidates if c and not c & ~d_mask]
+            assign(a & ~d_mask, dropped, allowed, 0, 0)
+    return out
+
+
+def _move_estimate(inst: ReconfigInstance) -> int:
+    """Moves the generator may try per expansion: sum over j <= k of
+    C(t, j) * C(n - t, j) under k-TJ and C(t, j) * Delta^j under k-TS, with
+    t the number of tokens of the independent set (the cover's complement)."""
+    g = inst.graph
+    n = g.vertex_count
+    t = len(inst.start) if inst.kind is FeasibilityKind.INDEPENDENT_SET else n - len(inst.start)
+    if inst.rule.kind is RuleKind.KTS:
+        return sum(comb(t, j) * g.max_degree**j for j in range(1, inst.rule.k + 1))
+    return sum(comb(t, j) * comb(n - t, j) for j in range(1, inst.rule.k + 1))
 
 
 def _chain(parent: dict[int, int | None], end: int) -> ReconfigSequence:
@@ -270,25 +392,40 @@ def _chain(parent: dict[int, int | None], end: int) -> ReconfigSequence:
     return ReconfigSequence(tuple(reversed(steps)))
 
 
-def solve_exact(
-    inst: ReconfigInstance, want_shortest: bool = False, budget: Budget | None = None
+def _search(
+    inst: ReconfigInstance, neighbours: Neighbours, clock: _BudgetClock, want_shortest: bool
 ) -> SolveResult:
-    """Decide an instance by explicit BFS over all feasible sets of size
-    |start|. When want_shortest is set, the returned certificate is a
-    minimum-length sequence (BFS levels)."""
-    start = set_to_mask(inst.start)
     target = set_to_mask(inst.target)
-    if start == target:
-        seq = ReconfigSequence((inst.start,)) if want_shortest else None
-        return SolveResult(True, seq, 0)
-    clock = _BudgetClock.begin(budget)
-    states = feasible_masks(inst.graph, inst.kind, len(inst.start), budget)
-    adjacent = _rule_adjacency(inst.graph, inst.rule, len(inst.start))
-    parent, expanded = _bfs_over(states, start, adjacent, clock, target=target)
+    parent, expanded = _bfs(set_to_mask(inst.start), neighbours, clock, target=target)
     if target not in parent:
         return SolveResult(False, None, expanded)
     seq = _chain(parent, target) if want_shortest else None
     return SolveResult(True, seq, expanded)
+
+
+def solve_exact(
+    inst: ReconfigInstance, want_shortest: bool = False, budget: Budget | None = None
+) -> SolveResult:
+    """Decide an instance by BFS over the feasible sets of size |start|.
+    When want_shortest is set, the returned certificate is a minimum-length
+    sequence (BFS levels).
+
+    Neighbours are generated as moves when twice the per-state move estimate
+    is below the number of feasible sets, and found by scanning the family
+    otherwise; both give the same result. One budget clock covers the
+    enumeration and the search."""
+    start = set_to_mask(inst.start)
+    if start == set_to_mask(inst.target):
+        seq = ReconfigSequence((inst.start,)) if want_shortest else None
+        return SolveResult(True, seq, 0)
+    clock = _BudgetClock.begin(budget)
+    size = len(inst.start)
+    states = _feasible_masks(inst.graph, inst.kind, size, clock)
+    if 2 * _move_estimate(inst) < len(states):
+        neighbours = _move_generator(inst)
+    else:
+        neighbours = _state_scan(states, start, _rule_adjacency(inst.graph, inst.rule, size))
+    return _search(inst, neighbours, clock, want_shortest)
 
 
 def reachability_classes(
@@ -299,14 +436,14 @@ def reachability_classes(
     solve_exact's reachability relation computed for the whole family at
     once (used by sweep tests and scripts)."""
     clock = _BudgetClock.begin(budget)
-    states = feasible_masks(g, kind, size, budget)
+    states = _feasible_masks(g, kind, size, clock)
     adjacent = _rule_adjacency(g, rule, size)
     label: dict[int, int] = {}
     next_label = 0
     unvisited = list(states)
     while unvisited:
         source = unvisited[0]
-        parent, _ = _bfs_over(unvisited, source, adjacent, clock)
+        parent, _ = _bfs(source, _state_scan(unvisited, source, adjacent), clock)
         for m in parent:
             label[m] = next_label
         next_label += 1
@@ -321,11 +458,9 @@ def _all_independent_masks(g: Graph, clock: _BudgetClock) -> list[int]:
     def rec(idx: int, chosen: int, banned: int) -> None:
         clock.charge()
         out.append(chosen)
-        candidates = 0
         for v in range(idx, g.vertex_count):
             if not ((banned >> v) & 1):
                 rec(v + 1, chosen | (1 << v), banned | masks[v] | (1 << v))
-        return
 
     rec(0, 0, 0)
     return out
@@ -376,7 +511,7 @@ def solve_tar_maxmin(
     adjacent = lambda a, b: (a ^ b).bit_count() == 1
     for theta in range(min(len(si), len(sj)), -1, -1):
         states = [m for m in family if m.bit_count() >= theta]
-        parent, _ = _bfs_over(states, im, adjacent, clock, target=jm)
+        parent, _ = _bfs(im, _state_scan(states, im, adjacent), clock, target=jm)
         if jm in parent:
             return TarResult(theta, _chain(parent, jm))
     raise AssertionError("TAR search must succeed at theta = 0")
@@ -405,7 +540,7 @@ def solve_tar_minmax(
     adjacent = lambda a, b: (a ^ b).bit_count() == 1
     for theta in range(max(len(ss), len(st)), g.vertex_count + 1):
         states = [m for m in family if m.bit_count() <= theta]
-        parent, _ = _bfs_over(states, sm, adjacent, clock, target=tm)
+        parent, _ = _bfs(sm, _state_scan(states, sm, adjacent), clock, target=tm)
         if tm in parent:
             return TarResult(theta, _chain(parent, tm))
     raise AssertionError("TAR search must succeed at theta = n")

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rekonfig import exact
 from rekonfig.errors import ResourceBudgetError
 from rekonfig.exact import (
     Budget,
     enumerate_feasible,
+    feasible_masks,
     max_independent_set,
     min_vertex_cover,
     reachability_classes,
@@ -23,7 +25,9 @@ from rekonfig.graph import (
     RuleKind,
     complement_set,
     is_independent_set,
+    mask_to_set,
     new_graph,
+    set_to_mask,
     verify_sequence,
 )
 
@@ -77,6 +81,107 @@ def test_solve_exact_budget_error():
     )
     with pytest.raises(ResourceBudgetError):
         solve_exact(inst, budget=Budget(max_states=100))
+
+
+def test_solve_exact_one_clock_for_enumeration_and_search():
+    # P10, independent 3-sets under 1-TJ: a budget that just covers the
+    # enumeration leaves nothing for the search, which expands fewer states
+    # than the enumeration charges.
+    g = new_graph(10, [(i, i + 1) for i in range(9)])
+    inst = ReconfigInstance(
+        g, IS, frozenset({0, 2, 4}), frozenset({5, 7, 9}), Rule(RuleKind.KTJ, 1)
+    )
+    enumeration = 1
+    while True:
+        try:
+            feasible_masks(g, IS, 3, Budget(max_states=enumeration))
+            break
+        except ResourceBudgetError:
+            enumeration += 1
+    assert 0 < solve_exact(inst).explored_states <= enumeration
+    with pytest.raises(ResourceBudgetError):
+        solve_exact(inst, budget=Budget(max_states=enumeration))
+
+
+def _sources(inst):
+    size = len(inst.start)
+    states = feasible_masks(inst.graph, inst.kind, size)
+    start = set_to_mask(inst.start)
+    adjacent = exact._rule_adjacency(inst.graph, inst.rule, size)
+    return {
+        "scan": lambda: exact._state_scan(states, start, adjacent),
+        "moves": lambda: exact._move_generator(inst),
+    }
+
+
+@given(
+    st.integers(min_value=1, max_value=11),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+)
+@settings(max_examples=300, deadline=None)
+def test_move_generator_matches_state_scan(n, seed, kind, rule_kind):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+    families = [f for f in (feasible_masks(g, kind, size) for size in range(1, n + 1)) if len(f) > 1]
+    if not families:
+        return
+    family = rng.choice(families)
+    size = family[0].bit_count()
+    start, target = (mask_to_set(m) for m in rng.sample(family, 2))
+    k = rng.randint(1, size)
+    inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, k))
+    clock = exact._BudgetClock.begin(None)
+    solved = {
+        name: exact._search(inst, make(), clock, want_shortest=True)
+        for name, make in _sources(inst).items()
+    }
+    assert solved["moves"] == solved["scan"]  # verdict, every step, explored_states
+    # Without a target, the whole BFS tree of the start's component agrees.
+    trees = {
+        name: exact._bfs(set_to_mask(start), make(), clock) for name, make in _sources(inst).items()
+    }
+    assert trees["moves"] == trees["scan"]
+
+
+def _picked_source(monkeypatch, inst) -> list[str]:
+    picked: list[str] = []
+    for name in ("_move_generator", "_state_scan"):
+
+        def spy(*args, _real=getattr(exact, name), _name=name):
+            picked.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(exact, name, spy)
+    res = solve_exact(inst, want_shortest=True)
+    assert res.reachable and verify_sequence(inst, res.shortest).accepted
+    return picked
+
+
+def test_solve_exact_generates_moves_on_sparse_k1(monkeypatch):
+    # Prism C10 x K2 (cubic, 20 vertices): 2 * 4 * 16 moves per state is far
+    # below the number of independent 4-sets.
+    n = 20
+    edges = [(i, (i + 1) % 10) for i in range(10)]
+    edges += [(10 + i, 10 + (i + 1) % 10) for i in range(10)] + [(i, 10 + i) for i in range(10)]
+    inst = ReconfigInstance(
+        new_graph(n, edges), IS, frozenset({0, 2, 4, 6}), frozenset({11, 13, 15, 17}),
+        Rule(RuleKind.KTJ, 1),
+    )
+    assert _picked_source(monkeypatch, inst) == ["_move_generator"]
+
+
+def test_solve_exact_scans_on_dense_k2(monkeypatch):
+    # Complement of C9: only the 9 cycle edges are independent 2-sets, fewer
+    # than twice the 2 * 7 + 21 candidate 2-TJ moves per state.
+    n = 9
+    cycle = {frozenset({i, (i + 1) % n}) for i in range(n)}
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if frozenset({u, v}) not in cycle]
+    inst = ReconfigInstance(
+        new_graph(n, edges), IS, frozenset({0, 1}), frozenset({4, 5}), Rule(RuleKind.KTJ, 2)
+    )
+    assert _picked_source(monkeypatch, inst) == ["_state_scan"]
 
 
 def test_optima(c4, k4):
