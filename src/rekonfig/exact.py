@@ -59,7 +59,12 @@ class _BudgetClock:
             raise ResourceBudgetError(
                 f"state budget exceeded ({self.counted} > {self.budget.max_states})"
             )
-        if self.counted % 4096 == 0 and time.monotonic() - self.start > self.budget.max_seconds:
+        if self.counted % 4096 == 0:
+            self.check_time()
+
+    def check_time(self) -> None:
+        """Read the clock now; for loops whose single steps are expensive."""
+        if time.monotonic() - self.start > self.budget.max_seconds:
             raise ResourceBudgetError(f"time budget exceeded ({self.budget.max_seconds}s)")
 
 
@@ -103,6 +108,16 @@ def _clique_partition_masks(g: Graph, vertices_mask: int) -> list[int]:
     return cliques
 
 
+def _clique_bound(cliques: list[int], candidates: int) -> int:
+    """Number of cliques meeting `candidates`: an upper bound on the size of
+    an independent set drawn from them."""
+    b = 0
+    for q in cliques:
+        if q & candidates:
+            b += 1
+    return b
+
+
 def _independent_masks(g: Graph, size: int, clock: _BudgetClock) -> list[int]:
     """All independent sets of exactly `size`, as bitmasks, in lexicographic
     order of the underlying vertex tuples (include-first DFS over ascending
@@ -117,18 +132,11 @@ def _independent_masks(g: Graph, size: int, clock: _BudgetClock) -> list[int]:
     # suffix[i] = vertices with id >= i
     suffix = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n + 1)]
 
-    def bound(candidates: int) -> int:
-        b = 0
-        for q in cliques:
-            if q & candidates:
-                b += 1
-        return b
-
     def rec(idx: int, chosen: int, count: int, banned: int) -> None:
         clock.charge()
         candidates = suffix[idx] & ~banned
         remaining = size - count
-        if candidates.bit_count() < remaining or bound(candidates) < remaining:
+        if candidates.bit_count() < remaining or _clique_bound(cliques, candidates) < remaining:
             return
         bit = candidates & -candidates  # lowest remaining candidate, kept lexicographic
         v = bit.bit_length() - 1
@@ -186,19 +194,12 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> VertexSet:
     best_mask = 0
     best_count = -1
 
-    def bound(candidates: int) -> int:
-        b = 0
-        for q in cliques:
-            if q & candidates:
-                b += 1
-        return b
-
     def rec(candidates: int, chosen: int, count: int) -> None:
         nonlocal best_mask, best_count
         clock.charge()
         if count > best_count:
             best_mask, best_count = chosen, count
-        if not candidates or count + bound(candidates) <= best_count:
+        if not candidates or count + _clique_bound(cliques, candidates) <= best_count:
             return
         v = (candidates & -candidates).bit_length() - 1
         bit = 1 << v
@@ -254,6 +255,7 @@ def _bfs(
         for a in frontier:
             expanded += 1
             clock.charge()
+            clock.check_time()
             for b in neighbours(a, parent):
                 parent[b] = a
                 next_frontier.append(b)

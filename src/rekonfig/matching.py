@@ -2,6 +2,11 @@
 cover, the polynomial subroutines behind k-TS adjacency and the XP edge
 oracle.
 
+One Hopcroft-Karp routine serves all three callers. It matches along the
+edges of a graph between two given disjoint sides and ignores every other
+edge, so callers pass the sides they already know instead of building and
+2-coloring a subgraph.
+
 Tie-breaking is deterministic everywhere (lowest id first) so golden tests
 stay stable. Isolated vertices are assigned to the left side of a
 bipartition and never enter a matching or a König cover.
@@ -12,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, VertexSet, check_vertex_set
+from .graph import Graph, VertexSet, check_vertex_set, set_to_mask
 
 Matching = frozenset[tuple[int, int]]
 
@@ -21,7 +26,9 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A 2-coloring of a graph: every edge joins left to right."""
+    """Two disjoint vertex sides. bipartition_of returns a 2-coloring, in
+    which every edge joins left to right; the matching routines accept any
+    two disjoint sides and use only the edges between them."""
 
     left: VertexSet
     right: VertexSet
@@ -52,20 +59,23 @@ def bipartition_of(g: Graph) -> Bipartition | None:
     return Bipartition(left, right)
 
 
-def maximum_matching(g: Graph, bp: Bipartition) -> Matching:
-    """Maximum-cardinality matching via Hopcroft-Karp phases.
+def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet) -> dict[int, int]:
+    """Maximum matching along the edges of g between the disjoint sets left
+    and right, by Hopcroft-Karp phases in O(sqrt(n) * (n + m)).
 
-    Runs in O(sqrt(n) * (n + m)). Returns edges as (u, v) pairs with u on
-    the left side.
+    Edges inside either side or to other vertices are ignored. Returns the
+    partner of every matched left vertex.
     """
-    left = sorted(bp.left)
+    right_mask = set_to_mask(right)
+    order = sorted(left)
+    adj = {u: [v for v in g.neighbors(u) if (right_mask >> v) & 1] for u in order}
     pair_left: dict[int, int] = {}
     pair_right: dict[int, int] = {}
     dist: dict[int, float] = {}
 
     def bfs() -> bool:
         queue: deque[int] = deque()
-        for u in left:
+        for u in order:
             if u not in pair_left:
                 dist[u] = 0
                 queue.append(u)
@@ -76,25 +86,20 @@ def maximum_matching(g: Graph, bp: Bipartition) -> Matching:
             u = queue.popleft()
             if dist[u] >= found:
                 continue
-            for v in g.neighbors(u):
-                if v not in pair_right:
+            for v in adj[u]:
+                w = pair_right.get(v)
+                if w is None:
                     if found == _INF:
                         found = dist[u] + 1
-                else:
-                    w = pair_right[v]
-                    if dist[w] == _INF:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
+                elif dist[w] == _INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
         return found != _INF
 
     def dfs(u: int) -> bool:
-        for v in g.neighbors(u):
+        for v in adj[u]:
             w = pair_right.get(v)
-            if w is None:
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-            if dist[w] == dist[u] + 1 and dfs(w):
+            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
                 pair_left[u] = v
                 pair_right[v] = u
                 return True
@@ -102,20 +107,31 @@ def maximum_matching(g: Graph, bp: Bipartition) -> Matching:
         return False
 
     while bfs():
-        for u in left:
+        for u in order:
             if u not in pair_left:
                 dfs(u)
-    return frozenset(pair_left.items())
+    return pair_left
+
+
+def maximum_matching(g: Graph, bp: Bipartition) -> Matching:
+    """Maximum-cardinality matching along the edges of g between bp.left and
+    bp.right; when bp is a 2-coloring of g, that is every edge.
+
+    Returns edges as (u, v) pairs with u on the left side.
+    """
+    return frozenset(_hopcroft_karp(g, bp.left, bp.right).items())
 
 
 def konig_min_vertex_cover(g: Graph, bp: Bipartition) -> VertexSet:
-    """Minimum vertex cover of a bipartite graph, size equal to the maximum
-    matching (König equality).
+    """Minimum vertex cover of the edges of g between bp.left and bp.right,
+    size equal to the maximum matching (König equality).
 
     Constructed by alternating-path reachability from unmatched left
-    vertices: cover = (left not reached) union (right reached).
+    vertices along those edges only: cover = (left not reached) union
+    (right reached).
     """
     matching = maximum_matching(g, bp)
+    right_mask = set_to_mask(bp.right)
     match_of: dict[int, int] = {}
     for u, v in matching:
         match_of[u] = v
@@ -129,7 +145,7 @@ def konig_min_vertex_cover(g: Graph, bp: Bipartition) -> VertexSet:
     while queue:
         u = queue.popleft()  # u is always on the left side here
         for v in g.neighbors(u):
-            if v in reached:
+            if v in reached or not (right_mask >> v) & 1:
                 continue
             reached.add(v)
             w = match_of.get(v)
@@ -154,56 +170,4 @@ def has_perfect_matching_between(g: Graph, a, b) -> bool:
         return False
     if not sa:
         return True
-    # Hopcroft-Karp on the subgraph of a-b edges only.
-    b_mask = 0
-    for v in sb:
-        b_mask |= 1 << v
-    pair_left: dict[int, int] = {}
-    pair_right: dict[int, int] = {}
-    dist: dict[int, float] = {}
-    left = sorted(sa)
-
-    def nbrs(u: int):
-        for v in g.neighbors(u):
-            if (b_mask >> v) & 1:
-                yield v
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in left:
-            if u not in pair_left:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = _INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= found:
-                continue
-            for v in nbrs(u):
-                w = pair_right.get(v)
-                if w is None:
-                    if found == _INF:
-                        found = dist[u] + 1
-                elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found != _INF
-
-    def dfs(u: int) -> bool:
-        for v in nbrs(u):
-            w = pair_right.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        dist[u] = _INF
-        return False
-
-    size = 0
-    while bfs():
-        for u in left:
-            if u not in pair_left and dfs(u):
-                size += 1
-    return size == len(sa)
+    return len(_hopcroft_karp(g, sa, sb)) == len(sa)

@@ -167,3 +167,16 @@ def test_budget_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REKONFIG_BUDGET_STATES", "50")
     code, _, _ = run(capsys, "solve", str(big))
     assert code == 3
+
+
+def test_xp_vcr_time_budget_exit_code(capsys, tmp_path):
+    # C20, s = evens + {1}, t = odds + {0} (1-based below), mu = 3 so k = 8.
+    n = 20
+    lines = [f"p reconfig {n} {n} vc ktj 8"]
+    lines += [f"e {i + 1} {(i + 1) % n + 1}" for i in range(n)]
+    lines.append("s " + " ".join(str(v) for v in [2] + list(range(1, n + 1, 2))))
+    lines.append("t " + " ".join(str(v) for v in [1] + list(range(2, n + 1, 2))))
+    path = tmp_path / "c20.isr"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "--budget-secs", "0.3", "xp-vcr", str(path))
+    assert code == 3 and out == "" and "budget" in err

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,25 @@ def test_solve_exact_one_clock_for_enumeration_and_search():
     assert 0 < solve_exact(inst).explored_states <= enumeration
     with pytest.raises(ResourceBudgetError):
         solve_exact(inst, budget=Budget(max_states=enumeration))
+
+
+def test_solve_exact_time_budget_bounds_each_expansion():
+    # G(22, 0.15) plus a disjoint K_{4,4} whose sides sit in s and in t,
+    # independent 6-sets under 3-TJ: 125,867 states, and each expansion
+    # generates hundreds of moves, so a clock read once per 4096 charges
+    # overruns a 0.5 s budget by many seconds.
+    rng = random.Random(3)
+    n = 22
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+    edges += [(n + i, n + 4 + j) for i in range(4) for j in range(4)]
+    g = new_graph(n + 8, edges)
+    start = frozenset({0, 1}) | frozenset(range(n, n + 4))
+    target = frozenset({20, 21}) | frozenset(range(n + 4, n + 8))
+    inst = ReconfigInstance(g, IS, start, target, Rule(RuleKind.KTJ, 3))
+    began = time.monotonic()
+    with pytest.raises(ResourceBudgetError):
+        solve_exact(inst, budget=Budget(max_seconds=0.5))
+    assert time.monotonic() - began < 0.5 + 1.0
 
 
 def _sources(inst):

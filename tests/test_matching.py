@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from rekonfig.exact import min_vertex_cover
 from rekonfig.graph import Graph, is_vertex_cover, new_graph
 from rekonfig.matching import (
+    Bipartition,
     bipartition_of,
     has_perfect_matching_between,
     konig_min_vertex_cover,
     maximum_matching,
 )
 
-from conftest import random_bipartite
+from conftest import random_bipartite, random_graph
 
 
 def test_bipartition_c4(c4):
@@ -50,12 +51,49 @@ def test_perfect_matching_between(c4):
     assert not has_perfect_matching_between(c4, {0}, {1, 3})
     assert has_perfect_matching_between(c4, set(), set())
     assert has_perfect_matching_between(c4, {0, 2}, {1, 3})
-    # cross-check by enumerating the candidate pairings of the 2x2 case
-    perms = [
-        {(0, 1), (2, 3)},
-        {(0, 3), (2, 1)},
-    ]
-    assert any(all(c4.has_edge(u, v) for u, v in p) for p in perms)
+
+
+def _random_sides(rng, g, most):
+    """Random disjoint vertex sets of at most `most` vertices each."""
+    order = rng.sample(range(g.vertex_count), g.vertex_count)
+    i = rng.randint(0, min(most, len(order)))
+    j = rng.randint(0, min(most, len(order) - i))
+    return frozenset(order[:i]), frozenset(order[i : i + j])
+
+
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_perfect_matching_between_matches_brute_force(n, seed):
+    # The random graph also has edges inside a, inside b and to the other
+    # vertices; only the a-b edges may be used.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+    a, b = _random_sides(rng, g, 4)
+    left = sorted(a)
+    want = len(a) == len(b) and any(
+        all(g.has_edge(u, v) for u, v in zip(left, perm))
+        for perm in itertools.permutations(sorted(b))
+    )
+    assert has_perfect_matching_between(g, a, b) == want
+
+
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_matching_and_konig_use_only_edges_between_the_sides(n, seed):
+    # bp is not a 2-coloring of g; the routines must answer as on the
+    # bipartite subgraph of the edges between bp.left and bp.right.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+    left, right = _random_sides(rng, g, n)
+    bp = Bipartition(left, right)
+    between = new_graph(
+        n, [(u, v) for u, v in g.edges() if (u in left and v in right) or (u in right and v in left)]
+    )
+    assert maximum_matching(g, bp) == maximum_matching(between, bp)
+    cover = konig_min_vertex_cover(g, bp)
+    assert cover == konig_min_vertex_cover(between, bp)
+    assert is_vertex_cover(between, cover)
+    assert len(cover) == len(maximum_matching(between, bp))
 
 
 def _has_augmenting_path(g: Graph, bp, matching) -> bool:

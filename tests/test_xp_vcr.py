@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rekonfig.errors import PreconditionError
-from rekonfig.exact import solve_exact
+from rekonfig.errors import PreconditionError, ResourceBudgetError
+from rekonfig.exact import Budget, solve_exact
 from rekonfig.graph import (
     FeasibilityKind,
     ReconfigInstance,
@@ -31,6 +32,14 @@ def test_oracle_c4_examples(c4):
     assert clique_edge_oracle(c4, {0}, {2}, 2, S13, T24)
     assert not clique_edge_oracle(c4, {0}, {1}, 2, S13, T24)
     assert clique_edge_oracle(c4, {0}, {0}, 2, S13, T24)  # x = y inside s
+
+
+def test_oracle_rejects_a_non_cover_of_the_remainder(c4):
+    # Z = {2}: s = {1} misses the edge 3-0 of C4 - Z, t = {0, 2} covers it.
+    with pytest.raises(PreconditionError):
+        clique_edge_oracle(c4, {2}, {2}, 2, {1}, T24)
+    with pytest.raises(PreconditionError):
+        clique_edge_oracle(c4, {2}, {2}, 2, S13, {1})
 
 
 def test_oracle_brute_force_agreement():
@@ -134,3 +143,15 @@ def test_xp_matches_exact_solver(n, seed):
             continue
         want = solve_exact(ReconfigInstance(g, VC, s, t, Rule(RuleKind.KTJ, k))).reachable
         assert xp_vcr_solve(g, s, t, mu) == want
+
+
+def test_xp_time_budget():
+    # C20 with mu = 3 (s = evens + {1}, t = odds + {0}) takes seconds.
+    n = 20
+    g = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    s = frozenset(range(0, n, 2)) | {1}
+    t = frozenset(range(1, n, 2)) | {0}
+    began = time.monotonic()
+    with pytest.raises(ResourceBudgetError):
+        xp_vcr_solve(g, s, t, 3, Budget(max_seconds=0.3))
+    assert time.monotonic() - began < 0.3 + 1.0
