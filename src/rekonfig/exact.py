@@ -118,10 +118,20 @@ def _clique_bound(cliques: list[int], candidates: int) -> int:
     return b
 
 
-def _independent_masks(g: Graph, size: int, clock: _BudgetClock) -> list[int]:
+class _LimitReached(Exception):
+    """Raised inside the enumeration once it holds more sets than its limit."""
+
+
+def _independent_masks(
+    g: Graph, size: int, clock: _BudgetClock, limit: int | None = None
+) -> list[int]:
     """All independent sets of exactly `size`, as bitmasks, in lexicographic
     order of the underlying vertex tuples (include-first DFS over ascending
-    ids gives exactly that order)."""
+    ids gives exactly that order).
+
+    With a limit, the enumeration stops as soon as it holds more than
+    `limit` sets; a result longer than `limit` is then an incomplete prefix
+    of the family, good only for its length."""
     n = g.vertex_count
     masks = g.neighbor_masks
     cliques = _clique_partition_masks(g, g.full_mask)
@@ -144,11 +154,16 @@ def _independent_masks(g: Graph, size: int, clock: _BudgetClock) -> list[int]:
             # flush every remaining candidate as a completion
             for w in iter_bits(candidates):
                 out.append(chosen | (1 << w))
+            if limit is not None and len(out) > limit:
+                raise _LimitReached
             return
         rec(v + 1, chosen | bit, count + 1, banned | masks[v] | bit)
         rec(v + 1, chosen, count, banned | bit)
 
-    rec(0, 0, 0, 0)
+    try:
+        rec(0, 0, 0, 0)
+    except _LimitReached:
+        pass
     return out
 
 
@@ -156,13 +171,16 @@ def _set_sort_key(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-def _feasible_masks(g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock) -> list[int]:
+def _feasible_masks(
+    g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock, limit: int | None = None
+) -> list[int]:
+    """feasible_masks on the caller's clock; `limit` as in _independent_masks."""
     if not (0 <= size <= g.vertex_count):
         raise PreconditionError(f"size {size} out of range for {g.vertex_count} vertices")
     if kind is FeasibilityKind.INDEPENDENT_SET:
-        return _independent_masks(g, size, clock)
+        return _independent_masks(g, size, clock, limit)
     full = g.full_mask
-    covers = [full ^ m for m in _independent_masks(g, g.vertex_count - size, clock)]
+    covers = [full ^ m for m in _independent_masks(g, g.vertex_count - size, clock, limit)]
     covers.sort(key=_set_sort_key)
     return covers
 
@@ -347,41 +365,53 @@ def _jumps(a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: i
 def _slides(a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int) -> list[int]:
     """Independent sets B reached by sliding j <= k tokens of A along edges.
 
-    Each token of the dropped set D moves to a distinct neighbour u with
-    c(u) ⊆ D (u is outside A ∪ N(A - D)), and the new vertices are pairwise
-    non-adjacent, so the matching between A - B and B - A holds by
-    construction."""
-    tokens = list(iter_bits(a))
+    E = B - A is an independent set of j candidates with non-empty
+    conflicts. Every dropped token slides to a vertex of E, so the dropped
+    set is exactly ∪c(E), which must have j tokens. A perfect matching
+    between the two needs Hall's condition, which non-empty conflicts
+    already give for j <= 2."""
+    touching = [(u, c) for u, c in candidates if c]
     out: list[int] = []
-
-    def assign(
-        base: int, dropped: tuple[int, ...], allowed: list[tuple[int, int]], added: int, banned: int
-    ) -> None:
-        if not dropped:
-            out.append(base | added)
-            return
-        bit = 1 << dropped[0]
-        for u, c in allowed:
-            if c & bit and not ((added | banned) >> u) & 1:
-                assign(base, dropped[1:], allowed, added | (1 << u), banned | nbr[u])
-
-    for j in range(1, min(k, len(tokens)) + 1):
-        for dropped in combinations(tokens, j):
-            d_mask = set_to_mask(dropped)
-            allowed = [(u, c) for u, c in candidates if c and not c & ~d_mask]
-            assign(a & ~d_mask, dropped, allowed, 0, 0)
+    for j in range(1, min(k, a.bit_count()) + 1):
+        for group in combinations(touching, j):
+            added = conflicts = banned = 0
+            for u, c in group:
+                if (banned >> u) & 1:
+                    break
+                added |= 1 << u
+                conflicts |= c
+                banned |= nbr[u]
+            else:
+                if conflicts.bit_count() == j and (j < 3 or _hall(group)):
+                    out.append((a & ~conflicts) | added)
     return out
 
 
+def _hall(group: tuple[tuple[int, int], ...]) -> bool:
+    """Hall's condition for matching each vertex of the group to a distinct
+    token of its conflicts, checked on the subsets of 2 to j - 1 vertices
+    (single vertices and the whole group pass by construction)."""
+    for r in range(2, len(group)):
+        for sub in combinations(group, r):
+            union = 0
+            for _, c in sub:
+                union |= c
+            if union.bit_count() < r:
+                return False
+    return True
+
+
 def _move_estimate(inst: ReconfigInstance) -> int:
-    """Moves the generator may try per expansion: sum over j <= k of
-    C(t, j) * C(n - t, j) under k-TJ and C(t, j) * Delta^j under k-TS, with
-    t the number of tokens of the independent set (the cover's complement)."""
+    """Moves the generator may try per expansion, with t the number of tokens
+    of the independent set (the cover's complement): sum over j <= k of
+    C(t, j) * C(n - t, j) under k-TJ, and of C(m, j) under k-TS, where
+    m = min(n - t, t * Delta) bounds the vertices next to a token."""
     g = inst.graph
     n = g.vertex_count
     t = len(inst.start) if inst.kind is FeasibilityKind.INDEPENDENT_SET else n - len(inst.start)
     if inst.rule.kind is RuleKind.KTS:
-        return sum(comb(t, j) * g.max_degree**j for j in range(1, inst.rule.k + 1))
+        m = min(n - t, t * g.max_degree)
+        return sum(comb(m, j) for j in range(1, inst.rule.k + 1))
     return sum(comb(t, j) * comb(n - t, j) for j in range(1, inst.rule.k + 1))
 
 
@@ -405,6 +435,61 @@ def _search(
     return SolveResult(True, seq, expanded)
 
 
+def _bfs_both_ends(
+    source: int, target: int, neighbours: Neighbours, clock: _BudgetClock
+) -> tuple[int | None, dict[int, int | None], dict[int, int | None], int]:
+    """Level-synchronous BFS from source and from target at once.
+
+    Each step expands the whole frontier of the side with fewer frontier
+    states (the source side on a tie). The first level that reaches states
+    of the other side is finished, and its least meeting state by
+    _set_sort_key is returned. Before that level the two searched balls were
+    disjoint, so every meeting state lies on the other side's frontier and
+    all of them close a shortest path. The budget is charged once per state
+    stored on either side, and the clock is read once per expansion.
+
+    Returns (meeting state or None, parents from source, parents from
+    target, number of expanded states).
+    """
+    parents: tuple[dict[int, int | None], dict[int, int | None]] = ({source: None}, {target: None})
+    frontiers = [[source], [target]]
+    clock.charge(2)
+    expanded = 0
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = parents[side], parents[1 - side]
+        level: list[int] = []
+        meets: list[int] = []
+        for a in frontiers[side]:
+            expanded += 1
+            clock.check_time()
+            for b in neighbours(a, mine):
+                mine[b] = a
+                clock.charge()
+                level.append(b)
+                if b in other:
+                    meets.append(b)
+        if meets:
+            return min(meets, key=_set_sort_key), parents[0], parents[1], expanded
+        frontiers[side] = level
+    return None, parents[0], parents[1], expanded
+
+
+def _search_both_ends(
+    inst: ReconfigInstance, neighbours: Neighbours, clock: _BudgetClock, want_shortest: bool
+) -> SolveResult:
+    meet, from_source, from_target, expanded = _bfs_both_ends(
+        set_to_mask(inst.start), set_to_mask(inst.target), neighbours, clock
+    )
+    if meet is None:
+        return SolveResult(False, None, expanded)
+    if not want_shortest:
+        return SolveResult(True, None, expanded)
+    to_meet = _chain(from_source, meet).steps
+    from_meet = _chain(from_target, meet).steps[::-1]
+    return SolveResult(True, ReconfigSequence(to_meet + from_meet[1:]), expanded)
+
+
 def solve_exact(
     inst: ReconfigInstance, want_shortest: bool = False, budget: Budget | None = None
 ) -> SolveResult:
@@ -412,21 +497,22 @@ def solve_exact(
     When want_shortest is set, the returned certificate is a minimum-length
     sequence (BFS levels).
 
-    Neighbours are generated as moves when twice the per-state move estimate
-    is below the number of feasible sets, and found by scanning the family
-    otherwise; both give the same result. One budget clock covers the
-    enumeration and the search."""
+    The feasible sets are counted only until they outnumber twice the
+    per-state move estimate. If they do, moves are generated and the BFS
+    runs from both ends without the family; otherwise the complete small
+    family is scanned from the start. One budget clock covers the counting
+    and the search."""
     start = set_to_mask(inst.start)
     if start == set_to_mask(inst.target):
         seq = ReconfigSequence((inst.start,)) if want_shortest else None
         return SolveResult(True, seq, 0)
     clock = _BudgetClock.begin(budget)
     size = len(inst.start)
-    states = _feasible_masks(inst.graph, inst.kind, size, clock)
-    if 2 * _move_estimate(inst) < len(states):
-        neighbours = _move_generator(inst)
-    else:
-        neighbours = _state_scan(states, start, _rule_adjacency(inst.graph, inst.rule, size))
+    cap = 2 * _move_estimate(inst)
+    states = _feasible_masks(inst.graph, inst.kind, size, clock, limit=cap)
+    if len(states) > cap:
+        return _search_both_ends(inst, _move_generator(inst), clock, want_shortest)
+    neighbours = _state_scan(states, start, _rule_adjacency(inst.graph, inst.rule, size))
     return _search(inst, neighbours, clock, want_shortest)
 
 

@@ -45,6 +45,10 @@ from .graph import (
 from .matching import Matching
 from .oracles import CnfFormula, NclConfig, NclMachine
 
+# Largest vertex count a header may announce. Parsers check it before any
+# graph or per-vertex list is sized, so a one-line file cannot exhaust memory.
+MAX_VERTICES = 1 << 16
+
 
 def _tokenized(text: str):
     """(line_number, [tokens]) for every non-comment, non-blank line.
@@ -63,6 +67,13 @@ def _int(tok: str, ln: int, what: str) -> int:
         return int(tok)
     except ValueError:
         raise FormatSyntaxError(f"expected an integer {what}, got {tok!r}", ln, 1)
+
+
+def _vertex_count(tok: str, ln: int) -> int:
+    n = _int(tok, ln, "vertex count")
+    if n > MAX_VERTICES:
+        raise FormatSemanticsError(f"vertex count {n} exceeds the limit {MAX_VERTICES}", ln)
+    return n
 
 
 def _vertex(tok: str, ln: int, n: int) -> int:
@@ -86,7 +97,7 @@ def parse_instance(text: str) -> ReconfigInstance:
                 raise FormatSyntaxError(
                     "expected `p reconfig <n> <m> <is|vc> <ktj|kts> <k>`", ln, 1
                 )
-            n = _int(toks[2], ln, "vertex count")
+            n = _vertex_count(toks[2], ln)
             m = _int(toks[3], ln, "edge count")
             try:
                 kind = FeasibilityKind(toks[4])
@@ -210,7 +221,7 @@ def parse_ncl(text: str) -> tuple[NclMachine, NclConfig, NclConfig]:
                 raise FormatSyntaxError("duplicate p line", ln, 1)
             if len(toks) != 4 or toks[1] != "ncl":
                 raise FormatSyntaxError("expected `p ncl <n> <m>`", ln, 1)
-            n = _int(toks[2], ln, "vertex count")
+            n = _vertex_count(toks[2], ln)
             m = _int(toks[3], ln, "edge count")
         elif head == "e":
             if section is not None:
@@ -296,7 +307,7 @@ def parse_pmr(text: str) -> tuple[Graph, Matching, Matching]:
                 raise FormatSyntaxError("duplicate p line", ln, 1)
             if len(toks) != 4 or toks[1] != "pmr":
                 raise FormatSyntaxError("expected `p pmr <n> <m>`", ln, 1)
-            n = _int(toks[2], ln, "vertex count")
+            n = _vertex_count(toks[2], ln)
             m = _int(toks[3], ln, "edge count")
         elif head == "e":
             if section is not None or n is None:

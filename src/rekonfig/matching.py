@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import PreconditionError
 from .graph import Graph, VertexSet, check_vertex_set, set_to_mask
 
 Matching = frozenset[tuple[int, int]]
@@ -163,9 +164,12 @@ def has_perfect_matching_between(g: Graph, a, b) -> bool:
     disjoint sets a and b has a matching saturating both sides.
 
     False whenever |a| != |b|; vacuously true for two empty sets.
+    PreconditionError when a and b share a vertex.
     """
     sa = check_vertex_set(g, a)
     sb = check_vertex_set(g, b)
+    if sa & sb:
+        raise PreconditionError(f"sides overlap in {sorted(sa & sb)}")
     if len(sa) != len(sb):
         return False
     if not sa:

@@ -188,13 +188,14 @@ def build_clique_compressed_graph(
             f"C({g.vertex_count},{mu}) nodes exceed the state budget {clock.budget.max_states}"
         )
     nodes = tuple(frozenset(c) for c in combinations(range(g.vertex_count), mu))
+    node_masks = [set_to_mask(x) for x in nodes]
     cover_size = len(ss)
     z_memo: dict[int, bool] = {}
     edges = set()
     for i in range(len(nodes)):
         clock.check_time()
         for j in range(i + 1, len(nodes)):
-            z = set_to_mask(nodes[i]) | set_to_mask(nodes[j])
+            z = node_masks[i] | node_masks[j]
             hit = z_memo.get(z)
             if hit is None:
                 hit = clique_edge_oracle(g, nodes[i], nodes[j], cover_size, ss, st)

@@ -1,7 +1,9 @@
 from pathlib import Path
 
+import pytest
+
 from rekonfig.cli import main
-from rekonfig.io_formats import parse_instance
+from rekonfig.io_formats import MAX_VERTICES, parse_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,3 +182,18 @@ def test_xp_vcr_time_budget_exit_code(capsys, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "--budget-secs", "0.3", "xp-vcr", str(path))
     assert code == 3 and out == "" and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (("solve",), "p reconfig {} 0 is ktj 1"),
+        (("oracle", "ncl"), "p ncl {} 0"),
+        (("oracle", "pmr"), "p pmr {} 0"),
+    ],
+)
+def test_oversized_header_exit_code(capsys, tmp_path, argv, header):
+    path = tmp_path / "huge"
+    path.write_text(header.format(10**12) + "\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == "" and f"exceeds the limit {MAX_VERTICES}" in err

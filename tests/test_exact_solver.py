@@ -165,6 +165,90 @@ def test_move_generator_matches_state_scan(n, seed, kind, rule_kind):
     assert trees["moves"] == trees["scan"]
 
 
+def _both_ends(inst):
+    clock = exact._BudgetClock.begin(None)
+    return exact._search_both_ends(inst, exact._move_generator(inst), clock, want_shortest=True)
+
+
+@given(
+    st.integers(min_value=1, max_value=11),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+)
+@settings(max_examples=300, deadline=None)
+def test_search_from_both_ends_matches_state_scan(n, seed, kind, rule_kind):
+    # k ranges up to |S|, so k-TS cases slide three or more tokens at once
+    # and go through the Hall check.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+    families = [f for f in (feasible_masks(g, kind, size) for size in range(1, n + 1)) if len(f) > 1]
+    if not families:
+        return
+    family = rng.choice(families)
+    size = family[0].bit_count()
+    start, target = (mask_to_set(m) for m in rng.sample(family, 2))
+    inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, rng.randint(1, size)))
+    scan = exact._search(inst, _sources(inst)["scan"](), exact._BudgetClock.begin(None), True)
+    both = _both_ends(inst)
+    assert both.reachable == scan.reachable
+    if scan.reachable:
+        assert both.shortest.length == scan.shortest.length
+        assert verify_sequence(inst, both.shortest).accepted
+    assert _both_ends(inst) == both  # deterministic, explored_states included
+
+
+def test_slides_need_hall_condition():
+    # Conflicts c(3) = c(4) = {0} and c(5) = {1, 2}: together they hold three
+    # tokens, but 3 and 4 compete for token 0, so {0, 1, 2} -> {3, 4, 5} is
+    # a 3-TJ move and no 3-TS move; under 3-TS the target is unreachable.
+    g = new_graph(6, [(0, 3), (0, 4), (1, 5), (2, 5)])
+    for rule_kind, reachable in ((RuleKind.KTJ, True), (RuleKind.KTS, False)):
+        inst = ReconfigInstance(
+            g, IS, frozenset({0, 1, 2}), frozenset({3, 4, 5}), Rule(rule_kind, 3)
+        )
+        assert (0b111000 in exact._move_generator(inst)(0b000111, {})) == reachable
+        assert _both_ends(inst).reachable == solve_exact(inst).reachable == reachable
+
+
+def _prism_instance() -> ReconfigInstance:
+    # Prism C10 x K2 (cubic, 20 vertices), independent 4-sets under 1-TJ.
+    edges = [(i, (i + 1) % 10) for i in range(10)]
+    edges += [(10 + i, 10 + (i + 1) % 10) for i in range(10)] + [(i, 10 + i) for i in range(10)]
+    return ReconfigInstance(
+        new_graph(20, edges), IS, frozenset({0, 2, 4, 6}), frozenset({11, 13, 15, 17}),
+        Rule(RuleKind.KTJ, 1),
+    )
+
+
+def test_generator_path_counts_only_part_of_the_family():
+    # The generator path stops counting the family at twice the move
+    # estimate, so the charges of one full enumeration pay for the whole
+    # solve, search included.
+    inst = _prism_instance()
+    clock = exact._BudgetClock.begin(None)
+    exact._feasible_masks(inst.graph, IS, 4, clock)
+    res = solve_exact(inst, want_shortest=True, budget=Budget(max_states=clock.counted))
+    assert res.reachable and verify_sequence(inst, res.shortest).accepted
+
+
+def test_search_from_both_ends_charges_every_stored_state():
+    inst = _prism_instance()
+    source, target = set_to_mask(inst.start), set_to_mask(inst.target)
+    clock = exact._BudgetClock.begin(None)
+    meet, from_source, from_target, _ = exact._bfs_both_ends(
+        source, target, exact._move_generator(inst), clock
+    )
+    stored = len(from_source) + len(from_target)
+    assert meet is not None and len(from_source) > 1 and len(from_target) > 1
+    assert clock.counted == stored
+    with pytest.raises(ResourceBudgetError):
+        exact._bfs_both_ends(
+            source, target, exact._move_generator(inst),
+            exact._BudgetClock.begin(Budget(max_states=stored - 1)),
+        )
+
+
 def _picked_source(monkeypatch, inst) -> list[str]:
     picked: list[str] = []
     for name in ("_move_generator", "_state_scan"):
@@ -182,14 +266,7 @@ def _picked_source(monkeypatch, inst) -> list[str]:
 def test_solve_exact_generates_moves_on_sparse_k1(monkeypatch):
     # Prism C10 x K2 (cubic, 20 vertices): 2 * 4 * 16 moves per state is far
     # below the number of independent 4-sets.
-    n = 20
-    edges = [(i, (i + 1) % 10) for i in range(10)]
-    edges += [(10 + i, 10 + (i + 1) % 10) for i in range(10)] + [(i, 10 + i) for i in range(10)]
-    inst = ReconfigInstance(
-        new_graph(n, edges), IS, frozenset({0, 2, 4, 6}), frozenset({11, 13, 15, 17}),
-        Rule(RuleKind.KTJ, 1),
-    )
-    assert _picked_source(monkeypatch, inst) == ["_move_generator"]
+    assert _picked_source(monkeypatch, _prism_instance()) == ["_move_generator"]
 
 
 def test_solve_exact_scans_on_dense_k2(monkeypatch):

@@ -13,7 +13,9 @@ from rekonfig.graph import (
     Rule,
     RuleKind,
 )
+from rekonfig import io_formats
 from rekonfig.io_formats import (
+    MAX_VERTICES,
     parse_certificate,
     parse_cnf,
     parse_instance,
@@ -30,6 +32,30 @@ from rekonfig.oracles import CnfFormula, enumerate_perfect_matchings
 from conftest import brute_feasible, random_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "parse, header",
+    [
+        (parse_instance, "p reconfig {} 0 is ktj 1"),
+        (parse_ncl, "p ncl {} 0"),
+        (parse_pmr, "p pmr {} 0"),
+    ],
+)
+def test_oversized_header_rejected_before_allocation(monkeypatch, parse, header):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("sized a graph or machine before the header check")
+
+    monkeypatch.setattr(io_formats, "new_graph", no_allocation)
+    monkeypatch.setattr(io_formats, "NclMachine", no_allocation)
+    for n in (MAX_VERTICES + 1, 10**12):
+        with pytest.raises(FormatSemanticsError, match="exceeds the limit"):
+            parse(header.format(n) + "\n")
+
+
+def test_header_at_the_vertex_limit_parses():
+    inst = parse_instance(f"p reconfig {MAX_VERTICES} 0 is ktj 1\ns 1\nt 2\n")
+    assert inst.graph.vertex_count == MAX_VERTICES
 
 
 def test_instance_fixture_round_trip(c4):

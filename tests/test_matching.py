@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rekonfig.errors import PreconditionError
 from rekonfig.exact import min_vertex_cover
 from rekonfig.graph import Graph, is_vertex_cover, new_graph
 from rekonfig.matching import (
@@ -51,6 +53,12 @@ def test_perfect_matching_between(c4):
     assert not has_perfect_matching_between(c4, {0}, {1, 3})
     assert has_perfect_matching_between(c4, set(), set())
     assert has_perfect_matching_between(c4, {0, 2}, {1, 3})
+
+
+def test_perfect_matching_between_rejects_overlapping_sides(path3):
+    # Path 0-1-2: vertex 1 must not be matched on both sides.
+    with pytest.raises(PreconditionError):
+        has_perfect_matching_between(path3, {0, 1}, {1, 2})
 
 
 def _random_sides(rng, g, most):
