@@ -1,33 +1,48 @@
 #!/usr/bin/env python3
-"""Sweep solve_exact against reachability classes where it generates moves.
+"""Sweep solve_exact against reachability classes on both of its paths.
 
-For seeded random graphs with 14 to 18 vertices, every k in {1, 2, 3}, both
-kinds (independent sets, vertex covers) and both rules (k-TJ, k-TS), picks
-the smallest token count t >= 2 at which solve_exact generates moves (the
-feasible sets outnumber twice its move estimate) while the family stays
-small enough to label. Then compares solve_exact on sampled start/target
-pairs, half of them from one class, with the reachability_classes labels,
-and checks every certificate with verify_sequence. Prints one row per rule
-and k, with how many solves took each path. Under 3-TJ the move estimate
-exceeds half of every family at these sizes, so those solves scan.
+For every k in {1, 2, 3}, both kinds (independent sets, vertex covers) and
+both rules (k-TJ, k-TS), draws seeded graphs of two sorts:
+
+* sparse: G(n, 0.04-0.12) on 10 to 14 vertices plus a disjoint K_{k+1,k+1}
+  and two to six disjoint K2s. At the independence number every token is
+  stuck in its part, and the K_{k+1,k+1} switches sides only by moving
+  k + 1 tokens at once, so its two sides split the family into classes. The
+  K2s make the family large, and solve_exact generates moves.
+* dense: G(n, 0.6-0.9) on 7 to 10 vertices, plus the same K_{k+1,k+1} for
+  k >= 2, because families this small rarely split under 2-TJ or 3-TJ on
+  their own; solve_exact mostly scans them. Not at k = 1: there each
+  candidate of a maximum independent set leads to a different neighbour,
+  so a family doubled by a K_{2,2} always outnumbers twice the estimate.
+
+For each graph, goes down from the independence number while the family of
+t-sets is small enough to label and splits into at least two classes, one
+of them with two or more sets, and keeps the last such t; a graph where
+even the independence number fails is redrawn. Then compares solve_exact on
+sampled start/target pairs, alternately from one class (YES) and from two
+classes (NO), with the reachability_classes labels, and checks every
+certificate with verify_sequence. Prints one row per rule and k with how
+many solves took each path, and exits non-zero on a mismatch or when a row
+has no solve on one of the two paths.
 
 Usage:
-    python scripts/bfs_agreement_sweep.py [--graphs 6] [--pairs 10] [--seed 1]
+    python scripts/bfs_agreement_sweep.py [--graphs 10] [--pairs 10] [--seed 1]
 """
 
 import argparse
+import itertools
 import random
 import sys
 import time
+from collections import Counter
 
 from rekonfig import exact
-from rekonfig.exact import feasible_masks, reachability_classes, solve_exact
+from rekonfig.exact import feasible_masks, max_independent_set, reachability_classes, solve_exact
 from rekonfig.graph import (
     FeasibilityKind,
     ReconfigInstance,
     Rule,
     RuleKind,
-    mask_to_set,
     new_graph,
     verify_sequence,
 )
@@ -37,51 +52,70 @@ VC = FeasibilityKind.VERTEX_COVER
 # Largest family to label: reachability_classes scans it quadratically, and
 # under k-TS each close pair costs a matching.
 MAX_FAMILY = {RuleKind.KTJ: 2500, RuleKind.KTS: 800}
+MAX_DRAWS = 1000
 
 
-def pick_tokens(g, rule):
-    """(t, generates) for the smallest t >= 2 whose family of independent
-    t-sets is labelled cheaply and picks the move generator, else for the
-    largest such family, which scans."""
+def sweep_graph(rng, k, dense):
+    """One graph of either sort, as described above."""
+    n = rng.randint(7, 10) if dense else rng.randint(10, 14)
+    p = rng.uniform(0.6, 0.9) if dense else rng.uniform(0.04, 0.12)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    if not dense or k > 1:
+        side = k + 1
+        edges += [(n + i, n + side + j) for i in range(side) for j in range(side)]
+        n += 2 * side
+    if not dense:
+        for _ in range(rng.randint(2, 6)):
+            edges.append((n, n + 1))
+            n += 2
+    return new_graph(n, edges)
+
+
+def pick_tokens(g, kind, rule):
+    """Labels of the feasible family for the smallest token count t of a run
+    of split families that starts at the independence number: t goes down
+    while the independent t-sets are few enough to label and fall into two
+    or more classes, one of them with two or more sets. Below the
+    independence number, tokens have free vertices to move to, which moves
+    at the independence number never see. None if even the largest t fails."""
     n = g.vertex_count
-    fallback = None
-    for t in range(2, n):
-        masks = feasible_masks(g, IS, t)
-        family = len(masks)
-        if family < 2:
+    picked = None
+    for t in range(len(max_independent_set(g)), 1, -1):
+        size = t if kind is IS else n - t
+        if len(feasible_masks(g, kind, size)) > MAX_FAMILY[rule.kind]:
             break
-        if family > MAX_FAMILY[rule.kind]:
-            continue
-        some = mask_to_set(masks[0])
-        if family > 2 * exact._move_estimate(ReconfigInstance(g, IS, some, some, rule)):
-            return t, True
-        if fallback is None or family > fallback[1]:
-            fallback = (t, family)
-    return (fallback[0], False) if fallback else (None, False)
+        labels = reachability_classes(g, kind, size, rule)
+        classes = Counter(labels.values())
+        if len(classes) < 2 or max(classes.values()) < 2:
+            break
+        picked = labels
+    return picked
 
 
 def pairs(rng, labels, count):
-    sets = sorted(labels, key=sorted)
+    """Start/target pairs, alternately from one class and from two."""
     classes = {}
-    for s in sets:
+    for s in sorted(labels, key=sorted):
         classes.setdefault(labels[s], []).append(s)
     shared = [c for c in classes.values() if len(c) > 1]
+    groups = list(classes.values())
     for i in range(count):
-        if i % 2 == 0 and shared:
+        if i % 2 == 0:
             yield tuple(rng.sample(rng.choice(shared), 2))
         else:
-            yield tuple(rng.sample(sets, 2))
+            a, b = rng.sample(groups, 2)
+            yield rng.choice(a), rng.choice(b)
 
 
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--graphs", type=int, default=6, help="graphs per rule, k and kind")
+    parser.add_argument("--graphs", type=int, default=10, help="graphs of each sort per rule, k and kind")
     parser.add_argument("--pairs", type=int, default=10, help="start/target pairs per graph")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    total_mismatch = 0
+    failed = False
     print(
         f"{'rule':<5} {'k':>2} {'solves':>7} {'yes':>5} {'generator':>10} {'scan':>5} "
         f"{'mismatch':>9} {'secs':>6}"
@@ -91,35 +125,31 @@ def main():
             rule = Rule(rule_kind, k)
             t0 = time.time()
             solves = yes = generated = mismatches = 0
-            for kind in (IS, VC):
-                for _ in range(args.graphs):
-                    n = rng.randint(14, 18)
-                    p = rng.uniform(0.04, 0.12)
-                    g = new_graph(
-                        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-                    )
-                    t, generates = pick_tokens(g, rule)
-                    if t is None:
-                        continue
-                    size = t if kind is IS else n - t
-                    labels = reachability_classes(g, kind, size, rule)
-                    for s, target in pairs(rng, labels, args.pairs):
-                        inst = ReconfigInstance(g, kind, s, target, rule)
-                        res = solve_exact(inst, want_shortest=True)
-                        solves += 1
-                        yes += res.reachable
-                        generated += generates
-                        agree = res.reachable == (labels[s] == labels[target])
-                        if res.reachable:
-                            agree = agree and verify_sequence(inst, res.shortest).accepted
-                        mismatches += not agree
-            total_mismatch += mismatches
+            for kind, dense, _ in itertools.product((IS, VC), (False, True), range(args.graphs)):
+                for _ in range(MAX_DRAWS):
+                    g = sweep_graph(rng, k, dense)
+                    labels = pick_tokens(g, kind, rule)
+                    if labels is not None:
+                        break
+                else:
+                    sys.exit(f"no graph with a split family in {MAX_DRAWS} draws")
+                for s, target in pairs(rng, labels, args.pairs):
+                    inst = ReconfigInstance(g, kind, s, target, rule)
+                    res = solve_exact(inst, want_shortest=True)
+                    solves += 1
+                    yes += res.reachable
+                    generated += len(labels) > 2 * exact._move_estimate(inst)
+                    agree = res.reachable == (labels[s] == labels[target])
+                    if res.reachable:
+                        agree = agree and verify_sequence(inst, res.shortest).accepted
+                    mismatches += not agree
+            failed |= mismatches > 0 or generated == 0 or generated == solves
             print(
                 f"{rule_kind.value:<5} {k:>2} {solves:>7} {yes:>5} {generated:>10} {solves - generated:>5} "
                 f"{mismatches:>9} {time.time() - t0:>6.1f}"
             )
-    print("agreement:", "100%" if total_mismatch == 0 else f"{total_mismatch} mismatches")
-    return 0 if total_mismatch == 0 else 1
+    print("agreement and both paths:", "FAIL" if failed else "OK")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

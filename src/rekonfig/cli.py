@@ -4,7 +4,8 @@ Exit codes: 0 = YES/ACCEPT, 1 = NO/REJECT, 2 = usage or input error,
 3 = resource budget exceeded. The machine-readable verdict (`yes` or `no`)
 goes to stdout; diagnostics go to stderr. Budgets come from
 --budget-states/--budget-secs, falling back to REKONFIG_BUDGET_STATES and
-REKONFIG_BUDGET_SECS, then to the library defaults.
+REKONFIG_BUDGET_SECS, then to the library defaults. Each command imports the
+modules only it needs, so a `solve` process does not load the compilers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import sys
 
 from . import io_formats
-from .bounds import shortest_length_bound
 from .errors import (
     FormatSemanticsError,
     FormatSyntaxError,
@@ -25,17 +25,6 @@ from .errors import (
 )
 from .exact import Budget, solve_exact
 from .graph import FeasibilityKind, RuleKind, verify_sequence
-from .oracles import SatMode, ncl_reachable, pmr_reachable, sat_decide
-from .reductions import (
-    add_isolated_pads,
-    e3sat_to_inte3sat,
-    grid_draw,
-    inte3sat_to_isr,
-    ncl_to_isr,
-    planarize,
-    pmr_to_isr,
-)
-from .xp import xp_vcr_solve
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -83,6 +72,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_xp_vcr(args) -> int:
+    from .xp import xp_vcr_solve
+
     inst = io_formats.parse_instance(_read(args.instance))
     if inst.kind is not FeasibilityKind.VERTEX_COVER:
         raise PreconditionError("xp-vcr needs a vertex-cover instance")
@@ -107,6 +98,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import (
+        add_isolated_pads,
+        e3sat_to_inte3sat,
+        grid_draw,
+        inte3sat_to_isr,
+        ncl_to_isr,
+        planarize,
+        pmr_to_isr,
+    )
+
     if args.compiler == "sat2int":
         phi = io_formats.parse_cnf(_read(args.input))
         _emit(io_formats.serialize_cnf(e3sat_to_inte3sat(phi)), args.output)
@@ -135,6 +136,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracles import SatMode, ncl_reachable, pmr_reachable, sat_decide
+
     if args.problem == "sat":
         phi = io_formats.parse_cnf(_read(args.input))
         witness = sat_decide(phi, SatMode(args.mode))
@@ -154,6 +157,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .bounds import shortest_length_bound
+
     b = shortest_length_bound(args.n, args.size, args.mu)
     print(f"max_length {b.max_length}")
     print(f"binomial_bound {b.binomial_bound}")

@@ -167,8 +167,12 @@ def _independent_masks(
     return out
 
 
-def _set_sort_key(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
+def _set_sort_key(mask: int) -> str:
+    """Sort key for sets of one size: descending order of the key is the
+    lexicographic order of their sorted vertex lists. The key is the mask in
+    binary with vertex 0 first, so the least vertex where two sets differ
+    decides, and the set that holds it comes first."""
+    return bin(mask)[:1:-1]
 
 
 def _feasible_masks(
@@ -181,7 +185,7 @@ def _feasible_masks(
         return _independent_masks(g, size, clock, limit)
     full = g.full_mask
     covers = [full ^ m for m in _independent_masks(g, g.vertex_count - size, clock, limit)]
-    covers.sort(key=_set_sort_key)
+    covers.sort(key=_set_sort_key, reverse=True)
     return covers
 
 
@@ -303,31 +307,38 @@ def _state_scan(states: list[int], source: int, adjacent: Callable[[int, int], b
     return neighbours
 
 
+def _candidates(a: int, nbr: tuple[int, ...], k: int, slide: bool) -> list[tuple[int, int]]:
+    """(u, c(u)) for every vertex u outside the independent set A that a
+    move may add: its conflicts c(u) = N(u) ∩ A must all leave, so
+    |c(u)| <= k, and under k-TS (slide) a token must slide onto u, so
+    c(u) is not empty."""
+    out = []
+    for u in range(len(nbr)):
+        if not (a >> u) & 1:
+            c = nbr[u] & a
+            if c.bit_count() <= k and (c or not slide):
+                out.append((u, c))
+    return out
+
+
 def _move_generator(inst: ReconfigInstance) -> Neighbours:
     """Neighbour source that generates the k-TJ or k-TS moves of a state.
 
     Works on independent sets; a vertex cover is handled through its
     complement, which keeps |A △ B| and the k-TS matching (the removed and
-    added vertices swap roles). Moves pivot on additions: a vertex u outside
-    A may enter only if its conflicts c(u) = N(u) ∩ A all leave, so only
-    vertices with |c(u)| <= k are candidates.
+    added vertices swap roles). Moves pivot on additions: only the
+    _candidates of a state may enter it.
     """
-    g = inst.graph
-    nbr = g.neighbor_masks
+    nbr = inst.graph.neighbor_masks
     k = inst.rule.k
-    flip = g.full_mask if inst.kind is FeasibilityKind.VERTEX_COVER else 0
-    moves = _slides if inst.rule.kind is RuleKind.KTS else _jumps
+    flip = inst.graph.full_mask if inst.kind is FeasibilityKind.VERTEX_COVER else 0
+    slide = inst.rule.kind is RuleKind.KTS
+    moves = _slides if slide else _jumps
 
     def neighbours(state: int, visited: dict[int, int | None]) -> list[int]:
         a = state ^ flip
-        candidates = []
-        for u in range(g.vertex_count):
-            if not (a >> u) & 1:
-                c = nbr[u] & a
-                if c.bit_count() <= k:
-                    candidates.append((u, c))
-        new = {b ^ flip for b in moves(a, candidates, nbr, k)}
-        return sorted((b for b in new if b not in visited), key=_set_sort_key)
+        new = {b ^ flip for b in moves(a, _candidates(a, nbr, k, slide), nbr, k)}
+        return sorted((b for b in new if b not in visited), key=_set_sort_key, reverse=True)
 
     return neighbours
 
@@ -365,15 +376,14 @@ def _jumps(a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: i
 def _slides(a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int) -> list[int]:
     """Independent sets B reached by sliding j <= k tokens of A along edges.
 
-    E = B - A is an independent set of j candidates with non-empty
-    conflicts. Every dropped token slides to a vertex of E, so the dropped
+    E = B - A is an independent set of j candidates (all with non-empty
+    conflicts). Every dropped token slides to a vertex of E, so the dropped
     set is exactly ∪c(E), which must have j tokens. A perfect matching
     between the two needs Hall's condition, which non-empty conflicts
     already give for j <= 2."""
-    touching = [(u, c) for u, c in candidates if c]
     out: list[int] = []
     for j in range(1, min(k, a.bit_count()) + 1):
-        for group in combinations(touching, j):
+        for group in combinations(candidates, j):
             added = conflicts = banned = 0
             for u, c in group:
                 if (banned >> u) & 1:
@@ -402,17 +412,21 @@ def _hall(group: tuple[tuple[int, int], ...]) -> bool:
 
 
 def _move_estimate(inst: ReconfigInstance) -> int:
-    """Moves the generator may try per expansion, with t the number of tokens
-    of the independent set (the cover's complement): sum over j <= k of
-    C(t, j) * C(n - t, j) under k-TJ, and of C(m, j) under k-TS, where
-    m = min(n - t, t * Delta) bounds the vertices next to a token."""
+    """Candidate groups the generator tries per expansion: sum over
+    j <= min(k, t) of C(m, j), where t is the number of tokens of the
+    independent set (the cover's complement) and m the number of its
+    _candidates; the larger value of the start and the target. Counts
+    groups only, so it costs one pass over the vertices per end."""
     g = inst.graph
-    n = g.vertex_count
-    t = len(inst.start) if inst.kind is FeasibilityKind.INDEPENDENT_SET else n - len(inst.start)
-    if inst.rule.kind is RuleKind.KTS:
-        m = min(n - t, t * g.max_degree)
-        return sum(comb(m, j) for j in range(1, inst.rule.k + 1))
-    return sum(comb(t, j) * comb(n - t, j) for j in range(1, inst.rule.k + 1))
+    flip = g.full_mask if inst.kind is FeasibilityKind.VERTEX_COVER else 0
+    k = inst.rule.k
+    slide = inst.rule.kind is RuleKind.KTS
+    est = 0
+    for end in (inst.start, inst.target):
+        a = set_to_mask(end) ^ flip
+        m = len(_candidates(a, g.neighbor_masks, k, slide))
+        est = max(est, sum(comb(m, j) for j in range(1, min(k, a.bit_count()) + 1)))
+    return est
 
 
 def _chain(parent: dict[int, int | None], end: int) -> ReconfigSequence:
@@ -442,11 +456,12 @@ def _bfs_both_ends(
 
     Each step expands the whole frontier of the side with fewer frontier
     states (the source side on a tie). The first level that reaches states
-    of the other side is finished, and its least meeting state by
-    _set_sort_key is returned. Before that level the two searched balls were
-    disjoint, so every meeting state lies on the other side's frontier and
-    all of them close a shortest path. The budget is charged once per state
-    stored on either side, and the clock is read once per expansion.
+    of the other side is finished, and its lexicographically least meeting
+    state (the largest _set_sort_key) is returned. Before that level the two
+    searched balls were disjoint, so every meeting state lies on the other
+    side's frontier and all of them close a shortest path. The budget is
+    charged once per state stored on either side, and the clock is read once
+    per expansion.
 
     Returns (meeting state or None, parents from source, parents from
     target, number of expanded states).
@@ -470,7 +485,7 @@ def _bfs_both_ends(
                 if b in other:
                     meets.append(b)
         if meets:
-            return min(meets, key=_set_sort_key), parents[0], parents[1], expanded
+            return max(meets, key=_set_sort_key), parents[0], parents[1], expanded
         frontiers[side] = level
     return None, parents[0], parents[1], expanded
 

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rekonfig
 from rekonfig.cli import main
 from rekonfig.io_formats import MAX_VERTICES, parse_instance
 
@@ -197,3 +201,23 @@ def test_oversized_header_exit_code(capsys, tmp_path, argv, header):
     path.write_text(header.format(10**12) + "\n")
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == "" and f"exceeds the limit {MAX_VERTICES}" in err
+
+
+def test_cli_import_loads_no_command_modules():
+    # A solve process needs neither the compilers nor the XP solver nor the
+    # length bound; each command imports its own modules.
+    src = str(Path(rekonfig.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, rekonfig.cli; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "rekonfig.cli" in loaded
+    assert not {"rekonfig.reductions", "rekonfig.xp", "rekonfig.bounds"} & loaded
+
+
+def test_package_exports_every_name():
+    namespace: dict = {}
+    exec("from rekonfig import *", namespace)
+    assert set(rekonfig.__all__) <= set(namespace) and "solve_exact" in namespace
+    with pytest.raises(AttributeError):
+        rekonfig.no_such_name

@@ -26,6 +26,7 @@ from rekonfig.graph import (
     RuleKind,
     complement_set,
     is_independent_set,
+    iter_bits,
     mask_to_set,
     new_graph,
     set_to_mask,
@@ -264,14 +265,49 @@ def _picked_source(monkeypatch, inst) -> list[str]:
 
 
 def test_solve_exact_generates_moves_on_sparse_k1(monkeypatch):
-    # Prism C10 x K2 (cubic, 20 vertices): 2 * 4 * 16 moves per state is far
-    # below the number of independent 4-sets.
+    # Prism C10 x K2 (cubic, 20 vertices): 13 of the 16 vertices outside
+    # {0, 2, 4, 6} have at most one conflict, and 2 * 13 groups per state is
+    # far below the 1,520 independent 4-sets.
     assert _picked_source(monkeypatch, _prism_instance()) == ["_move_generator"]
+
+
+def test_solve_exact_generates_moves_on_planted_cubic_k2(monkeypatch):
+    # Built like the k = 2 YES instances of the benchmark: S = 0..5 and
+    # T = 6..11 matched by S_i - T_i, each of them joined to two of the
+    # vertices 12..19, which get three such edges each: a cubic graph. All
+    # 14 vertices outside S have at most two conflicts, so 14 + 91 = 105
+    # candidate groups, and 2 * 105 is far below the 1,600 independent
+    # 6-sets. Counting the 14 outside vertices against all 6 tokens,
+    # 84 + 15 * 91 = 1,449 moves, would scan.
+    edges = [(i, 6 + i) for i in range(6)]
+    edges += [(u, 12 + u % 8) for u in range(12)] + [(u, 12 + (u + 4) % 8) for u in range(12)]
+    inst = ReconfigInstance(
+        new_graph(20, edges), IS, frozenset(range(6)), frozenset(range(6, 12)), Rule(RuleKind.KTJ, 2)
+    )
+    assert _picked_source(monkeypatch, inst) == ["_move_generator"]
+
+
+def test_solve_exact_estimates_without_enumerating_groups(monkeypatch):
+    # Path P40 plus a K10 whose vertices all see 0 and 1, independent 20-sets
+    # under 19-TJ: 221 sets, and 30 candidates at each end give about 10^9
+    # groups of up to 19, so the family is scanned. The estimate must count
+    # them, not list them.
+    edges = [(i, i + 1) for i in range(39)]
+    edges += [(40 + i, 40 + j) for i in range(10) for j in range(i + 1, 10)]
+    edges += [(40 + i, v) for i in range(10) for v in (0, 1)]
+    inst = ReconfigInstance(
+        new_graph(50, edges), IS, frozenset(range(0, 40, 2)), frozenset(range(1, 40, 2)),
+        Rule(RuleKind.KTJ, 19),
+    )
+    began = time.monotonic()
+    assert _picked_source(monkeypatch, inst) == ["_state_scan"]
+    assert time.monotonic() - began < 2.0
 
 
 def test_solve_exact_scans_on_dense_k2(monkeypatch):
     # Complement of C9: only the 9 cycle edges are independent 2-sets, fewer
-    # than twice the 2 * 7 + 21 candidate 2-TJ moves per state.
+    # than twice the 7 + 21 = 28 candidate groups of {0, 1}: each of the 7
+    # other vertices has at most two conflicts.
     n = 9
     cycle = {frozenset({i, (i + 1) % n}) for i in range(n)}
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if frozenset({u, v}) not in cycle]
@@ -279,6 +315,21 @@ def test_solve_exact_scans_on_dense_k2(monkeypatch):
         new_graph(n, edges), IS, frozenset({0, 1}), frozenset({4, 5}), Rule(RuleKind.KTJ, 2)
     )
     assert _picked_source(monkeypatch, inst) == ["_state_scan"]
+
+
+@given(
+    st.integers(min_value=0, max_value=8).flatmap(
+        lambda size: st.lists(
+            st.frozensets(st.integers(min_value=0, max_value=80), min_size=size, max_size=size),
+            min_size=2, max_size=20,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_set_sort_key_orders_equal_size_sets_by_vertex_list(sets):
+    masks = [set_to_mask(s) for s in sets]
+    by_key = sorted(masks, key=exact._set_sort_key, reverse=True)
+    assert by_key == sorted(masks, key=lambda m: tuple(iter_bits(m)))
 
 
 def test_optima(c4, k4):
