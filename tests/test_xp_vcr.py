@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from rekonfig.graph import (
     RuleKind,
     is_vertex_cover,
     new_graph,
+    set_to_mask,
 )
+from rekonfig import xp
 from rekonfig.xp import (
     build_clique_compressed_graph,
     clique_edge_oracle,
@@ -111,6 +114,75 @@ def test_build_independent_of_cover_choice(c4):
     assert a.edges == b.edges == c.edges
 
 
+def _assert_roots_match_reference(g):
+    """Every cover size and every mu with k >= 1: the labeller keeps exactly
+    the nodes some cover contains, partitions them like the reference's
+    component labels with the lexicographically first node as root, and
+    drops only nodes that are isolated in the reference."""
+    for size in range(1, g.vertex_count + 1):
+        covers = brute_feasible(g, VC, size)
+        if not covers:
+            continue
+        s, t = covers[0], covers[-1]
+        for mu in range(1, size):
+            roots = xp._component_roots(g, s, t, mu)
+            cg = build_clique_compressed_graph(g, s, t, mu)
+            labels = cg.component_labels()
+            members: dict[int, list[int]] = {}
+            for i, x in enumerate(cg.nodes):
+                m = set_to_mask(x)
+                assert (m in roots) == any(x <= c for c in covers)
+                if m in roots:
+                    members.setdefault(labels[i], []).append(m)
+                else:
+                    assert all(i not in e for e in cg.edges), (g, size, mu, x)
+            for component in members.values():
+                assert {roots[m] for m in component} == {component[0]}
+
+
+def test_component_roots_match_reference_on_every_small_graph():
+    # The atlas lists every graph with at most 7 vertices up to isomorphism.
+    for h in nx.graph_atlas_g():
+        if 1 <= h.number_of_nodes() <= 6:
+            _assert_roots_match_reference(new_graph(h.number_of_nodes(), list(h.edges())))
+
+
+@given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=30, deadline=None)
+def test_component_roots_match_reference_on_random_graphs(n, seed):
+    rng = random.Random(seed)
+    _assert_roots_match_reference(random_graph(rng, n, rng.uniform(0.2, 0.8)))
+
+
+def test_warm_answers_equal_cold_answers(monkeypatch):
+    # K_{3,4} with sides {2, 4, 6} and {0, 1, 3, 5} plus the edge 2-4,
+    # covers of size 5 and mu = 4: 8 covers, and 24 of the 64 ordered pairs
+    # are NO.
+    g = new_graph(7, [(a, b) for a in (2, 4, 6) for b in (0, 1, 3, 5)] + [(2, 4)])
+    covers = brute_feasible(g, VC, 5)
+    oracle_calls = []
+    counted = xp.clique_edge_oracle
+
+    def counting_oracle(*args, **kwargs):
+        oracle_calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(xp, "clique_edge_oracle", counting_oracle)
+    s0, t0 = next((s, t) for s in covers for t in covers if len(s & t) < 4)
+    verdicts = set()
+    for s in covers:
+        for t in covers:
+            xp._GRAPH_CACHE.clear()
+            cold = xp_vcr_solve(g, s, t, 4)
+            xp_vcr_solve(g, s0, t0, 4)  # labels the graph from another pair
+            oracle_calls.clear()
+            warm = xp_vcr_solve(g, s, t, 4)
+            assert not oracle_calls
+            assert warm == cold, (s, t)
+            verdicts.add(cold)
+    assert verdicts == {True, False}
+
+
 def test_xp_examples(c4):
     assert not xp_vcr_solve(c4, S13, T24, 1)
     assert xp_vcr_solve(c4, S13, T24, 0)
@@ -146,8 +218,8 @@ def test_xp_matches_exact_solver(n, seed):
 
 
 def test_xp_time_budget():
-    # C20 with mu = 3 (s = evens + {1}, t = odds + {0}) takes seconds.
-    n = 20
+    # C24 with mu = 3 (s = evens + {1}, t = odds + {0}) takes about 2 s.
+    n = 24
     g = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
     s = frozenset(range(0, n, 2)) | {1}
     t = frozenset(range(1, n, 2)) | {0}
