@@ -327,7 +327,8 @@ def _move_generator(inst: ReconfigInstance) -> Neighbours:
     Works on independent sets; a vertex cover is handled through its
     complement, which keeps |A △ B| and the k-TS matching (the removed and
     added vertices swap roles). Moves pivot on additions: only the
-    _candidates of a state may enter it.
+    _candidates of a state may enter it. The builders flip each move back
+    and drop the visited ones as they make them.
     """
     nbr = inst.graph.neighbor_masks
     k = inst.rule.k
@@ -337,74 +338,109 @@ def _move_generator(inst: ReconfigInstance) -> Neighbours:
 
     def neighbours(state: int, visited: dict[int, int | None]) -> list[int]:
         a = state ^ flip
-        new = {b ^ flip for b in moves(a, _candidates(a, nbr, k, slide), nbr, k)}
-        return sorted((b for b in new if b not in visited), key=_set_sort_key, reverse=True)
+        new = moves(a, _candidates(a, nbr, k, slide), nbr, k, flip, visited)
+        new.sort(key=_set_sort_key, reverse=True)
+        return new
 
     return neighbours
 
 
-def _jumps(a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int) -> list[int]:
-    """Independent sets B with 0 < |A - B| = |B - A| <= k.
+def _jumps(
+    a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int,
+    flip: int, visited: dict[int, int | None],
+) -> list[int]:
+    """The unvisited B ^ flip over the independent sets B with
+    0 < |A - B| = |B - A| <= k.
 
     E = B - A is an independent set of j candidates whose conflicts number at
-    most j; A - B is those conflicts plus j - |∪c(E)| further tokens."""
+    most j; A - B is those conflicts plus j - |∪c(E)| further tokens. Groups
+    grow depth-first in candidate order and skip a candidate next to a
+    member. A group with more than min(k, t) conflicts is cut, since every
+    group that contains it has them too; one with more than j is not, since
+    further members can raise j. Each B comes from one pair (E, A - B), so no
+    B is made twice."""
     tokens = [1 << v for v in iter_bits(a)]
+    cap = min(k, len(tokens))
     out: list[int] = []
-    for j in range(1, min(k, len(tokens)) + 1):
-        for group in combinations(candidates, j):
-            added = conflicts = banned = 0
-            for u, c in group:
-                if (banned >> u) & 1:
-                    break
-                added |= 1 << u
-                conflicts |= c
-                banned |= nbr[u]
-            else:
-                extra = j - conflicts.bit_count()
-                if extra < 0:
-                    continue
-                base = (a & ~conflicts) | added
+
+    def grow(rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int) -> None:
+        # moved is (A + the group so far) ^ flip; rest holds the candidates
+        # after the group's last member.
+        for i, (u, c) in enumerate(rest):
+            bit = 1 << u
+            if banned & bit:
+                continue
+            joined = conflicts | c
+            count = joined.bit_count()
+            if count > cap:
+                continue
+            if count <= j:
+                b = moved ^ bit ^ joined
+                extra = j - count
                 if extra == 0:
-                    out.append(base)
-                    continue
-                free = [t for t in tokens if not t & conflicts]
-                for drop in combinations(free, extra):
-                    out.append(base - sum(drop))
+                    if b not in visited:
+                        out.append(b)
+                else:
+                    free = [t for t in tokens if not t & joined]
+                    drops = free if extra == 1 else map(sum, combinations(free, extra))
+                    out.extend([b ^ d for d in drops if b ^ d not in visited])
+            if j < cap:
+                grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u])
+
+    grow(candidates, 1, a ^ flip, 0, 0)
     return out
 
 
-def _slides(a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int) -> list[int]:
-    """Independent sets B reached by sliding j <= k tokens of A along edges.
+def _slides(
+    a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int,
+    flip: int, visited: dict[int, int | None],
+) -> list[int]:
+    """The unvisited B ^ flip over the independent sets B reached by sliding
+    j <= k tokens of A along edges.
 
     E = B - A is an independent set of j candidates (all with non-empty
     conflicts). Every dropped token slides to a vertex of E, so the dropped
     set is exactly ∪c(E), which must have j tokens. A perfect matching
     between the two needs Hall's condition, which non-empty conflicts
-    already give for j <= 2."""
+    already give for j <= 2. Groups grow as in _jumps; a group with fewer
+    conflicts than members is cut too, since it breaks Hall's condition
+    inside every group that contains it."""
+    cap = min(k, a.bit_count())
     out: list[int] = []
-    for j in range(1, min(k, a.bit_count()) + 1):
-        for group in combinations(candidates, j):
-            added = conflicts = banned = 0
-            for u, c in group:
-                if (banned >> u) & 1:
-                    break
-                added |= 1 << u
-                conflicts |= c
-                banned |= nbr[u]
-            else:
-                if conflicts.bit_count() == j and (j < 3 or _hall(group)):
-                    out.append((a & ~conflicts) | added)
+
+    def grow(
+        rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int,
+        members: tuple[int, ...],
+    ) -> None:
+        # as in _jumps; members holds the conflicts of the group so far
+        for i, (u, c) in enumerate(rest):
+            bit = 1 << u
+            if banned & bit:
+                continue
+            joined = conflicts | c
+            count = joined.bit_count()
+            if count < j or count > cap:
+                continue
+            if count == j and (j < 3 or _hall(members + (c,))):
+                b = moved ^ bit ^ joined
+                if b not in visited:
+                    out.append(b)
+            if j < cap:
+                grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u], members + (c,))
+
+    grow(candidates, 1, a ^ flip, 0, 0, ())
     return out
 
 
-def _hall(group: tuple[tuple[int, int], ...]) -> bool:
-    """Hall's condition for matching each vertex of the group to a distinct
-    token of its conflicts, checked on the subsets of 2 to j - 1 vertices
-    (single vertices and the whole group pass by construction)."""
-    for r in range(2, len(group)):
-        for sub in combinations(group, r):
+def _hall(conflicts: tuple[int, ...]) -> bool:
+    """Hall's condition for matching each vertex of a group, given by its
+    conflicts, to a distinct token of them, checked on the subsets of 2 to
+    j - 1 vertices (single vertices and the whole group pass by
+    construction)."""
+    for r in range(2, len(conflicts)):
+        for sub in combinations(conflicts, r):
             union = 0
-            for _, c in sub:
+            for c in sub:
                 union |= c
             if union.bit_count() < r:
                 return False

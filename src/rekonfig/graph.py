@@ -132,20 +132,26 @@ def check_vertex_set(g: Graph, x: Iterable[int]) -> VertexSet:
     return xs
 
 
+def _independent_mask(masks: tuple[int, ...], xm: int) -> bool:
+    """True iff no two vertices of the mask are adjacent: each vertex is
+    tested against the higher ones still in the loop, so each edge once."""
+    while xm:
+        low = xm & -xm
+        xm ^= low
+        if masks[low.bit_length() - 1] & xm:
+            return False
+    return True
+
+
 def is_independent_set(g: Graph, x: Iterable[int]) -> bool:
     """True iff no edge of g has both endpoints in x."""
-    xm = set_to_mask(x)
-    masks = g.neighbor_masks
-    return all(not (masks[v] & xm) for v in iter_bits(xm))
+    return _independent_mask(g.neighbor_masks, set_to_mask(x))
 
 
 def is_vertex_cover(g: Graph, x: Iterable[int]) -> bool:
     """True iff every edge of g has at least one endpoint in x."""
-    xm = set_to_mask(x)
     # x covers all edges iff V \ x is independent.
-    out = g.full_mask & ~xm
-    masks = g.neighbor_masks
-    return all(not (masks[v] & out) for v in iter_bits(out))
+    return _independent_mask(g.neighbor_masks, g.full_mask & ~set_to_mask(x))
 
 
 def complement_set(g: Graph, x: Iterable[int]) -> VertexSet:

@@ -26,6 +26,8 @@ PMR instance    p pmr <n> <m>
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import (
     FormatSemanticsError,
     FormatSyntaxError,
@@ -43,7 +45,9 @@ from .graph import (
     new_graph,
 )
 from .matching import Matching
-from .oracles import CnfFormula, NclConfig, NclMachine
+
+if TYPE_CHECKING:  # the parsers import them when called
+    from .oracles import CnfFormula, NclConfig, NclMachine
 
 # Largest vertex count a header may announce. Parsers check it before any
 # graph or per-vertex list is sized, so a one-line file cannot exhaust memory.
@@ -164,6 +168,8 @@ def serialize_certificate(seq: ReconfigSequence) -> str:
 
 
 def parse_cnf(text: str) -> CnfFormula:
+    from .oracles import CnfFormula
+
     nvars = nclauses = None
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
@@ -210,6 +216,8 @@ def serialize_cnf(phi: CnfFormula) -> str:
 
 
 def parse_ncl(text: str) -> tuple[NclMachine, NclConfig, NclConfig]:
+    from .oracles import NclConfig, NclMachine
+
     n = m = None
     edges: list[tuple[int, int, int]] = []
     arcs: dict[str, list[tuple[int, int]]] = {}

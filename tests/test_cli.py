@@ -205,14 +205,14 @@ def test_oversized_header_exit_code(capsys, tmp_path, argv, header):
 
 def test_cli_import_loads_no_command_modules():
     # A solve process needs neither the compilers nor the XP solver nor the
-    # length bound; each command imports its own modules.
+    # length bound nor the oracles; each command imports its own modules.
     src = str(Path(rekonfig.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, rekonfig.cli; print(*sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     loaded = set(out.stdout.split())
     assert "rekonfig.cli" in loaded
-    assert not {"rekonfig.reductions", "rekonfig.xp", "rekonfig.bounds"} & loaded
+    assert not {"rekonfig.reductions", "rekonfig.xp", "rekonfig.bounds", "rekonfig.oracles"} & loaded
 
 
 def test_package_exports_every_name():

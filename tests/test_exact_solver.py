@@ -212,6 +212,45 @@ def test_slides_need_hall_condition():
         assert _both_ends(inst).reachable == solve_exact(inst).reachable == reachable
 
 
+def test_group_cut_counts_conflicts_against_min_k_t():
+    # Path 0-1-2 plus vertex 3, from {0, 2} to {1, 3}: candidate 1 has two
+    # conflicts, so the group {1} is no move, but {1, 3} is. A build that cut
+    # a group once its conflicts exceed its size would lose that move.
+    for rule_kind, edges in ((RuleKind.KTJ, [(0, 1), (1, 2)]), (RuleKind.KTS, [(0, 1), (1, 2), (0, 3)])):
+        inst = ReconfigInstance(
+            new_graph(4, edges), IS, frozenset({0, 2}), frozenset({1, 3}), Rule(rule_kind, 2)
+        )
+        assert 0b1010 in exact._move_generator(inst)(0b0101, {})
+
+
+@given(
+    st.integers(min_value=1, max_value=11),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+)
+@settings(max_examples=300, deadline=None)
+def test_move_generator_lists_unvisited_neighbours_once_in_order(n, seed, kind, rule_kind):
+    # One expansion against a random visited map: exactly the scan's
+    # neighbours outside the map, each once, largest _set_sort_key first.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+    families = [f for f in (feasible_masks(g, kind, size) for size in range(1, n + 1)) if len(f) > 1]
+    if not families:
+        return
+    family = rng.choice(families)
+    size = family[0].bit_count()
+    state, other = rng.sample(family, 2)
+    rule = Rule(rule_kind, rng.randint(1, size))
+    inst = ReconfigInstance(g, kind, mask_to_set(state), mask_to_set(other), rule)
+    visited = {m: None for m in family if rng.random() < 0.3}
+    scan = exact._state_scan(family, state, exact._rule_adjacency(g, rule, size))(state, {})
+    got = exact._move_generator(inst)(state, visited)
+    assert got == [b for b in scan if b not in visited]
+    assert len(set(got)) == len(got)
+    assert got == sorted(got, key=exact._set_sort_key, reverse=True)
+
+
 def _prism_instance() -> ReconfigInstance:
     # Prism C10 x K2 (cubic, 20 vertices), independent 4-sets under 1-TJ.
     edges = [(i, (i + 1) % 10) for i in range(10)]

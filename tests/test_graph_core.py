@@ -173,6 +173,26 @@ def test_complementarity(gx):
     assert is_independent_set(g, x) == is_vertex_cover(g, complement_set(g, x))
 
 
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+                max_size=30,
+            ),
+            st.frozensets(st.integers(0, n - 1)),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_feasibility_checks_match_edge_list(case):
+    n, edges, x = case
+    g = new_graph(n, edges)
+    assert is_independent_set(g, x) == all(u not in x or v not in x for u, v in edges)
+    assert is_vertex_cover(g, x) == all(u in x or v in x for u, v in edges)
+
+
 @st.composite
 def rule_algebra_case(draw):
     n = draw(st.integers(min_value=2, max_value=9))

@@ -13,7 +13,7 @@ from rekonfig.graph import (
     Rule,
     RuleKind,
 )
-from rekonfig import io_formats
+from rekonfig import io_formats, oracles
 from rekonfig.io_formats import (
     MAX_VERTICES,
     parse_certificate,
@@ -47,7 +47,7 @@ def test_oversized_header_rejected_before_allocation(monkeypatch, parse, header)
         raise AssertionError("sized a graph or machine before the header check")
 
     monkeypatch.setattr(io_formats, "new_graph", no_allocation)
-    monkeypatch.setattr(io_formats, "NclMachine", no_allocation)
+    monkeypatch.setattr(oracles, "NclMachine", no_allocation)  # parse_ncl imports it when called
     for n in (MAX_VERTICES + 1, 10**12):
         with pytest.raises(FormatSemanticsError, match="exceeds the limit"):
             parse(header.format(n) + "\n")
