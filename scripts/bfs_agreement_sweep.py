@@ -21,7 +21,8 @@ of them with two or more sets, and keeps the last such t; a graph where
 even the independence number fails is redrawn. Then compares solve_exact on
 sampled start/target pairs, alternately from one class (YES) and from two
 classes (NO), with the reachability_classes labels, and checks every
-certificate with verify_sequence. Prints one row per rule and k with how
+certificate with verify_sequence and its length against a one-sided BFS
+over the labelled family. Prints one row per rule and k with how
 many solves took each path, and exits non-zero on a mismatch or when a row
 has no solve on one of the two paths.
 
@@ -44,6 +45,7 @@ from rekonfig.graph import (
     Rule,
     RuleKind,
     new_graph,
+    set_to_mask,
     verify_sequence,
 )
 
@@ -92,6 +94,16 @@ def pick_tokens(g, kind, rule):
     return picked
 
 
+def shortest_length(inst, family):
+    """Length of a shortest sequence found by a BFS from the start alone over
+    the family, which is solve_exact's search before it met in the middle."""
+    adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
+    target = set_to_mask(inst.target)
+    clock = exact._BudgetClock.begin(None)
+    parent, _ = exact._bfs(set_to_mask(inst.start), exact._state_scan(family, adjacent), clock, target)
+    return exact._chain(parent, target).length
+
+
 def pairs(rng, labels, count):
     """Start/target pairs, alternately from one class and from two."""
     classes = {}
@@ -133,6 +145,7 @@ def main():
                         break
                 else:
                     sys.exit(f"no graph with a split family in {MAX_DRAWS} draws")
+                family = [set_to_mask(s) for s in labels]
                 for s, target in pairs(rng, labels, args.pairs):
                     inst = ReconfigInstance(g, kind, s, target, rule)
                     res = solve_exact(inst, want_shortest=True)
@@ -141,7 +154,11 @@ def main():
                     generated += len(labels) > 2 * exact._move_estimate(inst)
                     agree = res.reachable == (labels[s] == labels[target])
                     if res.reachable:
-                        agree = agree and verify_sequence(inst, res.shortest).accepted
+                        agree = (
+                            agree
+                            and verify_sequence(inst, res.shortest).accepted
+                            and res.shortest.length == shortest_length(inst, family)
+                        )
                     mismatches += not agree
             failed |= mismatches > 0 or generated == 0 or generated == solves
             print(

@@ -35,10 +35,13 @@ EXIT_BUDGET = 3
 def _budget(args) -> Budget:
     states = args.budget_states
     secs = args.budget_secs
-    if states is None:
-        states = int(os.environ.get("REKONFIG_BUDGET_STATES", Budget.max_states))
-    if secs is None:
-        secs = float(os.environ.get("REKONFIG_BUDGET_SECS", Budget.max_seconds))
+    try:
+        if states is None:
+            states = int(os.environ.get("REKONFIG_BUDGET_STATES", Budget.max_states))
+        if secs is None:
+            secs = float(os.environ.get("REKONFIG_BUDGET_SECS", Budget.max_seconds))
+    except ValueError as exc:
+        raise PreconditionError(f"budget environment variable: {exc}") from None
     return Budget(max_states=states, max_seconds=secs)
 
 

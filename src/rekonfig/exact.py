@@ -25,6 +25,7 @@ from .graph import (
     RuleKind,
     VertexSet,
     check_vertex_set,
+    complement_set,
     is_independent_set,
     is_vertex_cover,
     iter_bits,
@@ -41,6 +42,11 @@ DEFAULT_MAX_SECONDS = 60.0
 class Budget:
     max_states: int = DEFAULT_MAX_STATES
     max_seconds: float = DEFAULT_MAX_SECONDS
+
+    def __post_init__(self):
+        # No count or time is ever greater than NaN, so it would bound nothing.
+        if self.max_states != self.max_states or self.max_seconds != self.max_seconds:
+            raise PreconditionError(f"budget limits must be numbers, not NaN: {self}")
 
 
 @dataclass
@@ -287,24 +293,12 @@ def _bfs(
     return parent, expanded
 
 
-def _state_scan(states: list[int], source: int, adjacent: Callable[[int, int], bool]) -> Neighbours:
-    """Neighbour source that tests every still-unvisited state of an explicit
-    family: O(|F|) adjacency tests per expansion, but no edge list is kept."""
-    unvisited = [s for s in states if s != source]
-
-    def neighbours(a: int, visited: dict[int, int | None]) -> list[int]:
-        nonlocal unvisited
-        hits: list[int] = []
-        still: list[int] = []
-        for b in unvisited:
-            if adjacent(a, b):
-                hits.append(b)
-            else:
-                still.append(b)
-        unvisited = still
-        return hits
-
-    return neighbours
+def _state_scan(states: list[int], adjacent: Callable[[int, int], bool]) -> Neighbours:
+    """Neighbour source that tests every unvisited state of an explicit,
+    lexicographically ordered family: O(|F|) adjacency tests per expansion,
+    but no edge list is kept. It holds no state of its own, so both sides
+    of a search can share it."""
+    return lambda a, visited: [b for b in states if b not in visited and adjacent(a, b)]
 
 
 def _candidates(a: int, nbr: tuple[int, ...], k: int, slide: bool) -> list[tuple[int, int]]:
@@ -474,17 +468,6 @@ def _chain(parent: dict[int, int | None], end: int) -> ReconfigSequence:
     return ReconfigSequence(tuple(reversed(steps)))
 
 
-def _search(
-    inst: ReconfigInstance, neighbours: Neighbours, clock: _BudgetClock, want_shortest: bool
-) -> SolveResult:
-    target = set_to_mask(inst.target)
-    parent, expanded = _bfs(set_to_mask(inst.start), neighbours, clock, target=target)
-    if target not in parent:
-        return SolveResult(False, None, expanded)
-    seq = _chain(parent, target) if want_shortest else None
-    return SolveResult(True, seq, expanded)
-
-
 def _bfs_both_ends(
     source: int, target: int, neighbours: Neighbours, clock: _BudgetClock
 ) -> tuple[int | None, dict[int, int | None], dict[int, int | None], int]:
@@ -549,12 +532,11 @@ def solve_exact(
     sequence (BFS levels).
 
     The feasible sets are counted only until they outnumber twice the
-    per-state move estimate. If they do, moves are generated and the BFS
-    runs from both ends without the family; otherwise the complete small
-    family is scanned from the start. One budget clock covers the counting
-    and the search."""
-    start = set_to_mask(inst.start)
-    if start == set_to_mask(inst.target):
+    per-state move estimate. If they do, moves are generated without the
+    family; otherwise the complete small family is scanned. Either way the
+    BFS runs from both ends, and one budget clock covers the counting and
+    the search."""
+    if inst.start == inst.target:
         seq = ReconfigSequence((inst.start,)) if want_shortest else None
         return SolveResult(True, seq, 0)
     clock = _BudgetClock.begin(budget)
@@ -562,9 +544,10 @@ def solve_exact(
     cap = 2 * _move_estimate(inst)
     states = _feasible_masks(inst.graph, inst.kind, size, clock, limit=cap)
     if len(states) > cap:
-        return _search_both_ends(inst, _move_generator(inst), clock, want_shortest)
-    neighbours = _state_scan(states, start, _rule_adjacency(inst.graph, inst.rule, size))
-    return _search(inst, neighbours, clock, want_shortest)
+        neighbours = _move_generator(inst)
+    else:
+        neighbours = _state_scan(states, _rule_adjacency(inst.graph, inst.rule, size))
+    return _search_both_ends(inst, neighbours, clock, want_shortest)
 
 
 def reachability_classes(
@@ -581,8 +564,7 @@ def reachability_classes(
     next_label = 0
     unvisited = list(states)
     while unvisited:
-        source = unvisited[0]
-        parent, _ = _bfs(source, _state_scan(unvisited, source, adjacent), clock)
+        parent, _ = _bfs(unvisited[0], _state_scan(unvisited, adjacent), clock)
         for m in parent:
             label[m] = next_label
         next_label += 1
@@ -590,41 +572,23 @@ def reachability_classes(
     return {mask_to_set(m): lab for m, lab in label.items()}
 
 
-def _all_independent_masks(g: Graph, clock: _BudgetClock) -> list[int]:
-    masks = g.neighbor_masks
-    out: list[int] = []
+def _tar_moves(g: Graph, theta: int) -> Neighbours:
+    """Neighbour source for TAR over independent sets of size >= theta: add
+    a vertex outside N[A], or remove one while |A| > theta. New sets come in
+    lexicographic order of their sorted vertex lists."""
+    nbr = g.neighbor_masks
 
-    def rec(idx: int, chosen: int, banned: int) -> None:
-        clock.charge()
-        out.append(chosen)
-        for v in range(idx, g.vertex_count):
-            if not ((banned >> v) & 1):
-                rec(v + 1, chosen | (1 << v), banned | masks[v] | (1 << v))
+    def neighbours(a: int, visited: dict[int, int | None]) -> list[int]:
+        blocked = a
+        for v in iter_bits(a):
+            blocked |= nbr[v]
+        removable = a if a.bit_count() > theta else 0
+        moves = [a ^ (1 << v) for v in iter_bits(removable | (g.full_mask & ~blocked))]
+        new = [b for b in moves if b not in visited]
+        new.sort(key=lambda m: tuple(iter_bits(m)))
+        return new
 
-    rec(0, 0, 0)
-    return out
-
-
-def _all_cover_masks(g: Graph, clock: _BudgetClock) -> list[int]:
-    """Every vertex cover, by direct backtracking: excluding both endpoints
-    of an edge is pruned as soon as the second endpoint is excluded."""
-    masks = g.neighbor_masks
-    n = g.vertex_count
-    out: list[int] = []
-
-    def rec(idx: int, chosen: int, excluded: int) -> None:
-        clock.charge()
-        if idx == n:
-            out.append(chosen)
-            return
-        below = (1 << idx) - 1
-        # exclude idx: every already-excluded neighbor below idx kills an edge
-        if not (masks[idx] & excluded & below):
-            rec(idx + 1, chosen, excluded | (1 << idx))
-        rec(idx + 1, chosen | (1 << idx), excluded)
-
-    rec(0, 0, 0)
-    return out
+    return neighbours
 
 
 def solve_tar_maxmin(
@@ -633,9 +597,9 @@ def solve_tar_maxmin(
     """Largest floor theta such that i and j are connected inside the family
     of independent sets of size >= theta under single add/remove steps.
 
-    Search descends theta from min(|i|, |j|); each theta costs one BFS.
-    theta = 0 always connects (through the empty set), so the descent
-    terminates.
+    Search descends theta from min(|i|, |j|); each theta costs one BFS over
+    generated single-vertex moves. theta = 0 always connects (through the
+    empty set), so the descent terminates.
     """
     si = check_vertex_set(g, i)
     sj = check_vertex_set(g, j)
@@ -646,11 +610,8 @@ def solve_tar_maxmin(
     if si == sj:
         return TarResult(len(si), ReconfigSequence((si,)))
     im, jm = set_to_mask(si), set_to_mask(sj)
-    family = _all_independent_masks(g, clock)
-    adjacent = lambda a, b: (a ^ b).bit_count() == 1
     for theta in range(min(len(si), len(sj)), -1, -1):
-        states = [m for m in family if m.bit_count() >= theta]
-        parent, _ = _bfs(im, _state_scan(states, im, adjacent), clock, target=jm)
+        parent, _ = _bfs(im, _tar_moves(g, theta), clock, target=jm)
         if jm in parent:
             return TarResult(theta, _chain(parent, jm))
     raise AssertionError("TAR search must succeed at theta = 0")
@@ -662,24 +623,15 @@ def solve_tar_minmax(
     """Smallest ceiling theta such that s and t are connected inside the
     family of vertex covers of size <= theta under single add/remove steps.
 
-    Dual of solve_tar_maxmin through complementation, but implemented
-    independently (direct cover enumeration) for cross-checking. theta = n
-    always connects (through the full vertex set).
+    x is a cover iff V - x is independent, so this is solve_tar_maxmin on
+    the complements: val_min(s, t) = n - val_max(V - s, V - t), and the
+    complemented witness realizes it.
     """
     ss = check_vertex_set(g, s)
     st = check_vertex_set(g, t)
     for name, x in (("s", ss), ("t", st)):
         if not is_vertex_cover(g, x):
             raise PreconditionError(f"{name} is not a vertex cover")
-    clock = _BudgetClock.begin(budget)
-    if ss == st:
-        return TarResult(len(ss), ReconfigSequence((ss,)))
-    sm, tm = set_to_mask(ss), set_to_mask(st)
-    family = _all_cover_masks(g, clock)
-    adjacent = lambda a, b: (a ^ b).bit_count() == 1
-    for theta in range(max(len(ss), len(st)), g.vertex_count + 1):
-        states = [m for m in family if m.bit_count() <= theta]
-        parent, _ = _bfs(sm, _state_scan(states, sm, adjacent), clock, target=tm)
-        if tm in parent:
-            return TarResult(theta, _chain(parent, tm))
-    raise AssertionError("TAR search must succeed at theta = n")
+    dual = solve_tar_maxmin(g, complement_set(g, ss), complement_set(g, st), budget)
+    witness = ReconfigSequence(tuple(complement_set(g, x) for x in dual.witness))
+    return TarResult(g.vertex_count - dual.value, witness)

@@ -49,3 +49,24 @@ def brute_feasible(g: Graph, kind: FeasibilityKind, size: int):
         for c in itertools.combinations(range(g.vertex_count), size)
         if check(g, c)
     ]
+
+
+def brute_tar(g: Graph, kind: FeasibilityKind, s, t) -> int:
+    """Reference TAR value straight from the definition: the largest floor
+    (independent sets) or smallest ceiling (vertex covers) on the set sizes
+    under which a BFS over the feasible sets, one vertex added or removed
+    per step, reaches t from s."""
+    n = g.vertex_count
+    if kind is FeasibilityKind.INDEPENDENT_SET:
+        bounds = [(theta, range(theta, n + 1)) for theta in range(min(len(s), len(t)), -1, -1)]
+    else:
+        bounds = [(theta, range(theta + 1)) for theta in range(max(len(s), len(t)), n + 1)]
+    for theta, sizes in bounds:
+        family = {x for size in sizes for x in brute_feasible(g, kind, size)}
+        reached, frontier = {s}, [s]
+        while frontier:
+            frontier = [y for y in family - reached if any(len(x ^ y) == 1 for x in frontier)]
+            reached.update(frontier)
+        if t in reached:
+            return theta
+    raise AssertionError("theta = 0 (independent sets) or n (covers) always connects")

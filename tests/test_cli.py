@@ -175,6 +175,22 @@ def test_budget_env_override(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["--budget-secs", "nan"], {}),
+        ([], {"REKONFIG_BUDGET_STATES": "abc"}),
+        ([], {"REKONFIG_BUDGET_SECS": "nan"}),
+        ([], {"REKONFIG_BUDGET_SECS": "soon"}),
+    ],
+)
+def test_unusable_budget_is_a_usage_error(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, _ = run(capsys, *argv, "solve", str(FIXTURES / "c4_is_ktj1.isr"))
+    assert code == 2 and out == ""
+
+
 def test_xp_vcr_time_budget_exit_code(capsys, tmp_path):
     # C24, s = evens + {1}, t = odds + {0} (1-based below), mu = 3 so k = 10.
     n = 24

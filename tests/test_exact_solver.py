@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rekonfig import exact
-from rekonfig.errors import ResourceBudgetError
+from rekonfig.errors import PreconditionError, ResourceBudgetError
 from rekonfig.exact import (
     Budget,
+    SolveResult,
     enumerate_feasible,
     feasible_masks,
     max_independent_set,
@@ -26,6 +27,7 @@ from rekonfig.graph import (
     RuleKind,
     complement_set,
     is_independent_set,
+    is_vertex_cover,
     iter_bits,
     mask_to_set,
     new_graph,
@@ -33,7 +35,7 @@ from rekonfig.graph import (
     verify_sequence,
 )
 
-from conftest import brute_feasible, random_graph
+from conftest import brute_feasible, brute_tar, random_graph
 
 IS = FeasibilityKind.INDEPENDENT_SET
 VC = FeasibilityKind.VERTEX_COVER
@@ -85,6 +87,14 @@ def test_solve_exact_budget_error():
         solve_exact(inst, budget=Budget(max_states=100))
 
 
+@pytest.mark.parametrize("limits", [{"max_states": float("nan")}, {"max_seconds": float("nan")}])
+def test_budget_rejects_nan(limits):
+    # No count or time compares greater than NaN, so such a budget would
+    # bound nothing.
+    with pytest.raises(PreconditionError):
+        Budget(**limits)
+
+
 def test_solve_exact_one_clock_for_enumeration_and_search():
     # P10, independent 3-sets under 1-TJ: a budget that just covers the
     # enumeration leaves nothing for the search, which expands fewer states
@@ -127,12 +137,20 @@ def test_solve_exact_time_budget_bounds_each_expansion():
 def _sources(inst):
     size = len(inst.start)
     states = feasible_masks(inst.graph, inst.kind, size)
-    start = set_to_mask(inst.start)
-    adjacent = exact._rule_adjacency(inst.graph, inst.rule, size)
     return {
-        "scan": lambda: exact._state_scan(states, start, adjacent),
-        "moves": lambda: exact._move_generator(inst),
+        "scan": exact._state_scan(states, exact._rule_adjacency(inst.graph, inst.rule, size)),
+        "moves": exact._move_generator(inst),
     }
+
+
+def _one_sided(inst, neighbours) -> SolveResult:
+    """Reference search: BFS from the start alone, up to the target."""
+    target = set_to_mask(inst.target)
+    clock = exact._BudgetClock.begin(None)
+    parent, expanded = exact._bfs(set_to_mask(inst.start), neighbours, clock, target=target)
+    if target not in parent:
+        return SolveResult(False, None, expanded)
+    return SolveResult(True, exact._chain(parent, target), expanded)
 
 
 @given(
@@ -153,22 +171,19 @@ def test_move_generator_matches_state_scan(n, seed, kind, rule_kind):
     start, target = (mask_to_set(m) for m in rng.sample(family, 2))
     k = rng.randint(1, size)
     inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, k))
+    sources = _sources(inst)
     clock = exact._BudgetClock.begin(None)
-    solved = {
-        name: exact._search(inst, make(), clock, want_shortest=True)
-        for name, make in _sources(inst).items()
-    }
-    assert solved["moves"] == solved["scan"]  # verdict, every step, explored_states
+    for search in (_one_sided, _both_ends):
+        solved = {name: search(inst, neighbours) for name, neighbours in sources.items()}
+        assert solved["moves"] == solved["scan"]  # verdict, every step, explored_states
     # Without a target, the whole BFS tree of the start's component agrees.
-    trees = {
-        name: exact._bfs(set_to_mask(start), make(), clock) for name, make in _sources(inst).items()
-    }
+    trees = {name: exact._bfs(set_to_mask(start), neighbours, clock) for name, neighbours in sources.items()}
     assert trees["moves"] == trees["scan"]
 
 
-def _both_ends(inst):
-    clock = exact._BudgetClock.begin(None)
-    return exact._search_both_ends(inst, exact._move_generator(inst), clock, want_shortest=True)
+def _both_ends(inst, neighbours=None) -> SolveResult:
+    neighbours = neighbours or exact._move_generator(inst)
+    return exact._search_both_ends(inst, neighbours, exact._BudgetClock.begin(None), want_shortest=True)
 
 
 @given(
@@ -190,7 +205,7 @@ def test_search_from_both_ends_matches_state_scan(n, seed, kind, rule_kind):
     size = family[0].bit_count()
     start, target = (mask_to_set(m) for m in rng.sample(family, 2))
     inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, rng.randint(1, size)))
-    scan = exact._search(inst, _sources(inst)["scan"](), exact._BudgetClock.begin(None), True)
+    scan = _one_sided(inst, _sources(inst)["scan"])
     both = _both_ends(inst)
     assert both.reachable == scan.reachable
     if scan.reachable:
@@ -244,7 +259,7 @@ def test_move_generator_lists_unvisited_neighbours_once_in_order(n, seed, kind, 
     rule = Rule(rule_kind, rng.randint(1, size))
     inst = ReconfigInstance(g, kind, mask_to_set(state), mask_to_set(other), rule)
     visited = {m: None for m in family if rng.random() < 0.3}
-    scan = exact._state_scan(family, state, exact._rule_adjacency(g, rule, size))(state, {})
+    scan = exact._state_scan(family, exact._rule_adjacency(g, rule, size))(state, {state: None})
     got = exact._move_generator(inst)(state, visited)
     assert got == [b for b in scan if b not in visited]
     assert len(set(got)) == len(got)
@@ -418,18 +433,23 @@ def test_tar_minmax_examples(c4):
     assert solve_tar_minmax(k3, frozenset({0, 1}), frozenset({0, 1})).value == 2
 
 
-@given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=60, deadline=None)
-def test_tar_duality(n, seed):
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=80, deadline=None)
+def test_tar_solvers_match_brute_force_reference(n, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-    iss = brute_feasible(g, IS, min(2, n))
-    if len(iss) < 2:
-        return
-    i, j = rng.sample(iss, 2)
-    maxmin = solve_tar_maxmin(g, i, j)
-    minmax = solve_tar_minmax(g, complement_set(g, i), complement_set(g, j))
-    assert maxmin.value == n - minmax.value
+    for kind, solve, feasible in (
+        (IS, solve_tar_maxmin, is_independent_set),
+        (VC, solve_tar_minmax, is_vertex_cover),
+    ):
+        family = [x for size in range(n + 1) for x in brute_feasible(g, kind, size)]
+        s, t = rng.choice(family), rng.choice(family)
+        res = solve(g, s, t)
+        assert res.value == brute_tar(g, kind, s, t)
+        assert res.witness.steps[0] == s and res.witness.steps[-1] == t
+        assert all(feasible(g, x) for x in res.witness)
+        bound = {"lower": res.value} if kind is IS else {"upper": res.value}
+        _check_tar_witness(res.witness, **bound)
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10**6))
