@@ -2,10 +2,14 @@
 cover, the polynomial subroutines behind k-TS adjacency and the XP edge
 oracle.
 
-One Hopcroft-Karp routine serves all three callers. It matches along the
-edges of a graph between two given disjoint sides and ignores every other
-edge, so callers pass the sides they already know instead of building and
-2-coloring a subgraph.
+One Hopcroft-Karp core, on vertex masks, serves every caller. It matches
+along the edges of a graph between two given disjoint sides and ignores
+every other edge, so callers pass the sides they already know instead of
+building and 2-coloring a subgraph. A greedy pass starts it, and most of
+the small residues the XP oracle asks about are settled by that pass alone.
+The XP decision needs only the size of a maximum matching (König's
+theorem), so it calls the core directly; the König cover is built only for
+a witness.
 
 Tie-breaking is deterministic everywhere (lowest id first) so golden tests
 stay stable. Isolated vertices are assigned to the left side of a
@@ -60,18 +64,48 @@ def bipartition_of(g: Graph) -> Bipartition | None:
     return Bipartition(left, right)
 
 
-def _hopcroft_karp(g: Graph, left: VertexSet, right: VertexSet) -> dict[int, int]:
-    """Maximum matching along the edges of g between the disjoint sets left
-    and right, by Hopcroft-Karp phases in O(sqrt(n) * (n + m)).
+def _hopcroft_karp(nbr: tuple[int, ...], left: int, right: int) -> dict[int, int]:
+    """Maximum matching along the edges between the disjoint vertex masks
+    left and right, where nbr[v] is the neighbour mask of v.
 
-    Edges inside either side or to other vertices are ignored. Returns the
+    Edges inside either side or to other vertices are ignored. A greedy
+    pass (lowest id first on both sides) starts the matching and is
+    returned at once when it saturates either side; otherwise
+    Hopcroft-Karp phases, O(sqrt(n) * (n + m)), augment it. Returns the
     partner of every matched left vertex.
     """
-    right_mask = set_to_mask(right)
-    order = sorted(left)
-    adj = {u: [v for v in g.neighbors(u) if (right_mask >> v) & 1] for u in order}
     pair_left: dict[int, int] = {}
-    pair_right: dict[int, int] = {}
+    reaches: list[tuple[int, int]] = []  # (u, its neighbours on the right)
+    free = right
+    m = left
+    while m:
+        low = m & -m
+        m ^= low
+        u = low.bit_length() - 1
+        reach = nbr[u] & right
+        if reach:
+            reaches.append((u, reach))
+            avail = reach & free
+            if avail:
+                low = avail & -avail
+                pair_left[u] = low.bit_length() - 1
+                free ^= low
+    if len(pair_left) == len(reaches) or not free:
+        return pair_left
+
+    pair_right = {v: u for u, v in pair_left.items()}
+    adj: dict[int, list[int]] = {}
+    for u, reach in reaches:
+        # Highest bit first: on wide masks this is cheaper than isolating the
+        # lowest bit; reversed, the list is in ascending order.
+        vs = []
+        while reach:
+            v = reach.bit_length() - 1
+            vs.append(v)
+            reach ^= 1 << v
+        vs.reverse()
+        adj[u] = vs
+    order = list(adj)
     dist: dict[int, float] = {}
 
     def bfs() -> bool:
@@ -120,7 +154,9 @@ def maximum_matching(g: Graph, bp: Bipartition) -> Matching:
 
     Returns edges as (u, v) pairs with u on the left side.
     """
-    return frozenset(_hopcroft_karp(g, bp.left, bp.right).items())
+    return frozenset(
+        _hopcroft_karp(g.neighbor_masks, set_to_mask(bp.left), set_to_mask(bp.right)).items()
+    )
 
 
 def konig_min_vertex_cover(g: Graph, bp: Bipartition) -> VertexSet:
@@ -174,4 +210,4 @@ def has_perfect_matching_between(g: Graph, a, b) -> bool:
         return False
     if not sa:
         return True
-    return len(_hopcroft_karp(g, sa, sb)) == len(sa)
+    return len(_hopcroft_karp(g.neighbor_masks, set_to_mask(sa), set_to_mask(sb))) == len(sa)

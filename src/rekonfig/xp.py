@@ -28,7 +28,7 @@ from .graph import (
     set_to_mask,
 )
 # bipartition_of is unused here; the benchmark's tracer test reads xp.bipartition_of.
-from .matching import Bipartition, bipartition_of, konig_min_vertex_cover
+from .matching import Bipartition, _hopcroft_karp, bipartition_of, konig_min_vertex_cover
 
 from collections import deque
 from itertools import combinations
@@ -76,6 +76,39 @@ def _subsets_of_mask(mask: int):
         sub = (sub - mask) & mask
 
 
+def _accepting_guess(
+    nbr: tuple[int, ...], rest: int, t_prime: int, s_p: int, t_p: int
+) -> int | None:
+    """The decision core of clique_edge_oracle, on masks: the first guess A
+    (in ascending mask order) with which some cover of G' = G[rest] of size
+    at most t_prime exists, or None when there is none.
+
+    s_p and t_p are covers of G' (the caller guarantees it), so once the
+    shared part is settled the residue's edges join s_p - t_p to t_p - s_p
+    and, by König's theorem, its minimum cover has the size of its maximum
+    matching. A guess whose own count |A| + |forced| already exceeds
+    t_prime is skipped before any matching.
+    """
+    shared = s_p & t_p
+    outside = rest & ~shared
+    for a in _subsets_of_mask(shared):
+        a_bar = shared & ~a
+        forced = 0
+        for v in iter_bits(a_bar):
+            if nbr[v] & a_bar:
+                break  # A must cover every G' edge inside the shared part
+            forced |= nbr[v]
+        else:
+            forced &= outside  # N(A-bar) outside the shared part
+            spare = t_prime - a.bit_count() - forced.bit_count()
+            if spare < 0:
+                continue
+            residue = outside & ~forced
+            if len(_hopcroft_karp(nbr, residue & s_p, residue & t_p)) <= spare:
+                return a
+    return None
+
+
 def clique_edge_oracle(
     g: Graph,
     x,
@@ -94,14 +127,15 @@ def clique_edge_oracle(
     guess A of the cover's trace on the shared part (rejected unless A covers
     the shared part internally), the vertices of shared-minus-A force their
     neighborhoods into the cover, and what remains has edges only between
-    S'-only and T'-only vertices, so a König minimum cover on those two
-    sides of g finishes the count. The answer itself does not depend on the
-    choice of s and t, but both must cover G - Z: PreconditionError
+    S'-only and T'-only vertices, so the size of a maximum matching between
+    those two sides finishes the count. The answer itself does not depend on
+    the choice of s and t, but both must cover G - Z: PreconditionError
     otherwise.
 
-    With return_witness the accepting guess is turned into an explicit cover
-    of size exactly cover_size (padded with lowest-id leftover vertices) and
-    returned alongside the decision.
+    With return_witness the accepting guess is closed with a König minimum
+    cover and turned into an explicit cover of size exactly cover_size
+    (padded with lowest-id leftover vertices), returned alongside the
+    decision.
     """
     sx = check_vertex_set(g, x)
     sy = check_vertex_set(g, y)
@@ -123,41 +157,31 @@ def clique_edge_oracle(
 
     s_p = set_to_mask(ss) & rest
     t_p = set_to_mask(st) & rest
-    # Because s and t cover G', every residue edge below joins S'-T' to T'-S',
-    # so those two sides are the residue's bipartition.
     for name, cover in (("s", s_p), ("t", t_p)):
         uncovered = rest & ~cover
         for v in iter_bits(uncovered):
             if nbr[v] & uncovered:
                 raise PreconditionError(f"{name} does not cover G - (x union y)")
+    a = _accepting_guess(nbr, rest, t_prime, s_p, t_p)
+    if a is None:
+        return fail
+    if not return_witness:
+        return True
     shared = s_p & t_p
-
-    for a in _subsets_of_mask(shared):
-        a_bar = shared & ~a
-        # A must cover every G' edge inside the shared part.
-        if any(nbr[v] & a_bar for v in iter_bits(a_bar)):
-            continue
-        forced = 0
-        for v in iter_bits(a_bar):
-            forced |= nbr[v]
-        forced &= rest & ~shared  # N(A-bar) outside the shared part; A itself counted once
-        residue = rest & ~shared & ~forced
-        sides = Bipartition(mask_to_set(residue & s_p), mask_to_set(residue & t_p))
-        b_cover = konig_min_vertex_cover(g, sides)
-        need = a.bit_count() + forced.bit_count() + len(b_cover)
-        if need <= t_prime:
-            if not return_witness:
-                return True
-            w = z | a | forced | set_to_mask(b_cover)
-            pad = rest & ~w
-            for v in iter_bits(pad):
-                if w.bit_count() == cover_size:
-                    break
-                w |= 1 << v
-            witness = mask_to_set(w)
-            assert len(witness) == cover_size and is_vertex_cover(g, witness)
-            return True, witness
-    return fail
+    forced = 0
+    for v in iter_bits(shared & ~a):
+        forced |= nbr[v]
+    forced &= rest & ~shared
+    residue = rest & ~shared & ~forced
+    sides = Bipartition(mask_to_set(residue & s_p), mask_to_set(residue & t_p))
+    w = z | a | forced | set_to_mask(konig_min_vertex_cover(g, sides))
+    for v in iter_bits(rest & ~w):
+        if w.bit_count() == cover_size:
+            break
+        w |= 1 << v
+    witness = mask_to_set(w)
+    assert len(witness) == cover_size and is_vertex_cover(g, witness)
+    return True, witness
 
 
 def build_clique_compressed_graph(
@@ -221,11 +245,12 @@ def _component_roots(
     and are left out. The components are found by a BFS over the coverable
     nodes in lexicographic order, which tests each popped node only against
     the nodes not yet discovered; the root of a component is its first node.
-    Oracle answers are memoized per union Z, as in
-    build_clique_compressed_graph, which stays the reference for this
-    partition. The caller has validated ss, st and mu. budget.max_states
-    caps C(n, mu); budget.max_seconds is checked once per node of the
-    coverable pass and once per BFS pop.
+    Each union Z is decided once, by _accepting_guess on masks, the same
+    core clique_edge_oracle uses: the caller has validated ss, st and mu,
+    and covers of G also cover G - Z, so no call re-validates them.
+    build_clique_compressed_graph stays the reference for this partition.
+    budget.max_states caps C(n, mu); budget.max_seconds is checked once per
+    node of the coverable pass and once per BFS pop.
     """
     from math import comb
 
@@ -234,35 +259,46 @@ def _component_roots(
         raise ResourceBudgetError(
             f"C({g.vertex_count},{mu}) nodes exceed the state budget {clock.budget.max_states}"
         )
+    nbr = g.neighbor_masks
+    full = g.full_mask
     cover_size = len(ss)
+    smask = set_to_mask(ss)
+    tmask = set_to_mask(st)
     z_memo: dict[int, bool] = {}
-    pending: list[tuple[int, VertexSet]] = []
+
+    def coverable(z: int) -> bool:
+        hit = z_memo.get(z)
+        if hit is None:
+            rest = full & ~z
+            t_prime = cover_size - z.bit_count()
+            hit = 0 <= t_prime <= rest.bit_count() and (
+                _accepting_guess(nbr, rest, t_prime, smask & rest, tmask & rest) is not None
+            )
+            z_memo[z] = hit
+        return hit
+
+    pending: list[int] = []
     for c in combinations(range(g.vertex_count), mu):
         clock.check_time()
-        x = frozenset(c)
-        if clique_edge_oracle(g, x, x, cover_size, ss, st):
-            pending.append((set_to_mask(x), x))
+        x = set_to_mask(c)
+        if coverable(x):
+            pending.append(x)
     roots: dict[int, int] = {}
     while pending:
-        root = pending[0][0]
+        root = pending[0]
         roots[root] = root
-        queue = deque([pending[0]])
+        queue = deque([root])
         pending = pending[1:]
         while queue:
             clock.check_time()
-            um, u = queue.popleft()
+            u = queue.popleft()
             undiscovered = []
-            for vm, v in pending:
-                z = um | vm
-                hit = z_memo.get(z)
-                if hit is None:
-                    hit = clique_edge_oracle(g, u, v, cover_size, ss, st)
-                    z_memo[z] = hit
-                if hit:
-                    roots[vm] = root
-                    queue.append((vm, v))
+            for v in pending:
+                if coverable(u | v):
+                    roots[v] = root
+                    queue.append(v)
                 else:
-                    undiscovered.append((vm, v))
+                    undiscovered.append(v)
             pending = undiscovered
     return roots
 

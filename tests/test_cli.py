@@ -192,13 +192,13 @@ def test_unusable_budget_is_a_usage_error(capsys, monkeypatch, argv, env):
 
 
 def test_xp_vcr_time_budget_exit_code(capsys, tmp_path):
-    # C24, s = evens + {1}, t = odds + {0} (1-based below), mu = 3 so k = 10.
-    n = 24
-    lines = [f"p reconfig {n} {n} vc ktj 10"]
+    # C32, s = evens + {1}, t = odds + {0} (1-based below), mu = 3 so k = 14.
+    n = 32
+    lines = [f"p reconfig {n} {n} vc ktj 14"]
     lines += [f"e {i + 1} {(i + 1) % n + 1}" for i in range(n)]
     lines.append("s " + " ".join(str(v) for v in [2] + list(range(1, n + 1, 2))))
     lines.append("t " + " ".join(str(v) for v in [1] + list(range(2, n + 1, 2))))
-    path = tmp_path / "c24.isr"
+    path = tmp_path / "c32.isr"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "--budget-secs", "0.3", "xp-vcr", str(path))
     assert code == 3 and out == "" and "budget" in err

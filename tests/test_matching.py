@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from rekonfig.errors import PreconditionError
 from rekonfig.exact import min_vertex_cover
-from rekonfig.graph import Graph, is_vertex_cover, new_graph
+from rekonfig.graph import Graph, is_vertex_cover, iter_bits, new_graph, set_to_mask
 from rekonfig.matching import (
     Bipartition,
+    _hopcroft_karp,
     bipartition_of,
     has_perfect_matching_between,
     konig_min_vertex_cover,
@@ -40,6 +41,13 @@ def test_maximum_matching_examples(k33, path3):
     assert len(maximum_matching(path3, bipartition_of(path3))) == 1
     empty = new_graph(4, [])
     assert maximum_matching(empty, bipartition_of(empty)) == frozenset()
+
+
+def test_matching_grows_past_a_greedy_start():
+    # Greedy takes 0-1 first and leaves 2 unmatched; only 0-3, 2-1 is maximum.
+    g = new_graph(4, [(0, 1), (0, 3), (2, 1)])
+    assert _hopcroft_karp(g.neighbor_masks, 0b0101, 0b1010) == {0: 3, 2: 1}
+    assert len(maximum_matching(g, Bipartition(frozenset({0, 2}), frozenset({1, 3})))) == 2
 
 
 def test_konig_examples(c4, k33, path3):
@@ -102,6 +110,35 @@ def test_matching_and_konig_use_only_edges_between_the_sides(n, seed):
     assert cover == konig_min_vertex_cover(between, bp)
     assert is_vertex_cover(between, cover)
     assert len(cover) == len(maximum_matching(between, bp))
+
+
+def _brute_matching_size(g: Graph, left: list[int], right: int) -> int:
+    """Largest matching between the listed left vertices and the right mask,
+    trying every partner (or none) for the first left vertex."""
+    if not left:
+        return 0
+    u, others = left[0], left[1:]
+    best = _brute_matching_size(g, others, right)
+    for v in iter_bits(g.neighbor_masks[u] & right):
+        best = max(best, 1 + _brute_matching_size(g, others, right & ~(1 << v)))
+    return best
+
+
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=500, deadline=None)
+def test_hopcroft_karp_core_matches_brute_force(n, seed):
+    # The random graph also has edges inside the sides and to the other
+    # vertices; only the edges between the two side masks may be used.
+    # Sparse graphs are where a greedy start falls short of the maximum.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.6))
+    a, b = _random_sides(rng, g, n)
+    am, bm = set_to_mask(a), set_to_mask(b)
+    pairs = _hopcroft_karp(g.neighbor_masks, am, bm)
+    assert len(pairs) == _brute_matching_size(g, sorted(a), bm)
+    assert set(pairs) <= a and set(pairs.values()) <= b
+    assert len(set(pairs.values())) == len(pairs)
+    assert all(g.has_edge(u, v) for u, v in pairs.items())
 
 
 def _has_augmenting_path(g: Graph, bp, matching) -> bool:

@@ -89,6 +89,29 @@ def test_oracle_witness_mode_agrees():
             assert witness is None
 
 
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_accepting_guess_decides_cover_containment(n, seed):
+    # The decision core on its own, for every Z of size at most the cover
+    # size: a guess is returned iff some cover of that size contains Z.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+    size = rng.randint(1, n)
+    covers = brute_feasible(g, VC, size)
+    if not covers:
+        return
+    s, t = set_to_mask(rng.choice(covers)), set_to_mask(rng.choice(covers))
+    for z in range(1 << n):
+        if z.bit_count() > size:
+            continue
+        rest = g.full_mask & ~z
+        got = xp._accepting_guess(g.neighbor_masks, rest, size - z.bit_count(), s & rest, t & rest)
+        want = any(set_to_mask(c) & z == z for c in covers)
+        assert (got is not None) == want, (g, size, s, t, z)
+        if got is not None:
+            assert got & ~(s & t & rest) == 0  # A lies in the shared part
+
+
 def test_build_c4(c4):
     cg = build_clique_compressed_graph(c4, S13, T24, 1)
     assert [sorted(x) for x in cg.nodes] == [[0], [1], [2], [3]]
@@ -161,14 +184,17 @@ def test_warm_answers_equal_cold_answers(monkeypatch):
     g = new_graph(7, [(a, b) for a in (2, 4, 6) for b in (0, 1, 3, 5)] + [(2, 4)])
     covers = brute_feasible(g, VC, 5)
     oracle_calls = []
-    counted = xp.clique_edge_oracle
+    counted = xp._accepting_guess
 
     def counting_oracle(*args, **kwargs):
         oracle_calls.append(args)
         return counted(*args, **kwargs)
 
-    monkeypatch.setattr(xp, "clique_edge_oracle", counting_oracle)
+    monkeypatch.setattr(xp, "_accepting_guess", counting_oracle)
     s0, t0 = next((s, t) for s in covers for t in covers if len(s & t) < 4)
+    xp._GRAPH_CACHE.clear()
+    xp_vcr_solve(g, s0, t0, 4)
+    assert oracle_calls  # a cold labelling goes through the counted core
     verdicts = set()
     for s in covers:
         for t in covers:
@@ -218,8 +244,8 @@ def test_xp_matches_exact_solver(n, seed):
 
 
 def test_xp_time_budget():
-    # C24 with mu = 3 (s = evens + {1}, t = odds + {0}) takes about 2 s.
-    n = 24
+    # C32 with mu = 3 (s = evens + {1}, t = odds + {0}) takes about 3 s.
+    n = 32
     g = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
     s = frozenset(range(0, n, 2)) | {1}
     t = frozenset(range(1, n, 2)) | {0}
