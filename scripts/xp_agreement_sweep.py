@@ -4,7 +4,9 @@
 For every graph in the chosen pool, every pair of equal-size vertex covers
 and every guaranteed value mu, compares xp_vcr_solve with the connected
 components of the explicit cover reconfiguration graph, and prints one
-summary row per vertex count.
+summary row per vertex count. The pairs of each cover size and mu are asked
+in an order shuffled by the --seed generator, so different seeds exercise
+the solver's shared cache in different query orders.
 
 Usage:
     python scripts/xp_agreement_sweep.py [--max-n 7] [--random 100] [--seed 1]
@@ -60,7 +62,7 @@ def union_find_labels(count, edges):
     return [find(i) for i in range(count)]
 
 
-def sweep_graph(g):
+def sweep_graph(g, rng):
     checks = mismatches = 0
     for size in range(1, g.vertex_count + 1):
         covers = feasible_masks(g, FeasibilityKind.VERTEX_COVER, size)
@@ -74,12 +76,13 @@ def sweep_graph(g):
                 c,
                 ((i, j) for i in range(c) for j in range(i + 1, c) if inter[i][j] >= mu),
             )
-            for i in range(c):
-                for j in range(c):
-                    got = xp_vcr_solve(g, sets[i], sets[j], mu)
-                    checks += 1
-                    if got != (labels[i] == labels[j]):
-                        mismatches += 1
+            pairs = [(i, j) for i in range(c) for j in range(c)]
+            rng.shuffle(pairs)
+            for i, j in pairs:
+                got = xp_vcr_solve(g, sets[i], sets[j], mu)
+                checks += 1
+                if got != (labels[i] == labels[j]):
+                    mismatches += 1
     return checks, mismatches
 
 
@@ -109,7 +112,7 @@ def main():
         t0 = time.time()
         checks = mismatches = 0
         for g in graphs:
-            dc, dm = sweep_graph(g)
+            dc, dm = sweep_graph(g, rng)
             checks += dc
             mismatches += dm
         total_mismatch += mismatches

@@ -10,6 +10,15 @@ leftover along the two input covers, guessing the cover's trace A on the
 shared part, and closing the remaining bipartite graph with a König minimum
 cover. Reachability of the instance then reduces to connectivity between
 any size-mu subset of S and any size-mu subset of T.
+
+xp_vcr_solve picks one such anchor in S and one in T and decides no more
+than it must to join or separate them: first the edge between the anchors,
+then a BFS from the first anchor over the coverable nodes (those some cover
+contains) that stops once it reaches the second. Only a NO labels every
+component. What a query learns, the coverable nodes, a union-find over the
+nodes known to be connected and whether the labelling is complete, is kept
+per (graph, |S|, mu) for later queries, and is never wrong even when a
+budget cuts a query short.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .graph import (
 from .matching import Bipartition, _hopcroft_karp, bipartition_of, konig_min_vertex_cover
 
 from collections import deque
+from collections.abc import Callable
 from itertools import combinations
 
 
@@ -189,9 +199,8 @@ def build_clique_compressed_graph(
 ) -> CliqueCompressedGraph:
     """Materialize the compressed reconfiguration graph for cover size |s|.
 
-    xp_vcr_solve labels components without listing edges (_component_roots);
-    this explicit build is the reference the tests check that labelling
-    against.
+    xp_vcr_solve labels components without listing edges (_Labelling); this
+    explicit build is the reference the tests check that labelling against.
 
     Oracle answers are memoized per union Z, since the edge question only
     depends on Z; distinct node pairs with equal unions share one decision.
@@ -234,31 +243,12 @@ def build_clique_compressed_graph(
     return CliqueCompressedGraph(mu, cover_size, nodes, frozenset(edges))
 
 
-def _component_roots(
-    g: Graph, ss: VertexSet, st: VertexSet, mu: int, budget: Budget | None = None
-) -> dict[int, int]:
-    """Label the components of the compressed graph without listing its edges.
-
-    Returns {node mask: component root mask} for every coverable node, that
-    is every size-mu subset X that some size-|ss| cover contains. Any edge
-    X-Y needs a cover containing X union Y, so the other nodes are isolated
-    and are left out. The components are found by a BFS over the coverable
-    nodes in lexicographic order, which tests each popped node only against
-    the nodes not yet discovered; the root of a component is its first node.
-    Each union Z is decided once, by _accepting_guess on masks, the same
-    core clique_edge_oracle uses: the caller has validated ss, st and mu,
-    and covers of G also cover G - Z, so no call re-validates them.
-    build_clique_compressed_graph stays the reference for this partition.
-    budget.max_states caps C(n, mu); budget.max_seconds is checked once per
-    node of the coverable pass and once per BFS pop.
-    """
-    from math import comb
-
-    clock = _BudgetClock.begin(budget)
-    if comb(g.vertex_count, mu) > clock.budget.max_states:
-        raise ResourceBudgetError(
-            f"C({g.vertex_count},{mu}) nodes exceed the state budget {clock.budget.max_states}"
-        )
+def _decider(g: Graph, ss: VertexSet, st: VertexSet) -> Callable[[int], bool]:
+    """The per-query decision "some cover of size |ss| contains Z", memoized
+    on Z. Each Z is decided by _accepting_guess on masks, the same core
+    clique_edge_oracle uses: the caller has validated ss and st, and covers
+    of G also cover G - Z, so no call re-validates them. The answer does not
+    depend on ss and st, only the route to it does."""
     nbr = g.neighbor_masks
     full = g.full_mask
     cover_size = len(ss)
@@ -266,7 +256,7 @@ def _component_roots(
     tmask = set_to_mask(st)
     z_memo: dict[int, bool] = {}
 
-    def coverable(z: int) -> bool:
+    def decide(z: int) -> bool:
         hit = z_memo.get(z)
         if hit is None:
             rest = full & ~z
@@ -277,49 +267,165 @@ def _component_roots(
             z_memo[z] = hit
         return hit
 
-    pending: list[int] = []
-    for c in combinations(range(g.vertex_count), mu):
-        clock.check_time()
-        x = set_to_mask(c)
-        if coverable(x):
-            pending.append(x)
-    roots: dict[int, int] = {}
-    while pending:
-        root = pending[0]
-        roots[root] = root
-        queue = deque([root])
-        pending = pending[1:]
+    return decide
+
+
+class _Labelling:
+    """What is known so far about the components of one compressed graph,
+    that of (g, cover size, mu).
+
+    coverable lists, in lexicographic order, the size-mu node masks that some
+    cover of that size contains; any edge X-Y needs a cover containing
+    X union Y, so the other nodes are isolated. It stays None until a pass
+    over all C(n, mu) nodes has finished. parent is a union-find with path
+    halving (Tarjan, JACM 1975) over nodes known to be connected: a union
+    follows a decided edge, so classes only ever grow inside components.
+    complete is set once every component has been labelled; find then
+    answers every query. Each field is written only when the knowledge it
+    records holds, so a query that its budget aborts leaves a state that
+    later queries can build on.
+    """
+
+    __slots__ = ("coverable", "parent", "complete")
+
+    def __init__(self) -> None:
+        self.coverable: list[int] | None = None
+        self.parent: dict[int, int] = {}
+        self.complete = False
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while (p := parent.get(x, x)) != x:
+            parent[x] = grand = parent.get(p, p)
+            x = grand
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        """Join b's class into a's; a's root stays the root."""
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+    def nodes(
+        self, g: Graph, mu: int, decide: Callable[[int], bool], clock: _BudgetClock
+    ) -> list[int]:
+        """The coverable nodes, from one pass that is run on first need.
+        budget.max_states caps the C(n, mu) nodes it visits; the clock is
+        read once per node."""
+        if self.coverable is None:
+            from math import comb
+
+            if comb(g.vertex_count, mu) > clock.budget.max_states:
+                raise ResourceBudgetError(
+                    f"C({g.vertex_count},{mu}) nodes exceed the state budget "
+                    f"{clock.budget.max_states}"
+                )
+            found = []
+            for c in combinations(range(g.vertex_count), mu):
+                clock.check_time()
+                x = set_to_mask(c)
+                if decide(x):
+                    found.append(x)
+            self.coverable = found
+        return self.coverable
+
+    def grow(
+        self,
+        root: int,
+        queue: deque[int],
+        pending: list[int],
+        decide: Callable[[int], bool],
+        clock: _BudgetClock,
+        target: int | None = None,
+    ) -> list[int] | None:
+        """BFS that joins into root's class every pending node reachable
+        from the nodes in queue, testing each popped node only against the
+        nodes not yet discovered; the clock is read once per pop. Returns
+        the pending nodes left undiscovered, or None, with target joined,
+        as soon as a discovered node is in target's class or has an edge to
+        target."""
         while queue:
             clock.check_time()
             u = queue.popleft()
             undiscovered = []
             for v in pending:
-                if coverable(u | v):
-                    roots[v] = root
+                if decide(u | v):
+                    met = target is not None and (
+                        self.find(v) == self.find(target) or decide(v | target)
+                    )
+                    self.union(root, v)
+                    if met:
+                        self.union(root, target)
+                        return None
                     queue.append(v)
                 else:
                     undiscovered.append(v)
             pending = undiscovered
-    return roots
+        return pending
+
+    def label_all(
+        self, pending: list[int], decide: Callable[[int], bool], clock: _BudgetClock
+    ) -> None:
+        """Label every component of the pending nodes, each rooted at its
+        first node, then mark the labelling complete: pending must hold
+        every coverable node outside the components already finished."""
+        while pending:
+            root = pending[0]
+            pending = self.grow(root, deque([root]), pending[1:], decide, clock)
+        self.complete = True
+
+    def connected(
+        self, g: Graph, ss: VertexSet, st: VertexSet, mu: int, x: int, y: int, budget: Budget | None
+    ) -> bool:
+        """Whether the coverable nodes x and y lie in one component, deciding
+        as little as it can: known classes, then the edge x-y, then a BFS from
+        x's class that stops once it meets y, and only when x's component
+        runs out without meeting y, the full labelling. The budget clock
+        starts after the two lookups that answer without a decision."""
+        if self.find(x) == self.find(y):
+            return True
+        if self.complete:
+            return False
+        clock = _BudgetClock.begin(budget)
+        decide = _decider(g, ss, st)
+        if decide(x | y):
+            self.union(x, y)
+            return True
+        rx = self.find(x)
+        seeds: deque[int] = deque()
+        pending: list[int] = []
+        for v in self.nodes(g, mu, decide, clock):
+            (seeds if self.find(v) == rx else pending).append(v)
+        pending = self.grow(x, seeds, pending, decide, clock, target=y)
+        if pending is None:
+            return True
+        self.label_all(pending, decide, clock)
+        return False
 
 
-_GRAPH_CACHE: dict[tuple, dict[int, int]] = {}
-_GRAPH_CACHE_LIMIT = 512
-
-
-def _cached_component_roots(
-    g: Graph, s: VertexSet, t: VertexSet, mu: int, budget: Budget | None
+def _component_roots(
+    g: Graph, ss: VertexSet, st: VertexSet, mu: int, budget: Budget | None = None
 ) -> dict[int, int]:
-    # The compressed graph depends only on (g, |s|, mu); s and t merely steer
-    # the oracle internals, so one labelling serves every cover pair of a size.
-    key = (g, len(s), mu)
-    roots = _GRAPH_CACHE.get(key)
-    if roots is None:
-        roots = _component_roots(g, s, t, mu, budget)
-        if len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
-            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-        _GRAPH_CACHE[key] = roots
-    return roots
+    """Label the components of the compressed graph without listing its edges.
+
+    Returns {node mask: component root mask} for every coverable node; the
+    root of a component is its first node in lexicographic order. This is
+    the labelling a NO query completes, run on a fresh _Labelling;
+    build_clique_compressed_graph stays the reference for this partition.
+    """
+    state = _Labelling()
+    clock = _BudgetClock.begin(budget)
+    decide = _decider(g, ss, st)
+    nodes = state.nodes(g, mu, decide, clock)
+    state.label_all(nodes, decide, clock)
+    return {v: state.find(v) for v in nodes}
+
+
+# One _Labelling per (g, |s|, mu), oldest evicted first. The compressed graph
+# depends only on that key; s and t merely steer the decisions, so one
+# labelling serves every cover pair of a size.
+_GRAPH_CACHE: dict[tuple, _Labelling] = {}
+_GRAPH_CACHE_LIMIT = 512
 
 
 def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
@@ -327,9 +433,11 @@ def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
 
     Immediate YES when mu = 0 (all tokens may jump at once) or when
     |s intersect t| >= mu (the two covers are already adjacent). Otherwise
-    connectivity is read off the compressed graph between the
-    lexicographically smallest size-mu subsets of s and of t; by the
-    compression equivalence the choice of subsets does not matter.
+    the answer is whether the lexicographically smallest size-mu subsets of
+    s and of t lie in one component of the compressed graph; by the
+    compression equivalence the choice of subsets does not matter. The
+    search stops as soon as it joins them, and what it learnt stays in the
+    cache for later queries on the same graph, cover size and mu.
     """
     ss = check_vertex_set(g, s)
     st = check_vertex_set(g, t)
@@ -345,6 +453,13 @@ def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
     k = len(ss) - mu
     if k < 1:
         raise PreconditionError(f"k = |s| - mu = {k} must be >= 1")
-    roots = _cached_component_roots(g, ss, st, mu, budget)
+    key = (g, len(ss), mu)
+    state = _GRAPH_CACHE.get(key)
+    if state is None:
+        if len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
+            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
+        state = _GRAPH_CACHE[key] = _Labelling()
     # Both anchors lie inside a cover of size |s|, so both are coverable.
-    return roots[set_to_mask(sorted(ss)[:mu])] == roots[set_to_mask(sorted(st)[:mu])]
+    x = set_to_mask(sorted(ss)[:mu])
+    y = set_to_mask(sorted(st)[:mu])
+    return state.connected(g, ss, st, mu, x, y, budget)

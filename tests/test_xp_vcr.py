@@ -1,6 +1,9 @@
+import contextlib
 import itertools
 import random
 import time
+from math import comb
+from unittest.mock import patch
 
 import networkx as nx
 import pytest
@@ -177,36 +180,172 @@ def test_component_roots_match_reference_on_random_graphs(n, seed):
     _assert_roots_match_reference(random_graph(rng, n, rng.uniform(0.2, 0.8)))
 
 
-def test_warm_answers_equal_cold_answers(monkeypatch):
-    # K_{3,4} with sides {2, 4, 6} and {0, 1, 3, 5} plus the edge 2-4,
-    # covers of size 5 and mu = 4: 8 covers, and 24 of the 64 ordered pairs
-    # are NO.
-    g = new_graph(7, [(a, b) for a in (2, 4, 6) for b in (0, 1, 3, 5)] + [(2, 4)])
-    covers = brute_feasible(g, VC, 5)
-    oracle_calls = []
+def _counting_decisions(monkeypatch) -> list:
+    calls = []
     counted = xp._accepting_guess
 
-    def counting_oracle(*args, **kwargs):
-        oracle_calls.append(args)
-        return counted(*args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
 
-    monkeypatch.setattr(xp, "_accepting_guess", counting_oracle)
-    s0, t0 = next((s, t) for s in covers for t in covers if len(s & t) < 4)
+    monkeypatch.setattr(xp, "_accepting_guess", counting)
+    return calls
+
+
+def _patched_clock(reads: list, cut_at: int | None = None):
+    """Patch the budget clock to note each read in reads and to raise
+    ResourceBudgetError at read number cut_at."""
+
+    def check_time(self):
+        reads.append(None)
+        if len(reads) == cut_at:
+            raise ResourceBudgetError("interrupted")
+
+    return patch.object(xp._BudgetClock, "check_time", check_time)
+
+
+def _cold(g, s, t, mu):
     xp._GRAPH_CACHE.clear()
-    xp_vcr_solve(g, s0, t0, 4)
-    assert oracle_calls  # a cold labelling goes through the counted core
-    verdicts = set()
-    for s in covers:
-        for t in covers:
-            xp._GRAPH_CACHE.clear()
-            cold = xp_vcr_solve(g, s, t, 4)
-            xp_vcr_solve(g, s0, t0, 4)  # labels the graph from another pair
-            oracle_calls.clear()
-            warm = xp_vcr_solve(g, s, t, 4)
-            assert not oracle_calls
-            assert warm == cold, (s, t)
-            verdicts.add(cold)
-    assert verdicts == {True, False}
+    return xp_vcr_solve(g, s, t, mu)
+
+
+def _k34_plus_edge_answers():
+    """K_{3,4} with sides {2, 4, 6} and {0, 1, 3, 5} plus the edge 2-4, covers
+    of size 5 and mu = 4: the graph and the cold answer for each of the 64
+    ordered cover pairs, 24 of them NO."""
+    g = new_graph(7, [(a, b) for a in (2, 4, 6) for b in (0, 1, 3, 5)] + [(2, 4)])
+    covers = brute_feasible(g, VC, 5)
+    return g, {(s, t): _cold(g, s, t, 4) for s in covers for t in covers}
+
+
+def test_warm_answers_equal_cold_answers(monkeypatch):
+    calls = _counting_decisions(monkeypatch)
+    g, cold = _k34_plus_edge_answers()
+    assert list(cold.values()).count(False) == 24
+    # A NO completes the labelling; a YES that needs a decision leaves it
+    # partial.
+    no_pair = next(p for p, yes in cold.items() if not yes)
+    yes_pair = next(p for p, yes in cold.items() if yes and len(p[0] & p[1]) < 4)
+    for first in (no_pair, yes_pair):
+        for (s, t), want in cold.items():
+            calls.clear()
+            _cold(g, *first, 4)
+            assert calls
+            assert xp._GRAPH_CACHE[(g, 5, 4)].complete == (first == no_pair)
+            calls.clear()
+            assert xp_vcr_solve(g, s, t, 4) == want, (first, s, t)
+            if first == no_pair:
+                assert not calls  # a complete labelling answers alone
+
+
+def test_every_interruption_leaves_a_usable_cache():
+    # A cold NO query reads the clock once per node of the coverable pass
+    # and once per BFS pop. Cut it at each of those reads in turn: whatever
+    # it stored by then must answer every later query right.
+    g, cold = _k34_plus_edge_answers()
+    no_pair = next(p for p, yes in cold.items() if not yes)
+    reads: list = []
+    with _patched_clock(reads):
+        _cold(g, *no_pair, 4)
+    assert len(reads) > comb(7, 4)  # the coverable pass, then the BFS pops
+    for cut_at in range(1, len(reads) + 1):
+        xp._GRAPH_CACHE.clear()
+        with _patched_clock([], cut_at), pytest.raises(ResourceBudgetError):
+            xp_vcr_solve(g, *no_pair, 4)
+        for (s, t), want in cold.items():
+            assert xp_vcr_solve(g, s, t, 4) == want, (cut_at, s, t)
+
+
+def _reference_answers(g, size, mu):
+    """{(s, t): reachable} for every ordered pair of size-`size` covers that
+    share fewer than mu vertices (the others are adjacent), from the
+    components of the explicit cover graph under k-TJ with k = size - mu."""
+    covers = brute_feasible(g, VC, size)
+    label = list(range(len(covers)))
+    for i, j in itertools.combinations(range(len(covers)), 2):
+        if len(covers[i] & covers[j]) >= mu:
+            old, new = label[j], label[i]
+            label = [new if x == old else x for x in label]
+    return {
+        (covers[i], covers[j]): label[i] == label[j]
+        for i in range(len(covers))
+        for j in range(len(covers))
+        if len(covers[i] & covers[j]) < mu
+    }
+
+
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=100, deadline=None)
+def test_query_sequence_shares_the_cache(n, seed, cut_at):
+    # Random queries of two (cover size, mu) on one graph share the cache.
+    # One of the first three is cut at a clock read, picked from a dry run
+    # that counts its reads, and asked again right after; every answer,
+    # before and after the cut, is right.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+    refs = {}
+    for size in range(2, n + 1):
+        for mu in range(1, size):
+            answers = _reference_answers(g, size, mu)
+            if answers:
+                refs[size, mu] = answers
+    if not refs:
+        return
+    # The cut query is a NO where the graph has one: a NO labels the whole
+    # compressed graph, so the cut can fall in any stage.
+    with_no = [key for key in refs if not all(refs[key].values())]
+    cut_key = rng.choice(with_no or list(refs))
+    keys = [cut_key, rng.choice(list(refs))]
+    queries = []
+    for _ in range(12):
+        key = rng.choice(keys)
+        queries.append((key, rng.choice(list(refs[key]))))
+    cut = rng.randrange(3)
+    pairs = [p for p, yes in refs[cut_key].items() if not yes] or list(refs[cut_key])
+    queries[cut] = (cut_key, rng.choice(pairs))
+
+    def ask(i):
+        (size, mu), (s, t) = queries[i]
+        assert xp_vcr_solve(g, s, t, mu) == refs[size, mu][s, t], (i, cut, s, t, mu)
+
+    xp._GRAPH_CACHE.clear()
+    for i in range(cut + 1):
+        with _patched_clock(reads := []):
+            ask(i)
+    xp._GRAPH_CACHE.clear()
+    for i in range(cut):
+        ask(i)
+    (size, mu), (s, t) = queries[cut]
+    with _patched_clock([], 1 + cut_at % len(reads) if reads else None):
+        with contextlib.suppress(ResourceBudgetError):
+            xp_vcr_solve(g, s, t, mu)
+    for i in range(cut, len(queries)):
+        ask(i)
+
+
+def test_cold_yes_stops_at_the_anchor_edge(monkeypatch):
+    # C32 with mu = 3, s = evens + {1}, t = odds + {0}, relabelled so that
+    # 30 comes third: the anchors are then {0, 1, 30} and {0, 1, 3}, which
+    # the cover {0, 1, 3, 4, 6, ..., 30} of size 17 contains. One decision
+    # joins them, and the coverable pass, which reads the clock per node,
+    # never starts. (Unrelabelled, the anchors {0, 1, 2} and {0, 1, 3} lie
+    # in no such cover, and the BFS has to run.)
+    n = 32
+    order = [0, 1, 30, 3] + [v for v in range(n) if v not in (0, 1, 30, 3)]
+    label = {v: i for i, v in enumerate(order)}
+    g = new_graph(n, [(label[i], label[(i + 1) % n]) for i in range(n)])
+    s = frozenset(label[v] for v in range(0, n, 2)) | {label[1]}
+    t = frozenset(label[v] for v in range(1, n, 2)) | {label[0]}
+    calls = _counting_decisions(monkeypatch)
+    reads: list = []
+    with _patched_clock(reads):
+        assert _cold(g, s, t, 3)
+    assert len(calls) == 1 and not reads
+    assert xp._GRAPH_CACHE[(g, 17, 3)].coverable is None
 
 
 def test_xp_examples(c4):
@@ -244,12 +383,15 @@ def test_xp_matches_exact_solver(n, seed):
 
 
 def test_xp_time_budget():
-    # C32 with mu = 3 (s = evens + {1}, t = odds + {0}) takes about 3 s.
-    n = 32
-    g = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    s = frozenset(range(0, n, 2)) | {1}
-    t = frozenset(range(1, n, 2)) | {0}
+    # K_{3,3} + C16 with mu = 10, s = one side + the even cycle vertices,
+    # t = the other side + the odd ones: a NO instance, so the query labels
+    # all C(22, 10) = 646,646 nodes, which takes about 7 s without a budget.
+    edges = [(i, 3 + j) for i in range(3) for j in range(3)]
+    edges += [(6 + i, 6 + (i + 1) % 16) for i in range(16)]
+    g = new_graph(22, edges)
+    s = frozenset({0, 1, 2}) | frozenset(range(6, 22, 2))
+    t = frozenset({3, 4, 5}) | frozenset(range(7, 22, 2))
     began = time.monotonic()
     with pytest.raises(ResourceBudgetError):
-        xp_vcr_solve(g, s, t, 3, Budget(max_seconds=0.3))
+        xp_vcr_solve(g, s, t, 10, Budget(max_seconds=0.3))
     assert time.monotonic() - began < 0.3 + 1.0
