@@ -145,6 +145,11 @@ def _hopcroft_karp(nbr: tuple[int, ...], left: int, right: int) -> dict[int, int
         for u in order:
             if u not in pair_left:
                 dfs(u)
+    # dfs reaches itself through its closure cell; emptying the cell frees
+    # the closures and their tables now, by reference counting, instead of
+    # leaving a cycle for the garbage collector, whose passes would then
+    # land on whichever later call crosses its threshold.
+    del dfs
     return pair_left
 
 

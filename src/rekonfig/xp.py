@@ -13,12 +13,16 @@ any size-mu subset of S and any size-mu subset of T.
 
 xp_vcr_solve picks one such anchor in S and one in T and decides no more
 than it must to join or separate them: first the edge between the anchors,
-then a BFS from the first anchor over the coverable nodes (those some cover
+then edges between other size-mu subsets of S and of T (all subsets of one
+cover are pairwise adjacent, so any such edge joins the anchors), then a
+BFS from the first anchor over the coverable nodes (those some cover
 contains) that stops once it reaches the second. Only a NO labels every
 component. What a query learns, the coverable nodes, a union-find over the
-nodes known to be connected and whether the labelling is complete, is kept
-per (graph, |S|, mu) for later queries, and is never wrong even when a
-budget cuts a query short.
+nodes known to be connected, the input covers seen so far and whether the
+labelling is complete, is kept per (graph, |S|, mu) for later queries, and
+is never wrong even when a budget cuts a query short. A later cover that
+shares mu vertices with a seen one joins its class without a decision,
+whatever route the earlier query took.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ from .matching import Bipartition, _hopcroft_karp, bipartition_of, konig_min_ver
 
 from collections import deque
 from collections.abc import Callable
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
 
 @dataclass(frozen=True)
@@ -270,6 +275,19 @@ def _decider(g: Graph, ss: VertexSet, st: VertexSet) -> Callable[[int], bool]:
     return decide
 
 
+def _cross_unions(ss: VertexSet, st: VertexSet, mu: int):
+    """The unions X | Y of a size-mu subset X of ss and one Y of st, both
+    holding ss & st (which has fewer than mu vertices), lazily and in
+    lexicographic order of the two parts outside ss & st."""
+    shared = set_to_mask(ss & st)
+    r = mu - len(ss & st)
+    t_only = sorted(st - ss)
+    for a in combinations(sorted(ss - st), r):
+        xa = shared | set_to_mask(a)
+        for b in combinations(t_only, r):
+            yield xa | set_to_mask(b)
+
+
 class _Labelling:
     """What is known so far about the components of one compressed graph,
     that of (g, cover size, mu).
@@ -281,17 +299,22 @@ class _Labelling:
     halving (Tarjan, JACM 1975) over nodes known to be connected: a union
     follows a decided edge, so classes only ever grow inside components.
     complete is set once every component has been labelled; find then
-    answers every query. Each field is written only when the knowledge it
-    records holds, so a query that its budget aborts leaves a state that
-    later queries can build on.
+    answers every query. covers maps each input cover seen so far to a node
+    inside it, until the labelling is complete. The size-mu subsets of one
+    cover form a clique, so two covers that share mu vertices have their
+    cliques in one component: a query whose cover shares mu vertices with a
+    seen one joins that cover's class without a decision. Each field is
+    written only when the knowledge it records holds, so a query that its
+    budget aborts leaves a state that later queries can build on.
     """
 
-    __slots__ = ("coverable", "parent", "complete")
+    __slots__ = ("coverable", "parent", "complete", "covers")
 
     def __init__(self) -> None:
         self.coverable: list[int] | None = None
         self.parent: dict[int, int] = {}
         self.complete = False
+        self.covers: dict[int, int] = {}
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -306,6 +329,15 @@ class _Labelling:
         if ra != rb:
             self.parent[rb] = ra
 
+    def meet(self, cover: int, node: int, mu: int) -> None:
+        """Join node, a size-mu subset of the input cover, with the node of
+        every seen cover that shares at least mu vertices with it, then
+        record the cover."""
+        for seen, v in self.covers.items():
+            if (seen & cover).bit_count() >= mu:
+                self.union(v, node)
+        self.covers.setdefault(cover, node)
+
     def nodes(
         self, g: Graph, mu: int, decide: Callable[[int], bool], clock: _BudgetClock
     ) -> list[int]:
@@ -313,8 +345,6 @@ class _Labelling:
         budget.max_states caps the C(n, mu) nodes it visits; the clock is
         read once per node."""
         if self.coverable is None:
-            from math import comb
-
             if comb(g.vertex_count, mu) > clock.budget.max_states:
                 raise ResourceBudgetError(
                     f"C({g.vertex_count},{mu}) nodes exceed the state budget "
@@ -373,24 +403,43 @@ class _Labelling:
             root = pending[0]
             pending = self.grow(root, deque([root]), pending[1:], decide, clock)
         self.complete = True
+        self.covers.clear()
 
     def connected(
         self, g: Graph, ss: VertexSet, st: VertexSet, mu: int, x: int, y: int, budget: Budget | None
     ) -> bool:
-        """Whether the coverable nodes x and y lie in one component, deciding
-        as little as it can: known classes, then the edge x-y, then a BFS from
-        x's class that stops once it meets y, and only when x's component
-        runs out without meeting y, the full labelling. The budget clock
-        starts after the two lookups that answer without a decision."""
+        """Whether x, a size-mu subset of ss, and y, one of st, lie in one
+        component, deciding as little as it can: known classes, then the
+        same after joining x and y to the seen covers they share mu vertices
+        with, then the edge x-y, then edges between the cliques of ss and
+        st, then a BFS from x's class that stops once it meets y, and only
+        when x's component runs out without meeting y, the full labelling.
+        The budget clock starts after the lookups that answer without a
+        decision, and is read once per clique pair tried."""
         if self.find(x) == self.find(y):
             return True
         if self.complete:
             return False
+        self.meet(set_to_mask(ss), x, mu)
+        self.meet(set_to_mask(st), y, mu)
+        if self.find(x) == self.find(y):
+            return True
         clock = _BudgetClock.begin(budget)
         decide = _decider(g, ss, st)
         if decide(x | y):
             self.union(x, y)
             return True
+        # Any edge between the cliques of ss and st joins x and y. Try the
+        # pairs whose unions are smallest, both sides holding ss & st, at
+        # most C(n, mu) of them, before the coverable pass. They cost a NO
+        # nothing: its BFS pops every node of x's component against every
+        # node of y's, so it decides each such union anyway, from the memo.
+        limit = min(comb(g.vertex_count, mu), clock.budget.max_states)
+        for z in islice(_cross_unions(ss, st, mu), limit):
+            clock.check_time()
+            if decide(z):
+                self.union(x, y)
+                return True
         rx = self.find(x)
         seeds: deque[int] = deque()
         pending: list[int] = []
@@ -436,8 +485,9 @@ def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
     the answer is whether the lexicographically smallest size-mu subsets of
     s and of t lie in one component of the compressed graph; by the
     compression equivalence the choice of subsets does not matter. The
-    search stops as soon as it joins them, and what it learnt stays in the
-    cache for later queries on the same graph, cover size and mu.
+    search stops as soon as it joins them, and what it learnt, the covers
+    s and t included, stays in the cache for later queries on the same
+    graph, cover size and mu.
     """
     ss = check_vertex_set(g, s)
     st = check_vertex_set(g, t)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -48,6 +49,21 @@ def test_matching_grows_past_a_greedy_start():
     g = new_graph(4, [(0, 1), (0, 3), (2, 1)])
     assert _hopcroft_karp(g.neighbor_masks, 0b0101, 0b1010) == {0: 3, 2: 1}
     assert len(maximum_matching(g, Bipartition(frozenset({0, 2}), frozenset({1, 3})))) == 2
+
+
+def test_matching_phases_leave_no_garbage_cycle():
+    # Past the greedy start the phases build closures over their tables;
+    # reference counting must free them all, with no collector pass, so
+    # collector pauses do not land on whichever later call crosses the
+    # threshold.
+    g = new_graph(4, [(0, 1), (0, 3), (2, 1)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert _hopcroft_karp(g.neighbor_masks, 0b0101, 0b1010) == {0: 3, 2: 1}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_konig_examples(c4, k33, path3):

@@ -348,6 +348,63 @@ def test_cold_yes_stops_at_the_anchor_edge(monkeypatch):
     assert xp._GRAPH_CACHE[(g, 17, 3)].coverable is None
 
 
+def test_cold_yes_finds_an_edge_between_the_cliques(monkeypatch):
+    # Unrelabelled C32 with mu = 3, s = evens + {1}, t = odds + {0}: the
+    # anchors {0, 1, 2} and {0, 1, 3} share no cover, but {0, 1, 4} in s and
+    # {0, 1, 3} in t do. The tries hold s & t = {0, 1}; the 15 with 2 fail
+    # (each leaves too short a path behind 2; the first is the anchor edge
+    # again, from the memo), and the first with 4 joins the cliques:
+    # 1 + 14 + 1 decisions, and the coverable pass over the 4,960 nodes
+    # never starts.
+    n = 32
+    g = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    s = frozenset(range(0, n, 2)) | {1}
+    t = frozenset(range(1, n, 2)) | {0}
+    calls = _counting_decisions(monkeypatch)
+    assert _cold(g, s, t, 3)
+    assert len(calls) == 16
+    assert xp._GRAPH_CACHE[(g, 17, 3)].coverable is None
+
+
+def test_clique_tries_cost_a_no_nothing(monkeypatch):
+    # A NO pops every node of the first anchor's component against every
+    # node of the second's, so it decides each union across the two cliques
+    # anyway: without the tries, every cold NO makes as many decisions.
+    g, cold = _k34_plus_edge_answers()
+    calls = _counting_decisions(monkeypatch)
+    tried = 0
+    for (s, t), yes in cold.items():
+        if yes:
+            continue
+        tried += len(set(xp._cross_unions(s, t, 4)))
+        calls.clear()
+        _cold(g, s, t, 4)
+        with_tries = len(calls)
+        with patch.object(xp, "_cross_unions", lambda *args: iter(())):
+            calls.clear()
+            _cold(g, s, t, 4)
+        assert with_tries == len(calls), (s, t)
+    assert tried > 24  # more than the anchor edge of each NO pair
+
+
+def test_warm_yes_joins_the_seen_covers(monkeypatch):
+    # The size-mu subsets of a cover form a clique, so a cover that shares
+    # mu vertices with one seen on the same key lies in its class. After
+    # the cold YES between evens + {1} and odds + {0} on C12 with mu = 3,
+    # whichever route it took, evens + {5} and odds + {8} share six
+    # vertices with those covers: the cache answers with no decision and
+    # no clock read.
+    n = 12
+    g = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    evens, odds = frozenset(range(0, n, 2)), frozenset(range(1, n, 2))
+    assert _cold(g, evens | {1}, odds | {0}, 3)
+    calls = _counting_decisions(monkeypatch)
+    reads: list = []
+    with _patched_clock(reads):
+        assert xp_vcr_solve(g, evens | {5}, odds | {8}, 3)
+    assert not calls and not reads
+
+
 def test_xp_examples(c4):
     assert not xp_vcr_solve(c4, S13, T24, 1)
     assert xp_vcr_solve(c4, S13, T24, 0)
