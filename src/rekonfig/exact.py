@@ -95,23 +95,33 @@ class TarResult:
     witness: ReconfigSequence
 
 
-def _clique_partition_masks(g: Graph, vertices_mask: int) -> list[int]:
-    """Greedy first-fit partition of the given vertices into cliques.
+def _clique_partition_masks(g: Graph, clock: _BudgetClock) -> list[int]:
+    """Greedy first-fit partition of the vertices, in id order, into cliques;
+    the clock is read once per vertex.
 
     The number of cliques intersecting a candidate set upper-bounds its
-    independence number, which is the pruning bound used below.
+    independence number, which is the pruning bound used below. A clique
+    can take v only if all its members are v's neighbours, its first member
+    included, and cliques are created in the order of their first members.
+    So first-fit tries only the cliques led by v's neighbours, in id order.
     """
-    cliques: list[int] = []
-    masks = g.neighbor_masks
-    for v in iter_bits(vertices_mask):
+    cliques: dict[int, int] = {}  # first member -> clique, in creation order
+    leaders = 0
+    for v, nv in enumerate(g.neighbor_masks):
+        clock.check_time()
         bit = 1 << v
-        for i, q in enumerate(cliques):
-            if q & ~masks[v] == 0:  # v adjacent to every member
-                cliques[i] = q | bit
+        candidates = nv & leaders
+        while candidates:
+            low = candidates & -candidates
+            u = low.bit_length() - 1
+            if cliques[u] & ~nv == 0:  # v adjacent to every member
+                cliques[u] |= bit
                 break
+            candidates ^= low
         else:
-            cliques.append(bit)
-    return cliques
+            cliques[v] = bit
+            leaders |= bit
+    return list(cliques.values())
 
 
 def _clique_bound(cliques: list[int], candidates: int) -> int:
@@ -140,7 +150,7 @@ def _independent_masks(
     of the family, good only for its length."""
     n = g.vertex_count
     masks = g.neighbor_masks
-    cliques = _clique_partition_masks(g, g.full_mask)
+    cliques = _clique_partition_masks(g, clock)
     out: list[int] = []
     if size == 0:
         return [0]
@@ -218,7 +228,7 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> VertexSet:
     smallest among the maximum ones found first by the search order)."""
     clock = _BudgetClock.begin(budget)
     masks = g.neighbor_masks
-    cliques = _clique_partition_masks(g, g.full_mask)
+    cliques = _clique_partition_masks(g, clock)
     best_mask = 0
     best_count = -1
 

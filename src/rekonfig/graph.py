@@ -1,8 +1,12 @@
 """Core graph types, feasibility predicates and reconfiguration adjacency.
 
 Vertices are 0-based integers internally (file formats are 1-based, see
-io_formats). All types are immutable after construction; every operation is a
-pure function, so values can be shared freely across threads.
+io_formats). The fields of every type never change after construction, and
+every operation here is a pure function. The one mutable part is
+Graph.xp_labellings: xp_vcr_solve keeps there what it has learnt about the
+graph, facts that hold for this graph only. Like any cache it is written by
+queries, so a graph expects one XP query at a time; everything else can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -11,9 +15,12 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import GraphConstructionError, PreconditionError, SizeMismatchError
+
+if TYPE_CHECKING:
+    from .xp import _Labelling
 
 VertexSet = frozenset[int]
 
@@ -50,6 +57,13 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    @cached_property
+    def xp_labellings(self) -> dict[tuple[int, int], "_Labelling"]:
+        """What xp_vcr_solve has learnt about this graph's compressed graphs,
+        one labelling per (cover size, mu). It lives as long as the graph
+        and stays empty until an XP query runs."""
+        return {}
 
     @cached_property
     def max_degree(self) -> int:

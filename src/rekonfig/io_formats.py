@@ -180,6 +180,13 @@ def parse_cnf(text: str) -> CnfFormula:
             if len(toks) != 4 or toks[1] != "cnf":
                 raise FormatSyntaxError("expected `p cnf <vars> <clauses>`", ln, 1)
             nvars = _int(toks[2], ln, "variable count")
+            if nvars > MAX_VERTICES // 2:
+                # The compilers give every variable two vertices.
+                raise FormatSemanticsError(
+                    f"{nvars} variables compile to {2 * nvars} vertices or more, "
+                    f"which exceeds the limit {MAX_VERTICES}",
+                    ln,
+                )
             nclauses = _int(toks[3], ln, "clause count")
             continue
         if nvars is None:

@@ -18,6 +18,7 @@ directions.
 from __future__ import annotations
 
 from ..errors import PreconditionError
+from ..io_formats import MAX_VERTICES
 from ..oracles import Assignment, CnfFormula
 
 
@@ -31,27 +32,65 @@ def e3sat_to_inte3sat(phi: CnfFormula) -> CnfFormula:
 
     Requires that neither the all-true nor the all-false assignment
     satisfies phi (so plain satisfiability of phi coincides with mixed
-    satisfiability of the output).
+    satisfiability of the output), and that the output's n + 2*m*n^2
+    variables stay within MAX_VERTICES // 2: inte3sat_to_isr gives every
+    variable two vertices, and no parser accepts more than MAX_VERTICES.
+
+    The output equals repeated replace_long_clause calls: those replace the
+    widened clauses in order, two replacements each, and append the
+    defining clauses at the end, so this builds both halves in one pass.
     """
     if not phi.is_e3:
         raise PreconditionError("input must have exactly three literals per clause")
+    n, m = phi.variable_count, phi.clause_count
+    if n + 2 * m * n * n > MAX_VERTICES // 2:
+        raise PreconditionError(
+            f"{m} clauses over {n} variables compile to {n + 2 * m * n * n} variables, "
+            f"which exceeds the limit {MAX_VERTICES // 2}"
+        )
     for value, name in ((True, "all-true"), (False, "all-false")):
         if _all_const_assignment_satisfies(phi, value):
             raise PreconditionError(f"the {name} assignment satisfies the input formula")
-    n = phi.variable_count
-    widened = tuple(
-        clause + (i, -j)
-        for clause in phi.clauses
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    out = CnfFormula(n, widened)
-    while not out.is_e3:
-        out = replace_long_clause(out)
-    m = phi.clause_count
+    shrunk: list[tuple[int, ...]] = []
+    defining: list[tuple[int, ...]] = []
+    z = n
+    for clause in phi.clauses:
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                widened = clause + (i, -j)
+                while len(widened) > 3:
+                    z += 1
+                    widened, triple = _replace_pair(widened, z)
+                    defining += triple
+                shrunk.append(widened)
+    out = CnfFormula(z, tuple(shrunk + defining))
     assert out.clause_count == 7 * m * n * n
     assert out.variable_count == n + 2 * m * n * n
     return out
+
+
+def _replace_pair(
+    clause: tuple[int, ...], z: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Replace the first same-polarity pair of clause by the fresh variable
+    z: the shrunk clause and the three clauses defining z. A positive pair
+    is preferred over a negative one, taking the two earliest occurrences."""
+    positives = [p for p, l in enumerate(clause) if l > 0]
+    if len(positives) >= 2:
+        pa, pb = positives[0], positives[1]
+        x, y = clause[pa], clause[pb]
+        replacement = z
+        defining = ((x, y, -z), (-x, -x, z), (-y, -y, z))
+    else:
+        negatives = [p for p, l in enumerate(clause) if l < 0]
+        if len(negatives) < 2:
+            raise PreconditionError("clause of width >= 4 with no same-polarity pair")
+        pa, pb = negatives[0], negatives[1]
+        x, y = -clause[pa], -clause[pb]
+        replacement = -z
+        defining = ((-x, -y, z), (x, x, -z), (y, y, -z))
+    shrunk = (replacement,) + tuple(l for p, l in enumerate(clause) if p not in (pa, pb))
+    return shrunk, defining
 
 
 def replace_long_clause(psi: CnfFormula) -> CnfFormula:
@@ -67,26 +106,7 @@ def replace_long_clause(psi: CnfFormula) -> CnfFormula:
     target = next((idx for idx, c in enumerate(psi.clauses) if len(c) >= 4), None)
     if target is None:
         raise PreconditionError("no clause of width >= 4 to replace")
-    clause = psi.clauses[target]
     z = psi.variable_count + 1
-    positives = [p for p, l in enumerate(clause) if l > 0]
-    if len(positives) >= 2:
-        pa, pb = positives[0], positives[1]
-        x, y = clause[pa], clause[pb]
-        replacement = z
-        defining = ((x, y, -z), (-x, -x, z), (-y, -y, z))
-    else:
-        negatives = [p for p, l in enumerate(clause) if l < 0]
-        if len(negatives) < 2:
-            raise PreconditionError("clause of width >= 4 with no same-polarity pair")
-        pa, pb = negatives[0], negatives[1]
-        x, y = -clause[pa], -clause[pb]
-        replacement = -z
-        defining = ((-x, -y, z), (x, x, -z), (y, y, -z))
-    shrunk = (replacement,) + tuple(
-        l for p, l in enumerate(clause) if p not in (pa, pb)
-    )
-    clauses = (
-        psi.clauses[:target] + (shrunk,) + psi.clauses[target + 1 :] + defining
-    )
+    shrunk, defining = _replace_pair(psi.clauses[target], z)
+    clauses = psi.clauses[:target] + (shrunk,) + psi.clauses[target + 1 :] + defining
     return CnfFormula(z, clauses)

@@ -19,10 +19,12 @@ BFS from the first anchor over the coverable nodes (those some cover
 contains) that stops once it reaches the second. Only a NO labels every
 component. What a query learns, the coverable nodes, a union-find over the
 nodes known to be connected, the input covers seen so far and whether the
-labelling is complete, is kept per (graph, |S|, mu) for later queries, and
-is never wrong even when a budget cuts a query short. A later cover that
-shares mu vertices with a seen one joins its class without a decision,
-whatever route the earlier query took.
+labelling is complete, is a fact about the compressed graph of (G, |S|, mu).
+So it is kept on the graph itself, in Graph.xp_labellings under (|S|, mu),
+for later queries, lives exactly as long as the graph, and is never wrong
+even when a budget cuts a query short. A later cover that shares mu
+vertices with a seen one joins its class without a decision, whatever
+route the earlier query took.
 """
 
 from __future__ import annotations
@@ -248,12 +250,16 @@ def build_clique_compressed_graph(
     return CliqueCompressedGraph(mu, cover_size, nodes, frozenset(edges))
 
 
-def _decider(g: Graph, ss: VertexSet, st: VertexSet) -> Callable[[int], bool]:
+def _decider(g: Graph, ss: VertexSet, st: VertexSet, mu: int) -> Callable[[int], bool]:
     """The per-query decision "some cover of size |ss| contains Z", memoized
-    on Z. Each Z is decided by _accepting_guess on masks, the same core
-    clique_edge_oracle uses: the caller has validated ss and st, and covers
-    of G also cover G - Z, so no call re-validates them. The answer does not
-    depend on ss and st, only the route to it does."""
+    on the unions Z of more than mu vertices. Each Z is decided by
+    _accepting_guess on masks, the same core clique_edge_oracle uses: the
+    caller has validated ss and st, and covers of G also cover G - Z, so no
+    call re-validates them. The answer does not depend on ss and st, only
+    the route to it does. A single node, of mu vertices, is asked only by
+    the coverable pass, once each, so its decision is not stored: the memo
+    holds unions of two distinct nodes, not an entry per node of the
+    C(n, mu) the pass visits."""
     nbr = g.neighbor_masks
     full = g.full_mask
     cover_size = len(ss)
@@ -265,11 +271,13 @@ def _decider(g: Graph, ss: VertexSet, st: VertexSet) -> Callable[[int], bool]:
         hit = z_memo.get(z)
         if hit is None:
             rest = full & ~z
-            t_prime = cover_size - z.bit_count()
+            size = z.bit_count()
+            t_prime = cover_size - size
             hit = 0 <= t_prime <= rest.bit_count() and (
                 _accepting_guess(nbr, rest, t_prime, smask & rest, tmask & rest) is not None
             )
-            z_memo[z] = hit
+            if size > mu:
+                z_memo[z] = hit
         return hit
 
     return decide
@@ -425,7 +433,7 @@ class _Labelling:
         if self.find(x) == self.find(y):
             return True
         clock = _BudgetClock.begin(budget)
-        decide = _decider(g, ss, st)
+        decide = _decider(g, ss, st, mu)
         if decide(x | y):
             self.union(x, y)
             return True
@@ -464,17 +472,10 @@ def _component_roots(
     """
     state = _Labelling()
     clock = _BudgetClock.begin(budget)
-    decide = _decider(g, ss, st)
+    decide = _decider(g, ss, st, mu)
     nodes = state.nodes(g, mu, decide, clock)
     state.label_all(nodes, decide, clock)
     return {v: state.find(v) for v in nodes}
-
-
-# One _Labelling per (g, |s|, mu), oldest evicted first. The compressed graph
-# depends only on that key; s and t merely steer the decisions, so one
-# labelling serves every cover pair of a size.
-_GRAPH_CACHE: dict[tuple, _Labelling] = {}
-_GRAPH_CACHE_LIMIT = 512
 
 
 def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
@@ -486,8 +487,10 @@ def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
     s and of t lie in one component of the compressed graph; by the
     compression equivalence the choice of subsets does not matter. The
     search stops as soon as it joins them, and what it learnt, the covers
-    s and t included, stays in the cache for later queries on the same
-    graph, cover size and mu.
+    s and t included, stays in g.xp_labellings for later queries of the same
+    cover size and mu: the compressed graph depends only on (g, |s|, mu),
+    and s and t merely steer the decisions, so one labelling serves every
+    cover pair of a size.
     """
     ss = check_vertex_set(g, s)
     st = check_vertex_set(g, t)
@@ -503,12 +506,10 @@ def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
     k = len(ss) - mu
     if k < 1:
         raise PreconditionError(f"k = |s| - mu = {k} must be >= 1")
-    key = (g, len(ss), mu)
-    state = _GRAPH_CACHE.get(key)
+    labellings = g.xp_labellings
+    state = labellings.get((len(ss), mu))
     if state is None:
-        if len(_GRAPH_CACHE) >= _GRAPH_CACHE_LIMIT:
-            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-        state = _GRAPH_CACHE[key] = _Labelling()
+        state = labellings[len(ss), mu] = _Labelling()
     # Both anchors lie inside a cover of size |s|, so both are coverable.
     x = set_to_mask(sorted(ss)[:mu])
     y = set_to_mask(sorted(st)[:mu])

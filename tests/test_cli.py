@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,17 @@ def test_reduce_sat2int_counts(capsys, tmp_path):
 
     phi = parse_cnf(out_path.read_text())
     assert phi.clause_count == 7 * 2 * 1 and phi.variable_count == 1 + 2 * 2 * 1
+
+
+def test_reduce_sat2int_rejects_output_beyond_the_vertex_limit(capsys, tmp_path):
+    # 200 variables and 2 clauses widen to 160,200 variables, more than
+    # int2isr can give two vertices each: usage error before any widening.
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 200 2\n1 2 3 0\n-1 -2 -3 0\n")
+    began = time.monotonic()
+    code, out, err = run(capsys, "reduce", "sat2int", str(path))
+    assert code == 2 and out == "" and "exceeds the limit" in err
+    assert time.monotonic() - began < 0.5
 
 
 def test_reduce_ncl2isr_then_solve_matches_oracle(capsys, tmp_path):
@@ -215,6 +227,7 @@ def test_xp_vcr_time_budget_exit_code(capsys, tmp_path):
         (("solve",), "p reconfig {} 0 is ktj 1"),
         (("oracle", "ncl"), "p ncl {} 0"),
         (("oracle", "pmr"), "p pmr {} 0"),
+        (("reduce", "int2isr"), "p cnf {} 0"),
     ],
 )
 def test_oversized_header_exit_code(capsys, tmp_path, argv, header):

@@ -134,6 +134,42 @@ def test_solve_exact_time_budget_bounds_each_expansion():
     assert time.monotonic() - began < 0.5 + 1.0
 
 
+def _first_fit_over_all_cliques(g):
+    """Reference clique partition: each vertex, in id order, joins the first
+    clique whose members are all its neighbours, testing every clique."""
+    cliques = []
+    for v in range(g.vertex_count):
+        for i, q in enumerate(cliques):
+            if q & ~g.neighbor_masks[v] == 0:
+                cliques[i] = q | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return cliques
+
+
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_clique_partition_tries_only_the_cliques_of_earlier_neighbours(n, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.95))
+    clock = exact._BudgetClock.begin(None)
+    assert exact._clique_partition_masks(g, clock) == _first_fit_over_all_cliques(g)
+
+
+def test_time_budget_bounds_the_clique_partition():
+    # The star K_{1,8191}, independent 1-sets under 1-TJ: its partition has
+    # 8,191 cliques, and testing each vertex against all of them took about
+    # 40 s with no clock read; s and t are one jump apart.
+    n = 8192
+    g = new_graph(n, [(0, v) for v in range(1, n)])
+    inst = ReconfigInstance(g, IS, frozenset({0}), frozenset({1}), Rule(RuleKind.KTJ, 1))
+    began = time.monotonic()
+    result = solve_exact(inst, want_shortest=True, budget=Budget(max_seconds=0.5))
+    assert result.reachable and result.shortest.length == 1
+    assert time.monotonic() - began < 0.5 + 1.0
+
+
 def _sources(inst):
     size = len(inst.start)
     states = feasible_masks(inst.graph, inst.kind, size)

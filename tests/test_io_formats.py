@@ -40,6 +40,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
         (parse_instance, "p reconfig {} 0 is ktj 1"),
         (parse_ncl, "p ncl {} 0"),
         (parse_pmr, "p pmr {} 0"),
+        (parse_cnf, "p cnf {} 0"),
     ],
 )
 def test_oversized_header_rejected_before_allocation(monkeypatch, parse, header):
@@ -56,6 +57,10 @@ def test_oversized_header_rejected_before_allocation(monkeypatch, parse, header)
 def test_header_at_the_vertex_limit_parses():
     inst = parse_instance(f"p reconfig {MAX_VERTICES} 0 is ktj 1\ns 1\nt 2\n")
     assert inst.graph.vertex_count == MAX_VERTICES
+    # Every variable compiles to two vertices.
+    assert parse_cnf(f"p cnf {MAX_VERTICES // 2} 0\n").variable_count == MAX_VERTICES // 2
+    with pytest.raises(FormatSemanticsError, match="exceeds the limit"):
+        parse_cnf(f"p cnf {MAX_VERTICES // 2 + 1} 0\n")
 
 
 def test_instance_fixture_round_trip(c4):

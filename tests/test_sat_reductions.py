@@ -1,6 +1,9 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rekonfig.errors import PreconditionError
 from rekonfig.oracles import Assignment, CnfFormula, SatMode, sat_decide
@@ -32,6 +35,54 @@ def test_rejects_constant_satisfiable():
         e3sat_to_inte3sat(CnfFormula(2, ((1, 2, 1),)))
     with pytest.raises(PreconditionError, match="all-false"):
         e3sat_to_inte3sat(CnfFormula(2, ((-1, -2, -1),)))
+
+
+def _replacement_loop(phi: CnfFormula) -> CnfFormula:
+    """Reference compiler: widen every clause by (x_i or not x_j) over all
+    variable pairs, then call replace_long_clause until the formula is E3."""
+    n = phi.variable_count
+    rng = range(1, n + 1)
+    out = CnfFormula(n, tuple(c + (i, -j) for c in phi.clauses for i in rng for j in rng))
+    while not out.is_e3:
+        out = replace_long_clause(out)
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_pass_equals_the_replacement_loop(n, extra, seed):
+    # One all-positive and one all-negative clause keep both constant
+    # assignments from satisfying the formula; the rest are random E3.
+    rng = random.Random(seed)
+    clauses = [tuple(rng.randint(1, n) for _ in range(3))]
+    clauses.append(all_neg(rng.randint(1, n) for _ in range(3)))
+    clauses += [tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3)) for _ in range(extra)]
+    rng.shuffle(clauses)
+    phi = restricted_e3(n, tuple(clauses))
+    assert e3sat_to_inte3sat(phi) == _replacement_loop(phi)
+
+
+def test_one_pass_is_linear_in_its_output():
+    # n = 14, m = 3: 4,116 output clauses; rebuilding the formula once per
+    # replacement took about 5 s.
+    phi = restricted_e3(14, ((1, 2, 3), (-4, -5, -6), (7, -8, 14)))
+    began = time.monotonic()
+    out = e3sat_to_inte3sat(phi)
+    assert time.monotonic() - began < 0.5
+    assert out.clause_count == 7 * 3 * 14 * 14
+
+
+def test_rejects_output_beyond_the_vertex_limit():
+    # n + 2 * 2 * n^2 output variables: 33,215 for n = 91 and 160,200 for
+    # n = 200, both over MAX_VERTICES // 2 = 32,768.
+    for n in (91, 200):
+        phi = restricted_e3(n, ((1, 2, 3), (-1, -2, -3)))
+        with pytest.raises(PreconditionError, match="exceeds the limit"):
+            e3sat_to_inte3sat(phi)
 
 
 def test_rejects_non_e3():

@@ -1,7 +1,10 @@
 import contextlib
+import gc
 import itertools
 import random
 import time
+import tracemalloc
+import weakref
 from math import comb
 from unittest.mock import patch
 
@@ -205,7 +208,7 @@ def _patched_clock(reads: list, cut_at: int | None = None):
 
 
 def _cold(g, s, t, mu):
-    xp._GRAPH_CACHE.clear()
+    g.xp_labellings.clear()
     return xp_vcr_solve(g, s, t, mu)
 
 
@@ -231,7 +234,7 @@ def test_warm_answers_equal_cold_answers(monkeypatch):
             calls.clear()
             _cold(g, *first, 4)
             assert calls
-            assert xp._GRAPH_CACHE[(g, 5, 4)].complete == (first == no_pair)
+            assert g.xp_labellings[5, 4].complete == (first == no_pair)
             calls.clear()
             assert xp_vcr_solve(g, s, t, 4) == want, (first, s, t)
             if first == no_pair:
@@ -249,7 +252,7 @@ def test_every_interruption_leaves_a_usable_cache():
         _cold(g, *no_pair, 4)
     assert len(reads) > comb(7, 4)  # the coverable pass, then the BFS pops
     for cut_at in range(1, len(reads) + 1):
-        xp._GRAPH_CACHE.clear()
+        g.xp_labellings.clear()
         with _patched_clock([], cut_at), pytest.raises(ResourceBudgetError):
             xp_vcr_solve(g, *no_pair, 4)
         for (s, t), want in cold.items():
@@ -312,11 +315,11 @@ def test_query_sequence_shares_the_cache(n, seed, cut_at):
         (size, mu), (s, t) = queries[i]
         assert xp_vcr_solve(g, s, t, mu) == refs[size, mu][s, t], (i, cut, s, t, mu)
 
-    xp._GRAPH_CACHE.clear()
+    g.xp_labellings.clear()
     for i in range(cut + 1):
         with _patched_clock(reads := []):
             ask(i)
-    xp._GRAPH_CACHE.clear()
+    g.xp_labellings.clear()
     for i in range(cut):
         ask(i)
     (size, mu), (s, t) = queries[cut]
@@ -345,7 +348,7 @@ def test_cold_yes_stops_at_the_anchor_edge(monkeypatch):
     with _patched_clock(reads):
         assert _cold(g, s, t, 3)
     assert len(calls) == 1 and not reads
-    assert xp._GRAPH_CACHE[(g, 17, 3)].coverable is None
+    assert g.xp_labellings[17, 3].coverable is None
 
 
 def test_cold_yes_finds_an_edge_between_the_cliques(monkeypatch):
@@ -363,7 +366,7 @@ def test_cold_yes_finds_an_edge_between_the_cliques(monkeypatch):
     calls = _counting_decisions(monkeypatch)
     assert _cold(g, s, t, 3)
     assert len(calls) == 16
-    assert xp._GRAPH_CACHE[(g, 17, 3)].coverable is None
+    assert g.xp_labellings[17, 3].coverable is None
 
 
 def test_clique_tries_cost_a_no_nothing(monkeypatch):
@@ -439,16 +442,50 @@ def test_xp_matches_exact_solver(n, seed):
         assert xp_vcr_solve(g, s, t, mu) == want
 
 
-def test_xp_time_budget():
-    # K_{3,3} + C16 with mu = 10, s = one side + the even cycle vertices,
-    # t = the other side + the odd ones: a NO instance, so the query labels
-    # all C(22, 10) = 646,646 nodes, which takes about 7 s without a budget.
+def _k33_plus_cycle(c):
+    """K_{3,3} + C_c with s = one side + the even cycle vertices and t = the
+    other side + the odd ones: every cover of size 3 + c/2 holds a whole
+    side of K_{3,3}, so s and t are joined only if k >= 3."""
+    n = 6 + c
     edges = [(i, 3 + j) for i in range(3) for j in range(3)]
-    edges += [(6 + i, 6 + (i + 1) % 16) for i in range(16)]
-    g = new_graph(22, edges)
-    s = frozenset({0, 1, 2}) | frozenset(range(6, 22, 2))
-    t = frozenset({3, 4, 5}) | frozenset(range(7, 22, 2))
+    edges += [(6 + i, 6 + (i + 1) % c) for i in range(c)]
+    s = frozenset({0, 1, 2}) | frozenset(range(6, n, 2))
+    t = frozenset({3, 4, 5}) | frozenset(range(7, n, 2))
+    return new_graph(n, edges), s, t
+
+
+def test_xp_time_budget():
+    # K_{3,3} + C16 with mu = 10: a NO instance, so the query labels all
+    # C(22, 10) = 646,646 nodes, which takes about 7 s without a budget.
+    g, s, t = _k33_plus_cycle(16)
     began = time.monotonic()
     with pytest.raises(ResourceBudgetError):
         xp_vcr_solve(g, s, t, 10, Budget(max_seconds=0.3))
     assert time.monotonic() - began < 0.3 + 1.0
+
+
+def test_labellings_die_with_their_graph():
+    # What a query learns lives on its graph: no module keeps the graph, or
+    # the labelling, alive once the caller lets go of it.
+    g, s, t = _k33_plus_cycle(4)
+    assert not xp_vcr_solve(g, s, t, 4)
+    assert g.xp_labellings[5, 4].complete
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None
+
+
+def test_coverable_pass_memoizes_nothing():
+    # A NO runs the coverable pass over all C(16, 7) = 11,440 nodes of
+    # K_{3,3} + C10 with mu = 7. Each single node is decided once, so the
+    # query memo keeps only unions of two nodes; storing the pass's
+    # decisions took a traced peak of about 1.2 MB.
+    g, s, t = _k33_plus_cycle(10)
+    tracemalloc.start()
+    try:
+        assert not xp_vcr_solve(g, s, t, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000
