@@ -148,19 +148,16 @@ def _independent_masks(
     With a limit, the enumeration stops as soon as it holds more than
     `limit` sets; a result longer than `limit` is then an incomplete prefix
     of the family, good only for its length."""
-    n = g.vertex_count
+    full = g.full_mask
     masks = g.neighbor_masks
     cliques = _clique_partition_masks(g, clock)
     out: list[int] = []
     if size == 0:
         return [0]
 
-    # suffix[i] = vertices with id >= i
-    suffix = [((1 << n) - 1) ^ ((1 << i) - 1) for i in range(n + 1)]
-
     def rec(idx: int, chosen: int, count: int, banned: int) -> None:
         clock.charge()
-        candidates = suffix[idx] & ~banned
+        candidates = (full >> idx << idx) & ~banned  # vertices with id >= idx
         remaining = size - count
         if candidates.bit_count() < remaining or _clique_bound(cliques, candidates) < remaining:
             return
@@ -479,18 +476,30 @@ def _chain(parent: dict[int, int | None], end: int) -> ReconfigSequence:
 
 
 def _bfs_both_ends(
-    source: int, target: int, neighbours: Neighbours, clock: _BudgetClock
+    source: int, target: int, neighbours: Neighbours, adjacent: Callable[[int, int], bool],
+    cost: int, clock: _BudgetClock,
 ) -> tuple[int | None, dict[int, int | None], dict[int, int | None], int]:
     """Level-synchronous BFS from source and from target at once.
 
-    Each step expands the whole frontier of the side with fewer frontier
-    states (the source side on a tie). The first level that reaches states
-    of the other side is finished, and its lexicographically least meeting
-    state (the largest _set_sort_key) is returned. Before that level the two
-    searched balls were disjoint, so every meeting state lies on the other
-    side's frontier and all of them close a shortest path. The budget is
-    charged once per state stored on either side, and the clock is read once
-    per expansion.
+    Each step takes the frontier of the side with fewer frontier states (the
+    source side on a tie), in order. Before a level reaches the other side
+    the two searched balls are disjoint, so every meeting state lies on the
+    other side's frontier and closes a shortest path. The lexicographically
+    least one (the largest _set_sort_key) is returned, with the first
+    frontier state adjacent to it as its parent: the meet and chains that
+    expanding the whole level gives.
+
+    The level is expanded only up to its first meet. After it, `better`
+    holds the other frontier's states that beat the meet. Each remaining
+    state a is tested against them, best first, with the rule's pair test
+    `adjacent`; the first one adjacent to a becomes the meet, with parent a,
+    and cuts the list. A state adjacent to an earlier frontier state would
+    already have been met, so a is its first adjacent frontier state. While
+    more than `cost` better states remain (what one expansion is worth in
+    adjacency tests), a is expanded instead, as before the meet.
+
+    The budget is charged once per state stored on either side, and the
+    clock is read once per frontier state taken.
 
     Returns (meeting state or None, parents from source, parents from
     target, number of expanded states).
@@ -503,27 +512,48 @@ def _bfs_both_ends(
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = parents[side], parents[1 - side]
         level: list[int] = []
-        meets: list[int] = []
+        meet: int | None = None
+        better: list[int] = []
         for a in frontiers[side]:
-            expanded += 1
+            if meet is not None and not better:
+                break
             clock.check_time()
-            for b in neighbours(a, mine):
+            if meet is not None and len(better) <= cost:
+                first = next((i for i, c in enumerate(better) if adjacent(a, c)), None)
+                if first is not None:
+                    meet = better[first]
+                    mine[meet] = a
+                    clock.charge()
+                    del better[first:]
+                continue
+            expanded += 1
+            new = neighbours(a, mine)
+            for b in new:
                 mine[b] = a
                 clock.charge()
-                level.append(b)
-                if b in other:
-                    meets.append(b)
-        if meets:
-            return max(meets, key=_set_sort_key), parents[0], parents[1], expanded
+            level += new
+            # new comes best first, so its first meet is the best of a's
+            hit = next((b for b in new if b in other), None)
+            if hit is None or (meet is not None and _set_sort_key(hit) < _set_sort_key(meet)):
+                continue
+            # c beats hit iff the least vertex where they differ is in c
+            pool = frontiers[1 - side] if meet is None else better
+            better = [c for c in pool if c & (x := c ^ hit) & -x]
+            meet = hit
+            if len(better) <= cost:  # pair tests from here on, best first
+                better.sort(key=_set_sort_key, reverse=True)
+        if meet is not None:
+            return meet, parents[0], parents[1], expanded
         frontiers[side] = level
     return None, parents[0], parents[1], expanded
 
 
 def _search_both_ends(
-    inst: ReconfigInstance, neighbours: Neighbours, clock: _BudgetClock, want_shortest: bool
+    inst: ReconfigInstance, neighbours: Neighbours, adjacent: Callable[[int, int], bool],
+    cost: int, clock: _BudgetClock, want_shortest: bool,
 ) -> SolveResult:
     meet, from_source, from_target, expanded = _bfs_both_ends(
-        set_to_mask(inst.start), set_to_mask(inst.target), neighbours, clock
+        set_to_mask(inst.start), set_to_mask(inst.target), neighbours, adjacent, cost, clock
     )
     if meet is None:
         return SolveResult(False, None, expanded)
@@ -553,11 +583,13 @@ def solve_exact(
     size = len(inst.start)
     cap = 2 * _move_estimate(inst)
     states = _feasible_masks(inst.graph, inst.kind, size, clock, limit=cap)
+    adjacent = _rule_adjacency(inst.graph, inst.rule, size)
+    # cost: adjacency tests that one expansion is worth, for _bfs_both_ends
     if len(states) > cap:
-        neighbours = _move_generator(inst)
+        neighbours, cost = _move_generator(inst), cap // 2
     else:
-        neighbours = _state_scan(states, _rule_adjacency(inst.graph, inst.rule, size))
-    return _search_both_ends(inst, neighbours, clock, want_shortest)
+        neighbours, cost = _state_scan(states, adjacent), len(states)
+    return _search_both_ends(inst, neighbours, adjacent, cost, clock, want_shortest)
 
 
 def reachability_classes(

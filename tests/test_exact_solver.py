@@ -96,37 +96,44 @@ def test_budget_rejects_nan(limits):
 
 
 def test_solve_exact_one_clock_for_enumeration_and_search():
-    # P10, independent 3-sets under 1-TJ: a budget that just covers the
-    # enumeration leaves nothing for the search, which expands fewer states
-    # than the enumeration charges.
+    # P10, independent 3-sets under 1-TJ: the family is counted only up to
+    # twice the move estimate, then the search runs on the same clock. A
+    # budget equal to the counted prefix leaves nothing for the search, and
+    # the budget that pays for both has no charge to spare.
     g = new_graph(10, [(i, i + 1) for i in range(9)])
     inst = ReconfigInstance(
         g, IS, frozenset({0, 2, 4}), frozenset({5, 7, 9}), Rule(RuleKind.KTJ, 1)
     )
-    enumeration = 1
-    while True:
-        try:
-            feasible_masks(g, IS, 3, Budget(max_states=enumeration))
-            break
-        except ResourceBudgetError:
-            enumeration += 1
-    assert 0 < solve_exact(inst).explored_states <= enumeration
-    with pytest.raises(ResourceBudgetError):
-        solve_exact(inst, budget=Budget(max_states=enumeration))
+    clock = exact._BudgetClock.begin(None)
+    exact._feasible_masks(g, IS, 3, clock, limit=2 * exact._move_estimate(inst))
+    prefix = clock.counted
+    assert _both_ends(inst, clock=clock).explored_states > 0
+    total = clock.counted
+    assert prefix < total
+    for short in (prefix, total - 1):
+        with pytest.raises(ResourceBudgetError):
+            solve_exact(inst, budget=Budget(max_states=short))
+    assert solve_exact(inst, budget=Budget(max_states=total)).reachable
 
 
 def test_solve_exact_time_budget_bounds_each_expansion():
-    # G(22, 0.15) plus a disjoint K_{4,4} whose sides sit in s and in t,
-    # independent 6-sets under 3-TJ: 125,867 states, and each expansion
-    # generates hundreds of moves, so a clock read once per 4096 charges
-    # overruns a 0.5 s budget by many seconds.
+    # G(22, 0.15) plus a disjoint K_{4,4} plus 10 disjoint K2s, independent
+    # 27-sets under 3-TJ. s and t hold a maximum independent set of every
+    # part, so every feasible set does too: the K_{4,4} tokens can only
+    # switch sides all 4 at once, and s and t sit on opposite sides, so the
+    # answer is NO after the whole start component (4,395 states, each
+    # expansion generating hundreds of moves; 1.4 to 2 s on a 2-core Xeon
+    # VM). Its charges pass a multiple of 4096 for the last time within
+    # 0.2 s, so a clock read only at those charges runs on to the NO.
     rng = random.Random(3)
     n = 22
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+    core = max_independent_set(new_graph(n, edges))
     edges += [(n + i, n + 4 + j) for i in range(4) for j in range(4)]
-    g = new_graph(n + 8, edges)
-    start = frozenset({0, 1}) | frozenset(range(n, n + 4))
-    target = frozenset({20, 21}) | frozenset(range(n + 4, n + 8))
+    pairs = [(n + 8 + 2 * i, n + 9 + 2 * i) for i in range(10)]
+    g = new_graph(n + 8 + 2 * len(pairs), edges + pairs)
+    start = core | frozenset(range(n, n + 4)) | frozenset(u for u, _ in pairs)
+    target = core | frozenset(range(n + 4, n + 8)) | frozenset(v for _, v in pairs)
     inst = ReconfigInstance(g, IS, start, target, Rule(RuleKind.KTJ, 3))
     began = time.monotonic()
     with pytest.raises(ResourceBudgetError):
@@ -170,6 +177,34 @@ def test_time_budget_bounds_the_clique_partition():
     assert time.monotonic() - began < 0.5 + 1.0
 
 
+def test_time_budget_bounds_the_enumeration_on_the_largest_star():
+    # The star K_{1,65535}, as large as an instance file may be
+    # (io_formats.MAX_VERTICES), independent 1-sets under 1-TJ. A table of
+    # the n + 1 vertex suffixes, built before the enumeration's first clock
+    # read, made this solve run 2.7 s and peak at 1.1 GB on a 2-core Xeon VM.
+    n = 65536
+    g = new_graph(n, [(0, v) for v in range(1, n)])
+    inst = ReconfigInstance(g, IS, frozenset({0}), frozenset({1}), Rule(RuleKind.KTJ, 1))
+    began = time.monotonic()
+    with pytest.raises(ResourceBudgetError):
+        solve_exact(inst, want_shortest=True, budget=Budget(max_seconds=0.5))
+    assert time.monotonic() - began < 0.5 + 1.0
+
+
+def _random_instance(n, seed, kind, rule_kind) -> ReconfigInstance | None:
+    """Two random feasible sets of one size on a random graph, k up to their
+    size; None when no size has two feasible sets."""
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+    families = [f for f in (feasible_masks(g, kind, size) for size in range(1, n + 1)) if len(f) > 1]
+    if not families:
+        return None
+    family = rng.choice(families)
+    size = family[0].bit_count()
+    start, target = (mask_to_set(m) for m in rng.sample(family, 2))
+    return ReconfigInstance(g, kind, start, target, Rule(rule_kind, rng.randint(1, size)))
+
+
 def _sources(inst):
     size = len(inst.start)
     states = feasible_masks(inst.graph, inst.kind, size)
@@ -197,29 +232,98 @@ def _one_sided(inst, neighbours) -> SolveResult:
 )
 @settings(max_examples=300, deadline=None)
 def test_move_generator_matches_state_scan(n, seed, kind, rule_kind):
-    rng = random.Random(seed)
-    g = random_graph(rng, n, rng.uniform(0.1, 0.7))
-    families = [f for f in (feasible_masks(g, kind, size) for size in range(1, n + 1)) if len(f) > 1]
-    if not families:
+    inst = _random_instance(n, seed, kind, rule_kind)
+    if inst is None:
         return
-    family = rng.choice(families)
-    size = family[0].bit_count()
-    start, target = (mask_to_set(m) for m in rng.sample(family, 2))
-    k = rng.randint(1, size)
-    inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, k))
     sources = _sources(inst)
     clock = exact._BudgetClock.begin(None)
     for search in (_one_sided, _both_ends):
         solved = {name: search(inst, neighbours) for name, neighbours in sources.items()}
         assert solved["moves"] == solved["scan"]  # verdict, every step, explored_states
     # Without a target, the whole BFS tree of the start's component agrees.
-    trees = {name: exact._bfs(set_to_mask(start), neighbours, clock) for name, neighbours in sources.items()}
+    start = set_to_mask(inst.start)
+    trees = {name: exact._bfs(start, neighbours, clock) for name, neighbours in sources.items()}
     assert trees["moves"] == trees["scan"]
 
 
-def _both_ends(inst, neighbours=None) -> SolveResult:
+def _both_ends(inst, neighbours=None, clock=None) -> SolveResult:
+    """Search from both ends, pricing an expansion at the move estimate as
+    solve_exact does on its generator path, whichever the neighbour source."""
     neighbours = neighbours or exact._move_generator(inst)
-    return exact._search_both_ends(inst, neighbours, exact._BudgetClock.begin(None), want_shortest=True)
+    adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
+    return exact._search_both_ends(
+        inst, neighbours, adjacent, exact._move_estimate(inst),
+        clock or exact._BudgetClock.begin(None), want_shortest=True,
+    )
+
+
+def _full_level_both_ends(source, target, neighbours, clock):
+    """Reference for _bfs_both_ends: the same two-ended BFS, but the level on
+    which the sides meet is expanded in full, and its least meeting state
+    wins."""
+    parents = ({source: None}, {target: None})
+    frontiers = [[source], [target]]
+    clock.charge(2)
+    expanded = 0
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, other = parents[side], parents[1 - side]
+        level = []
+        meets = []
+        for a in frontiers[side]:
+            expanded += 1
+            clock.check_time()
+            for b in neighbours(a, mine):
+                mine[b] = a
+                clock.charge()
+                level.append(b)
+                if b in other:
+                    meets.append(b)
+        if meets:
+            return max(meets, key=exact._set_sort_key), parents[0], parents[1], expanded
+        frontiers[side] = level
+    return None, parents[0], parents[1], expanded
+
+
+def _against_full_level(inst, neighbours, adjacent, cost) -> tuple[int, int]:
+    """Search inst with _bfs_both_ends and with the reference; both find the
+    same meet with the same two parent chains, and with no meet they are
+    the same search. Returns both numbers of expanded states."""
+    ends = set_to_mask(inst.start), set_to_mask(inst.target)
+    clock, ref_clock = exact._BudgetClock.begin(None), exact._BudgetClock.begin(None)
+    meet, *got, expanded = exact._bfs_both_ends(*ends, neighbours, adjacent, cost, clock)
+    ref_meet, *ref, ref_expanded = _full_level_both_ends(*ends, neighbours, ref_clock)
+    assert meet == ref_meet
+    if meet is None:
+        assert (got, expanded) == (ref, ref_expanded)
+    for parents, ref_parents in zip(got, ref):
+        assert meet is None or exact._chain(parents, meet) == exact._chain(ref_parents, meet)
+    return expanded, ref_expanded
+
+
+@given(
+    st.integers(min_value=1, max_value=11),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+    st.sampled_from(["scan", "moves"]),
+    st.sampled_from([0, 1, 2, 4, None]),
+)
+@settings(max_examples=400, deadline=None)
+def test_search_from_both_ends_matches_full_level_reference(n, seed, kind, rule_kind, source, cost):
+    # cost None is solve_exact's price of an expansion for the source (|F|
+    # for the scan, the move estimate for the generator); small costs make
+    # the meeting level fall back to expansions.
+    inst = _random_instance(n, seed, kind, rule_kind)
+    if inst is None:
+        return
+    size = len(inst.start)
+    if cost is None:
+        scan = source == "scan"
+        cost = len(feasible_masks(inst.graph, kind, size)) if scan else exact._move_estimate(inst)
+    adjacent = exact._rule_adjacency(inst.graph, inst.rule, size)
+    expanded, ref_expanded = _against_full_level(inst, _sources(inst)[source], adjacent, cost)
+    assert expanded <= ref_expanded
 
 
 @given(
@@ -232,15 +336,9 @@ def _both_ends(inst, neighbours=None) -> SolveResult:
 def test_search_from_both_ends_matches_state_scan(n, seed, kind, rule_kind):
     # k ranges up to |S|, so k-TS cases slide three or more tokens at once
     # and go through the Hall check.
-    rng = random.Random(seed)
-    g = random_graph(rng, n, rng.uniform(0.1, 0.7))
-    families = [f for f in (feasible_masks(g, kind, size) for size in range(1, n + 1)) if len(f) > 1]
-    if not families:
+    inst = _random_instance(n, seed, kind, rule_kind)
+    if inst is None:
         return
-    family = rng.choice(families)
-    size = family[0].bit_count()
-    start, target = (mask_to_set(m) for m in rng.sample(family, 2))
-    inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, rng.randint(1, size)))
     scan = _one_sided(inst, _sources(inst)["scan"])
     both = _both_ends(inst)
     assert both.reachable == scan.reachable
@@ -326,18 +424,39 @@ def test_generator_path_counts_only_part_of_the_family():
 def test_search_from_both_ends_charges_every_stored_state():
     inst = _prism_instance()
     source, target = set_to_mask(inst.start), set_to_mask(inst.target)
+    adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
     clock = exact._BudgetClock.begin(None)
     meet, from_source, from_target, _ = exact._bfs_both_ends(
-        source, target, exact._move_generator(inst), clock
+        source, target, exact._move_generator(inst), adjacent, exact._move_estimate(inst), clock
     )
     stored = len(from_source) + len(from_target)
     assert meet is not None and len(from_source) > 1 and len(from_target) > 1
     assert clock.counted == stored
     with pytest.raises(ResourceBudgetError):
         exact._bfs_both_ends(
-            source, target, exact._move_generator(inst),
+            source, target, exact._move_generator(inst), adjacent, exact._move_estimate(inst),
             exact._BudgetClock.begin(Budget(max_states=stored - 1)),
         )
+
+
+def test_meeting_level_expands_where_the_better_states_outnumber_its_cost():
+    # On the prism the target's frontier holds more states that beat the
+    # first meet than the 13 adjacency tests an expansion is worth: testing
+    # every remaining start-side state against them all took up to 23 tests
+    # a state. Such states are expanded, never more of them than the
+    # reference expands, and the meet and both chains stay the same.
+    inst = _prism_instance()
+    rule_adjacency = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
+    tests: dict[int, int] = {}
+
+    def adjacent(a, b):
+        tests[a] = tests.get(a, 0) + 1
+        return rule_adjacency(a, b)
+
+    cost = exact._move_estimate(inst)
+    expanded, ref_expanded = _against_full_level(inst, exact._move_generator(inst), adjacent, cost)
+    assert expanded <= ref_expanded
+    assert max(tests.values(), default=0) <= cost
 
 
 def _picked_source(monkeypatch, inst) -> list[str]:
