@@ -21,10 +21,15 @@ of them with two or more sets, and keeps the last such t; a graph where
 even the independence number fails is redrawn. Then compares solve_exact on
 sampled start/target pairs, alternately from one class (YES) and from two
 classes (NO), with the reachability_classes labels, and checks every
-certificate with verify_sequence and its length against a one-sided BFS
-over the labelled family. Prints one row per rule and k with how
-many solves took each path, and exits non-zero on a mismatch or when a row
-has no solve on one of the two paths.
+certificate with verify_sequence and its length against the BFS levels
+from the start over the labelled family. Under 1-TJ it also checks every
+pair against TAR: 1-TJ reachability between t-sets is TAR reachability
+with floor t - 1 (Kaminski, Medvedev and Milanic, TCS 2012), so
+solve_tar_maxmin(g, s, t).value >= t - 1 for independent sets, and
+solve_tar_minmax(g, s, t).value <= |S| + 1 for covers, must hold iff the
+two labels agree. Prints one row per rule and k with how many solves took
+each path and how many pairs were checked against TAR, and exits non-zero
+on a mismatch or when a row has no solve on one of the two paths.
 
 Usage:
     python scripts/bfs_agreement_sweep.py [--graphs 10] [--pairs 10] [--seed 1]
@@ -38,7 +43,14 @@ import time
 from collections import Counter
 
 from rekonfig import exact
-from rekonfig.exact import feasible_masks, max_independent_set, reachability_classes, solve_exact
+from rekonfig.exact import (
+    feasible_masks,
+    max_independent_set,
+    reachability_classes,
+    solve_exact,
+    solve_tar_maxmin,
+    solve_tar_minmax,
+)
 from rekonfig.graph import (
     FeasibilityKind,
     ReconfigInstance,
@@ -95,13 +107,31 @@ def pick_tokens(g, kind, rule):
 
 
 def shortest_length(inst, family):
-    """Length of a shortest sequence found by a BFS from the start alone over
-    the family, which is solve_exact's search before it met in the middle."""
+    """BFS levels from the start to the target over the family, by the
+    rule's pair test alone: the length of a shortest sequence, or None if
+    the target is not reached."""
     adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
-    target = set_to_mask(inst.target)
-    clock = exact._BudgetClock.begin(None)
-    parent, _ = exact._bfs(set_to_mask(inst.start), exact._state_scan(family, adjacent), clock, target)
-    return exact._chain(parent, target).length
+    start, target = set_to_mask(inst.start), set_to_mask(inst.target)
+    frontier, rest = [start], [m for m in family if m != start]
+    level = 0
+    while frontier and target not in frontier:
+        level += 1
+        reached = set()
+        for a in frontier:
+            reached.update(b for b in rest if b not in reached and adjacent(a, b))
+        frontier = [b for b in rest if b in reached]
+        rest = [b for b in rest if b not in reached]
+    return level if frontier else None
+
+
+def tar_connects(inst):
+    """Whether TAR connects the start and the target with one vertex fewer
+    (independent sets) or more (covers) than they hold, which is 1-TJ
+    reachability."""
+    g, s, t = inst.graph, inst.start, inst.target
+    if inst.kind is IS:
+        return solve_tar_maxmin(g, s, t).value >= len(s) - 1
+    return solve_tar_minmax(g, s, t).value <= len(s) + 1
 
 
 def pairs(rng, labels, count):
@@ -130,13 +160,13 @@ def main():
     failed = False
     print(
         f"{'rule':<5} {'k':>2} {'solves':>7} {'yes':>5} {'generator':>10} {'scan':>5} "
-        f"{'mismatch':>9} {'secs':>6}"
+        f"{'tar':>5} {'mismatch':>9} {'secs':>6}"
     )
     for rule_kind in (RuleKind.KTJ, RuleKind.KTS):
         for k in (1, 2, 3):
             rule = Rule(rule_kind, k)
             t0 = time.time()
-            solves = yes = generated = mismatches = 0
+            solves = yes = generated = tar = mismatches = 0
             for kind, dense, _ in itertools.product((IS, VC), (False, True), range(args.graphs)):
                 for _ in range(MAX_DRAWS):
                     g = sweep_graph(rng, k, dense)
@@ -159,11 +189,14 @@ def main():
                             and verify_sequence(inst, res.shortest).accepted
                             and res.shortest.length == shortest_length(inst, family)
                         )
+                    if rule_kind is RuleKind.KTJ and k == 1:
+                        tar += 1
+                        agree = agree and tar_connects(inst) == (labels[s] == labels[target])
                     mismatches += not agree
             failed |= mismatches > 0 or generated == 0 or generated == solves
             print(
                 f"{rule_kind.value:<5} {k:>2} {solves:>7} {yes:>5} {generated:>10} {solves - generated:>5} "
-                f"{mismatches:>9} {time.time() - t0:>6.1f}"
+                f"{tar:>5} {mismatches:>9} {time.time() - t0:>6.1f}"
             )
     print("agreement and both paths:", "FAIL" if failed else "OK")
     return 1 if failed else 0

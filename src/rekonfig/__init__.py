@@ -50,7 +50,6 @@ _EXPORTS = {
         "is_vertex_cover",
         "line_graph",
         "new_graph",
-        "open_neighborhood",
         "verify_sequence",
     ),
     "matching": (

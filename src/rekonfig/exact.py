@@ -181,10 +181,10 @@ def _independent_masks(
 
 
 def _set_sort_key(mask: int) -> str:
-    """Sort key for sets of one size: descending order of the key is the
-    lexicographic order of their sorted vertex lists. The key is the mask in
-    binary with vertex 0 first, so the least vertex where two sets differ
-    decides, and the set that holds it comes first."""
+    """Sort key for vertex sets: the mask in binary with vertex 0 first. In
+    descending order of the key, the least vertex where two sets differ
+    decides, and the set that holds it comes first; for sets of one size
+    that is the lexicographic order of their sorted vertex lists."""
     return bin(mask)[:1:-1]
 
 
@@ -267,37 +267,8 @@ def _rule_adjacency(g: Graph, rule: Rule, size: int) -> Callable[[int, int], boo
 
 
 # A neighbour source maps (state, visited states) to the unvisited states
-# adjacent to it, in lexicographic order.
+# adjacent to it, best first: in descending order of _set_sort_key.
 Neighbours = Callable[[int, dict[int, int | None]], list[int]]
-
-
-def _bfs(
-    source: int, neighbours: Neighbours, clock: _BudgetClock, target: int | None = None
-) -> tuple[dict[int, int | None], int]:
-    """BFS from `source`, stopping after the expansion that reaches `target`.
-
-    Frontier states are expanded in order and each expansion appends its new
-    neighbours in lexicographic order, so the parent map, and with it the
-    certificate, does not depend on which neighbour source is used.
-
-    Returns (parent map over reached states, number of expanded states).
-    """
-    parent: dict[int, int | None] = {source: None}
-    frontier = [source]
-    expanded = 0
-    while frontier and (target is None or target not in parent):
-        next_frontier: list[int] = []
-        for a in frontier:
-            expanded += 1
-            clock.charge()
-            clock.check_time()
-            for b in neighbours(a, parent):
-                parent[b] = a
-                next_frontier.append(b)
-            if target is not None and target in parent:
-                break
-        frontier = next_frontier
-    return parent, expanded
 
 
 def _state_scan(states: list[int], adjacent: Callable[[int, int], bool]) -> Neighbours:
@@ -484,10 +455,10 @@ def _bfs_both_ends(
     Each step takes the frontier of the side with fewer frontier states (the
     source side on a tie), in order. Before a level reaches the other side
     the two searched balls are disjoint, so every meeting state lies on the
-    other side's frontier and closes a shortest path. The lexicographically
-    least one (the largest _set_sort_key) is returned, with the first
-    frontier state adjacent to it as its parent: the meet and chains that
-    expanding the whole level gives.
+    other side's frontier and closes a shortest path. The best one (the
+    largest _set_sort_key) is returned, with the first frontier state
+    adjacent to it as its parent: the meet and chains that expanding the
+    whole level gives.
 
     The level is expanded only up to its first meet. After it, `better`
     holds the other frontier's states that beat the meet. Each remaining
@@ -549,11 +520,13 @@ def _bfs_both_ends(
 
 
 def _search_both_ends(
-    inst: ReconfigInstance, neighbours: Neighbours, adjacent: Callable[[int, int], bool],
+    source: int, target: int, neighbours: Neighbours, adjacent: Callable[[int, int], bool],
     cost: int, clock: _BudgetClock, want_shortest: bool,
 ) -> SolveResult:
+    """_bfs_both_ends from source to target, with the shortest sequence
+    through the meet when want_shortest is set."""
     meet, from_source, from_target, expanded = _bfs_both_ends(
-        set_to_mask(inst.start), set_to_mask(inst.target), neighbours, adjacent, cost, clock
+        source, target, neighbours, adjacent, cost, clock
     )
     if meet is None:
         return SolveResult(False, None, expanded)
@@ -589,7 +562,10 @@ def solve_exact(
         neighbours, cost = _move_generator(inst), cap // 2
     else:
         neighbours, cost = _state_scan(states, adjacent), len(states)
-    return _search_both_ends(inst, neighbours, adjacent, cost, clock, want_shortest)
+    return _search_both_ends(
+        set_to_mask(inst.start), set_to_mask(inst.target), neighbours, adjacent, cost, clock,
+        want_shortest,
+    )
 
 
 def reachability_classes(
@@ -598,26 +574,43 @@ def reachability_classes(
     """Connected-component label for every feasible set of `size` under the
     rule. Two sets are mutually reachable iff their labels match; this is
     solve_exact's reachability relation computed for the whole family at
-    once (used by sweep tests and scripts)."""
+    once (used by sweep tests and scripts).
+
+    Classes are numbered by their first set in lexicographic order. Each is
+    labelled by a BFS from that set: every expanded set splits the still
+    unlabelled rest of the family into its neighbours, the next frontier,
+    and the others. One state is charged per labelled set, and the clock is
+    read once per expansion."""
     clock = _BudgetClock.begin(budget)
-    states = _feasible_masks(g, kind, size, clock)
+    rest = _feasible_masks(g, kind, size, clock)
     adjacent = _rule_adjacency(g, rule, size)
     label: dict[int, int] = {}
-    next_label = 0
-    unvisited = list(states)
-    while unvisited:
-        parent, _ = _bfs(unvisited[0], _state_scan(unvisited, adjacent), clock)
-        for m in parent:
-            label[m] = next_label
-        next_label += 1
-        unvisited = [s for s in unvisited if s not in parent]
+    number = 0
+    while rest:
+        frontier, rest = rest[:1], rest[1:]
+        clock.charge()
+        label[frontier[0]] = number
+        while frontier:
+            level: list[int] = []
+            for a in frontier:
+                clock.check_time()
+                others = []
+                for b in rest:
+                    if adjacent(a, b):
+                        clock.charge()
+                        label[b] = number
+                        level.append(b)
+                    else:
+                        others.append(b)
+                rest = others
+            frontier = level
+        number += 1
     return {mask_to_set(m): lab for m, lab in label.items()}
 
 
 def _tar_moves(g: Graph, theta: int) -> Neighbours:
     """Neighbour source for TAR over independent sets of size >= theta: add
-    a vertex outside N[A], or remove one while |A| > theta. New sets come in
-    lexicographic order of their sorted vertex lists."""
+    a vertex outside N[A], or remove one while |A| > theta."""
     nbr = g.neighbor_masks
 
     def neighbours(a: int, visited: dict[int, int | None]) -> list[int]:
@@ -627,7 +620,7 @@ def _tar_moves(g: Graph, theta: int) -> Neighbours:
         removable = a if a.bit_count() > theta else 0
         moves = [a ^ (1 << v) for v in iter_bits(removable | (g.full_mask & ~blocked))]
         new = [b for b in moves if b not in visited]
-        new.sort(key=lambda m: tuple(iter_bits(m)))
+        new.sort(key=_set_sort_key, reverse=True)
         return new
 
     return neighbours
@@ -639,9 +632,13 @@ def solve_tar_maxmin(
     """Largest floor theta such that i and j are connected inside the family
     of independent sets of size >= theta under single add/remove steps.
 
-    Search descends theta from min(|i|, |j|); each theta costs one BFS over
-    generated single-vertex moves. theta = 0 always connects (through the
-    empty set), so the descent terminates.
+    Search descends theta from min(|i|, |j|); each theta asks solve_exact's
+    path question, over generated single-vertex moves, with the same
+    two-ended search: two sets of the family are adjacent iff they differ
+    in one vertex, and an expansion is priced at n such pair tests. One
+    budget clock, charged per stored state, covers every theta. theta = 0
+    always connects (through the empty set), so the descent terminates; the
+    witness is a shortest walk at the final theta.
     """
     si = check_vertex_set(g, i)
     sj = check_vertex_set(g, j)
@@ -653,9 +650,12 @@ def solve_tar_maxmin(
         return TarResult(len(si), ReconfigSequence((si,)))
     im, jm = set_to_mask(si), set_to_mask(sj)
     for theta in range(min(len(si), len(sj)), -1, -1):
-        parent, _ = _bfs(im, _tar_moves(g, theta), clock, target=jm)
-        if jm in parent:
-            return TarResult(theta, _chain(parent, jm))
+        res = _search_both_ends(
+            im, jm, _tar_moves(g, theta), lambda a, b: (a ^ b).bit_count() == 1,
+            g.vertex_count, clock, want_shortest=True,
+        )
+        if res.reachable:
+            return TarResult(theta, res.shortest)
     raise AssertionError("TAR search must succeed at theta = 0")
 
 

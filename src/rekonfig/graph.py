@@ -181,14 +181,6 @@ def closed_neighborhood(g: Graph, x: Iterable[int]) -> VertexSet:
     return mask_to_set(m)
 
 
-def open_neighborhood(g: Graph, x: Iterable[int]) -> VertexSet:
-    xm = set_to_mask(x)
-    m = 0
-    for v in iter_bits(xm):
-        m |= g.neighbor_masks[v]
-    return mask_to_set(m & ~xm)
-
-
 class FeasibilityKind(Enum):
     INDEPENDENT_SET = "is"
     VERTEX_COVER = "vc"

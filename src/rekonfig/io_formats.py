@@ -75,6 +75,8 @@ def _int(tok: str, ln: int, what: str) -> int:
 
 def _vertex_count(tok: str, ln: int) -> int:
     n = _int(tok, ln, "vertex count")
+    if n < 0:
+        raise FormatSemanticsError(f"negative vertex count {n}", ln)
     if n > MAX_VERTICES:
         raise FormatSemanticsError(f"vertex count {n} exceeds the limit {MAX_VERTICES}", ln)
     return n
@@ -253,6 +255,8 @@ def parse_ncl(text: str) -> tuple[NclMachine, NclConfig, NclConfig]:
                 raise FormatSyntaxError(f"duplicate config {section}", ln, 1)
             arcs[section] = []
         elif head == "a":
+            if n is None:
+                raise FormatSyntaxError("a line before the p line", ln, 1)
             if section is None:
                 raise FormatSyntaxError("a line outside a config section", ln, 1)
             if len(toks) != 3:
@@ -338,6 +342,8 @@ def parse_pmr(text: str) -> tuple[Graph, Matching, Matching]:
                 raise FormatSyntaxError(f"duplicate matching {section}", ln, 1)
             matchings[section] = set()
         elif head == "m":
+            if n is None:
+                raise FormatSyntaxError("m line before the p line", ln, 1)
             if section is None:
                 raise FormatSyntaxError("m line outside a matching section", ln, 1)
             if len(toks) != 3:

@@ -122,6 +122,8 @@ class NclMachine:
     edges: tuple[tuple[int, int, int], ...]  # (u, v, weight), u < v
 
     def __post_init__(self):
+        if self.vertex_count < 0:
+            raise PreconditionError(f"negative vertex count {self.vertex_count}")
         norm = []
         seen = set()
         for u, v, w in self.edges:

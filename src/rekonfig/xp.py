@@ -460,24 +460,6 @@ class _Labelling:
         return False
 
 
-def _component_roots(
-    g: Graph, ss: VertexSet, st: VertexSet, mu: int, budget: Budget | None = None
-) -> dict[int, int]:
-    """Label the components of the compressed graph without listing its edges.
-
-    Returns {node mask: component root mask} for every coverable node; the
-    root of a component is its first node in lexicographic order. This is
-    the labelling a NO query completes, run on a fresh _Labelling;
-    build_clique_compressed_graph stays the reference for this partition.
-    """
-    state = _Labelling()
-    clock = _BudgetClock.begin(budget)
-    decide = _decider(g, ss, st, mu)
-    nodes = state.nodes(g, mu, decide, clock)
-    state.label_all(nodes, decide, clock)
-    return {v: state.find(v) for v in nodes}
-
-
 def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
     """Decide vertex-cover reconfiguration under k-TJ with k = |s| - mu.
 

@@ -237,6 +237,25 @@ def test_oversized_header_exit_code(capsys, tmp_path, argv, header):
     assert code == 2 and out == "" and f"exceeds the limit {MAX_VERTICES}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("oracle", "ncl"), "config s\na 1 2\n"),
+        (("reduce", "ncl2isr"), "config s\na 1 2\n"),
+        (("oracle", "pmr"), "matching s\nm 1 2\n"),
+        (("oracle", "ncl"), "p ncl -3 0\nconfig s\nconfig t\n"),
+        (("reduce", "ncl2isr"), "p ncl -3 0\nconfig s\nconfig t\n"),
+    ],
+)
+def test_malformed_section_input_exit_code(capsys, tmp_path, argv, text):
+    # A section line before the p line, or a negative vertex count, is an
+    # input error: no crash, no verdict and no output instance.
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == "" and "input error" in err
+
+
 def test_cli_import_loads_no_command_modules():
     # A solve process needs neither the compilers nor the XP solver nor the
     # length bound nor the oracles; each command imports its own modules.

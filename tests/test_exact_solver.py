@@ -214,11 +214,37 @@ def _sources(inst):
     }
 
 
+def _bfs(source, neighbours, clock, target=None):
+    """Reference search: BFS from `source` alone, stopping after the
+    expansion that reaches `target`. Frontier states are expanded in order,
+    each appending its new neighbours best first, and the budget is charged
+    once per expansion.
+
+    Returns (parent map over reached states, number of expanded states).
+    """
+    parent = {source: None}
+    frontier = [source]
+    expanded = 0
+    while frontier and (target is None or target not in parent):
+        next_frontier = []
+        for a in frontier:
+            expanded += 1
+            clock.charge()
+            clock.check_time()
+            for b in neighbours(a, parent):
+                parent[b] = a
+                next_frontier.append(b)
+            if target is not None and target in parent:
+                break
+        frontier = next_frontier
+    return parent, expanded
+
+
 def _one_sided(inst, neighbours) -> SolveResult:
     """Reference search: BFS from the start alone, up to the target."""
     target = set_to_mask(inst.target)
     clock = exact._BudgetClock.begin(None)
-    parent, expanded = exact._bfs(set_to_mask(inst.start), neighbours, clock, target=target)
+    parent, expanded = _bfs(set_to_mask(inst.start), neighbours, clock, target=target)
     if target not in parent:
         return SolveResult(False, None, expanded)
     return SolveResult(True, exact._chain(parent, target), expanded)
@@ -242,7 +268,7 @@ def test_move_generator_matches_state_scan(n, seed, kind, rule_kind):
         assert solved["moves"] == solved["scan"]  # verdict, every step, explored_states
     # Without a target, the whole BFS tree of the start's component agrees.
     start = set_to_mask(inst.start)
-    trees = {name: exact._bfs(start, neighbours, clock) for name, neighbours in sources.items()}
+    trees = {name: _bfs(start, neighbours, clock) for name, neighbours in sources.items()}
     assert trees["moves"] == trees["scan"]
 
 
@@ -252,8 +278,8 @@ def _both_ends(inst, neighbours=None, clock=None) -> SolveResult:
     neighbours = neighbours or exact._move_generator(inst)
     adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
     return exact._search_both_ends(
-        inst, neighbours, adjacent, exact._move_estimate(inst),
-        clock or exact._BudgetClock.begin(None), want_shortest=True,
+        set_to_mask(inst.start), set_to_mask(inst.target), neighbours, adjacent,
+        exact._move_estimate(inst), clock or exact._BudgetClock.begin(None), want_shortest=True,
     )
 
 
@@ -588,23 +614,85 @@ def test_tar_minmax_examples(c4):
     assert solve_tar_minmax(k3, frozenset({0, 1}), frozenset({0, 1})).value == 2
 
 
+TAR_SOLVERS = ((IS, solve_tar_maxmin, is_independent_set), (VC, solve_tar_minmax, is_vertex_cover))
+
+
+def _check_tar_result(g, kind, feasible, s, t, res):
+    assert res.witness.steps[0] == s and res.witness.steps[-1] == t
+    assert all(feasible(g, x) for x in res.witness)
+    bound = {"lower": res.value} if kind is IS else {"upper": res.value}
+    _check_tar_witness(res.witness, **bound)
+
+
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=80, deadline=None)
 def test_tar_solvers_match_brute_force_reference(n, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-    for kind, solve, feasible in (
-        (IS, solve_tar_maxmin, is_independent_set),
-        (VC, solve_tar_minmax, is_vertex_cover),
-    ):
+    for kind, solve, feasible in TAR_SOLVERS:
         family = [x for size in range(n + 1) for x in brute_feasible(g, kind, size)]
         s, t = rng.choice(family), rng.choice(family)
         res = solve(g, s, t)
         assert res.value == brute_tar(g, kind, s, t)
-        assert res.witness.steps[0] == s and res.witness.steps[-1] == t
-        assert all(feasible(g, x) for x in res.witness)
-        bound = {"lower": res.value} if kind is IS else {"upper": res.value}
-        _check_tar_witness(res.witness, **bound)
+        _check_tar_result(g, kind, feasible, s, t, res)
+
+
+def _tar_by_one_sided_bfs(g, i, j, clock) -> tuple[int, ReconfigSequence]:
+    """Reference for solve_tar_maxmin: for each floor theta from
+    min(|i|, |j|) down, a BFS from i alone over _tar_moves, on one clock
+    charged per expansion. Returns the value and a shortest witness."""
+    im, jm = set_to_mask(i), set_to_mask(j)
+    for theta in range(min(len(i), len(j)), -1, -1):
+        parent, _ = _bfs(im, exact._tar_moves(g, theta), clock, target=jm)
+        if jm in parent:
+            return theta, exact._chain(parent, jm)
+    raise AssertionError("theta = 0 always connects")
+
+
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_tar_solvers_match_one_sided_reference_per_theta(n, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.1, 0.8))
+    for kind, solve, feasible in TAR_SOLVERS:
+        family = [mask_to_set(m) for size in range(n + 1) for m in feasible_masks(g, kind, size)]
+        s, t = rng.choice(family), rng.choice(family)
+        res = solve(g, s, t)
+        clock = exact._BudgetClock.begin(None)
+        if kind is IS:
+            value, witness = _tar_by_one_sided_bfs(g, s, t, clock)
+        else:  # covers are independent sets on the complements
+            dual, witness = _tar_by_one_sided_bfs(g, complement_set(g, s), complement_set(g, t), clock)
+            value = n - dual
+        assert res.value == value
+        assert res.witness.length == witness.length
+        _check_tar_result(g, kind, feasible, s, t, res)
+
+
+def test_tar_budget_counts_stored_states(monkeypatch):
+    # C6 from the even to the odd vertices has value 1, after the searches
+    # at floors 3 and 2 fail. TAR stores more states than the one-sided
+    # reference expands, and the budget is charged per stored state, so a
+    # state budget equal to the reference's expansions stops it.
+    g = new_graph(6, [(v, (v + 1) % 6) for v in range(6)])
+    i, j = frozenset({0, 2, 4}), frozenset({1, 3, 5})
+    clock = exact._BudgetClock.begin(None)
+    assert _tar_by_one_sided_bfs(g, i, j, clock)[0] == 1
+    expansions = clock.counted
+    stored: list[int] = []
+    searched = exact._bfs_both_ends
+
+    def spy(*args):
+        found = searched(*args)
+        stored.append(len(found[1]) + len(found[2]))
+        return found
+
+    monkeypatch.setattr(exact, "_bfs_both_ends", spy)
+    assert solve_tar_maxmin(g, i, j).value == 1
+    assert len(stored) == 3 and expansions < sum(stored)
+    with pytest.raises(ResourceBudgetError):
+        solve_tar_maxmin(g, i, j, Budget(max_states=expansions))
+    assert solve_tar_maxmin(g, i, j, Budget(max_states=sum(stored))).value == 1
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10**6))
@@ -634,3 +722,48 @@ def test_shortest_is_minimum(c4):
     assert labels[frozenset({0, 2})] == labels[frozenset({1, 3})]
     inst = ReconfigInstance(c4, IS, frozenset({0, 2}), frozenset({1, 3}), Rule(RuleKind.KTJ, 2))
     assert solve_exact(inst, want_shortest=True).shortest.length == 1
+
+
+def _classes_by_one_sided_bfs(g, kind, size, rule) -> dict:
+    """Reference for reachability_classes: a one-sided BFS over the
+    unlabelled sets from the first of them labels each class in turn."""
+    adjacent = exact._rule_adjacency(g, rule, size)
+    clock = exact._BudgetClock.begin(None)
+    labels = {}
+    unvisited = feasible_masks(g, kind, size)
+    number = 0
+    while unvisited:
+        parent, _ = _bfs(unvisited[0], exact._state_scan(unvisited, adjacent), clock)
+        labels.update((mask_to_set(m), number) for m in parent)
+        unvisited = [m for m in unvisited if m not in parent]
+        number += 1
+    return labels
+
+
+@given(
+    st.integers(min_value=1, max_value=11),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+)
+@settings(max_examples=200, deadline=None)
+def test_reachability_classes_match_one_sided_bfs_labelling(n, seed, kind, rule_kind):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+    sizes = [size for size in range(1, n + 1) if len(feasible_masks(g, kind, size)) > 1]
+    if not sizes:
+        return
+    size = rng.choice(sizes)
+    rule = Rule(rule_kind, rng.randint(1, size))
+    assert reachability_classes(g, kind, size, rule) == _classes_by_one_sided_bfs(g, kind, size, rule)
+
+
+def test_reachability_classes_charge_one_state_per_labelled_set():
+    g = new_graph(8, [(v, (v + 1) % 8) for v in range(8)])
+    rule = Rule(RuleKind.KTJ, 1)
+    clock = exact._BudgetClock.begin(None)
+    family = exact._feasible_masks(g, IS, 3, clock)
+    limit = clock.counted + len(family)
+    assert len(reachability_classes(g, IS, 3, rule, Budget(max_states=limit))) == len(family)
+    with pytest.raises(ResourceBudgetError):
+        reachability_classes(g, IS, 3, rule, Budget(max_states=limit - 1))

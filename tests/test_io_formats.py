@@ -2,10 +2,10 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rekonfig.errors import FormatSemanticsError, FormatSyntaxError, RekonfigError
+from rekonfig.errors import FormatSemanticsError, FormatSyntaxError, PreconditionError, RekonfigError
 from rekonfig.graph import (
     FeasibilityKind,
     ReconfigInstance,
@@ -163,6 +163,9 @@ def test_instance_round_trip_random(seed):
 
 @given(st.text(max_size=200))
 @settings(max_examples=200, deadline=None)
+@example("config s\na 1 2\n")  # a section line before the p line
+@example("matching s\nm 1 2\n")
+@example("p ncl -3 0\nconfig s\nconfig t\n")  # a negative vertex count
 def test_parsers_never_crash(text):
     for parser in (parse_instance, parse_cnf, parse_ncl, parse_pmr):
         try:
@@ -173,3 +176,16 @@ def test_parsers_never_crash(text):
         parse_certificate(text, 5)
     except RekonfigError:
         pass
+
+
+def test_section_line_before_p_line_and_negative_counts_are_input_errors():
+    with pytest.raises(FormatSyntaxError, match="before the p line"):
+        parse_ncl("config s\na 1 2\n")
+    with pytest.raises(FormatSyntaxError, match="before the p line"):
+        parse_pmr("matching s\nm 1 2\n")
+    with pytest.raises(FormatSemanticsError, match="negative vertex count"):
+        parse_ncl("p ncl -3 0\nconfig s\nconfig t\n")
+    with pytest.raises(FormatSemanticsError, match="negative vertex count"):
+        parse_pmr("p pmr -1 0\nmatching s\nmatching t\n")
+    with pytest.raises(PreconditionError, match="negative vertex count"):
+        oracles.NclMachine(-3, ())

@@ -154,7 +154,12 @@ def _assert_roots_match_reference(g):
             continue
         s, t = covers[0], covers[-1]
         for mu in range(1, size):
-            roots = xp._component_roots(g, s, t, mu)
+            # A fresh labelling completed as a NO query completes it.
+            state = xp._Labelling()
+            decide = xp._decider(g, s, t, mu)
+            nodes = state.nodes(g, mu, decide, xp._BudgetClock.begin(None))
+            state.label_all(nodes, decide, xp._BudgetClock.begin(None))
+            roots = {v: state.find(v) for v in nodes}
             cg = build_clique_compressed_graph(g, s, t, mu)
             labels = cg.component_labels()
             members: dict[int, list[int]] = {}
