@@ -65,7 +65,7 @@ class _BudgetClock:
             raise ResourceBudgetError(
                 f"state budget exceeded ({self.counted} > {self.budget.max_states})"
             )
-        if self.counted % 4096 == 0:
+        if self.counted % 4096 < states:  # the count crossed a multiple of 4096
             self.check_time()
 
     def check_time(self) -> None:
@@ -164,7 +164,8 @@ def _independent_masks(
         bit = candidates & -candidates  # lowest remaining candidate, kept lexicographic
         v = bit.bit_length() - 1
         if remaining == 1:
-            # flush every remaining candidate as a completion
+            # flush every remaining candidate as a completion, paid for first
+            clock.charge(candidates.bit_count())
             for w in iter_bits(candidates):
                 out.append(chosen | (1 << w))
             if limit is not None and len(out) > limit:

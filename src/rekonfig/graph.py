@@ -83,9 +83,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph induced by `keep`. Returns (subgraph, new-id -> old-id map)."""
         old_ids = sorted(set(keep))

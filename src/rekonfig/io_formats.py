@@ -22,18 +22,25 @@ PMR instance    p pmr <n> <m>
                 e <u> <v>            (m times)
                 matching s           then `m <u> <v>` edges of the start matching
                 matching t           same for the target
+
+The instance, NCL and PMR formats share one reader and its rules: the `p`
+line comes first and once, announcing at most MAX_VERTICES vertices and
+exactly the edges that follow; ids lie in 1..n; no `e` line follows a
+section header; the s and t parts each appear once. Faults of order,
+repetition or tokens are syntax errors with a line number; a negative or
+oversized vertex count, a wrong edge count or a missing part is a
+semantic error.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import (
     FormatSemanticsError,
     FormatSyntaxError,
     PreconditionError,
     RekonfigError,
-    SizeMismatchError,
 )
 from .graph import (
     FeasibilityKind,
@@ -89,54 +96,92 @@ def _vertex(tok: str, ln: int, n: int) -> int:
     return v - 1
 
 
-def parse_instance(text: str) -> ReconfigInstance:
-    n = m = None
-    kind = rule_kind = k = None
-    edges: list[tuple[int, int]] = []
-    sets: dict[str, frozenset[int]] = {}
+def _read_parts(
+    text: str,
+    usage: str,
+    header: Callable[[list[str], int], tuple] | None = None,
+    weighted: bool = False,
+    section: str | None = None,
+    item: str | None = None,
+) -> tuple[int, tuple | None, list[tuple[int, ...]], list, list]:
+    """Read the grammar shared by the instance, NCL and PMR formats: a `p`
+    line shaped like `usage`, `e` lines, an `s` part and a `t` part.
+
+    Returns (n, header(tokens after `<n> <m>`), edges, s part, t part);
+    `header` runs on the p line, so its faults come before later ones.
+    Edges are (u, v), plus the weight when `weighted`. Without a `section`
+    keyword a part is an `s <ids...>` or `t <ids...>` line of vertex ids;
+    with one it is a `<section> s|t` line and the (u, v) of the
+    `<item> <u> <v>` lines after it, and no `e` line may follow it."""
+    shape = usage.split()
+    n = m = extra = current = None
+    edges: list[tuple[int, ...]] = []
+    parts: dict[str, list] = {}
+    label = f"{section} " if section else ""
     for ln, toks in _tokenized(text):
         head = toks[0]
+        if n is None and head != "p":
+            raise FormatSyntaxError(f"{head} line before the p line", ln, 1)
         if head == "p":
             if n is not None:
                 raise FormatSyntaxError("duplicate p line", ln, 1)
-            if len(toks) != 7 or toks[1] != "reconfig":
-                raise FormatSyntaxError(
-                    "expected `p reconfig <n> <m> <is|vc> <ktj|kts> <k>`", ln, 1
-                )
+            if len(toks) != len(shape) or toks[1] != shape[1]:
+                raise FormatSyntaxError(f"expected `{usage}`", ln, 1)
             n = _vertex_count(toks[2], ln)
             m = _int(toks[3], ln, "edge count")
-            try:
-                kind = FeasibilityKind(toks[4])
-                rule_kind = RuleKind(toks[5])
-            except ValueError:
-                raise FormatSyntaxError(
-                    f"unknown kind/rule token {toks[4]!r} {toks[5]!r}", ln, 1
-                )
-            k = _int(toks[6], ln, "k")
+            if header is not None:
+                extra = header(toks[4:], ln)
         elif head == "e":
-            if n is None:
-                raise FormatSyntaxError("e line before the p line", ln, 1)
+            if current is not None:
+                raise FormatSyntaxError(f"e line inside a {section} section", ln, 1)
+            if len(toks) != (4 if weighted else 3):
+                raise FormatSyntaxError(f"expected `e <u> <v>{' <1|2>' if weighted else ''}`", ln, 1)
+            edge = (_vertex(toks[1], ln, n), _vertex(toks[2], ln, n))
+            edges.append(edge + (_int(toks[3], ln, "weight"),) if weighted else edge)
+        elif head == section or (section is None and head in ("s", "t")):
+            if section is None:
+                part, payload = head, [_vertex(tok, ln, n) for tok in toks[1:]]
+            elif len(toks) == 2 and toks[1] in ("s", "t"):
+                part = current = toks[1]
+                payload = []
+            else:
+                raise FormatSyntaxError(f"expected `{section} s` or `{section} t`", ln, 1)
+            if part in parts:
+                raise FormatSyntaxError(f"duplicate `{label}{part}`", ln, 1)
+            parts[part] = payload
+        elif head == item:
+            if current is None:
+                raise FormatSyntaxError(f"{item} line outside a {section} section", ln, 1)
             if len(toks) != 3:
-                raise FormatSyntaxError("expected `e <u> <v>`", ln, 1)
-            edges.append((_vertex(toks[1], ln, n), _vertex(toks[2], ln, n)))
-        elif head in ("s", "t"):
-            if n is None:
-                raise FormatSyntaxError(f"{head} line before the p line", ln, 1)
-            if head in sets:
-                raise FormatSyntaxError(f"duplicate {head} line", ln, 1)
-            sets[head] = frozenset(_vertex(tok, ln, n) for tok in toks[1:])
+                raise FormatSyntaxError(f"expected `{item} <u> <v>`", ln, 1)
+            parts[current].append((_vertex(toks[1], ln, n), _vertex(toks[2], ln, n)))
         else:
             raise FormatSyntaxError(f"unknown line type {head!r}", ln, 1)
     if n is None:
         raise FormatSyntaxError("missing p line", 1, 1)
     if len(edges) != m:
         raise FormatSemanticsError(f"header announces {m} edges, found {len(edges)}")
-    if "s" not in sets or "t" not in sets:
-        raise FormatSemanticsError("missing s or t line")
+    if len(parts) != 2:
+        raise FormatSemanticsError(f"need both `{label}s` and `{label}t`")
+    return n, extra, edges, parts["s"], parts["t"]
+
+
+def _instance_header(toks: list[str], ln: int) -> tuple[FeasibilityKind, RuleKind, int]:
+    try:
+        kind, rule_kind = FeasibilityKind(toks[0]), RuleKind(toks[1])
+    except ValueError:
+        raise FormatSyntaxError(f"unknown kind/rule token {toks[0]!r} {toks[1]!r}", ln, 1)
+    return kind, rule_kind, _int(toks[2], ln, "k")
+
+
+def parse_instance(text: str) -> ReconfigInstance:
+    n, (kind, rule_kind, k), edges, s, t = _read_parts(
+        text, "p reconfig <n> <m> <is|vc> <ktj|kts> <k>", header=_instance_header
+    )
     try:
         graph = new_graph(n, edges)
-        return ReconfigInstance(graph, kind, sets["s"], sets["t"], Rule(rule_kind, k))
-    except (PreconditionError, SizeMismatchError, RekonfigError) as exc:
+        return ReconfigInstance(graph, kind, frozenset(s), frozenset(t), Rule(rule_kind, k))
+    except RekonfigError as exc:
         raise FormatSemanticsError(str(exc))
 
 
@@ -227,61 +272,18 @@ def serialize_cnf(phi: CnfFormula) -> str:
 def parse_ncl(text: str) -> tuple[NclMachine, NclConfig, NclConfig]:
     from .oracles import NclConfig, NclMachine
 
-    n = m = None
-    edges: list[tuple[int, int, int]] = []
-    arcs: dict[str, list[tuple[int, int]]] = {}
-    section: str | None = None
-    for ln, toks in _tokenized(text):
-        head = toks[0]
-        if head == "p":
-            if n is not None:
-                raise FormatSyntaxError("duplicate p line", ln, 1)
-            if len(toks) != 4 or toks[1] != "ncl":
-                raise FormatSyntaxError("expected `p ncl <n> <m>`", ln, 1)
-            n = _vertex_count(toks[2], ln)
-            m = _int(toks[3], ln, "edge count")
-        elif head == "e":
-            if section is not None:
-                raise FormatSyntaxError("e line inside a config section", ln, 1)
-            if n is None or len(toks) != 4:
-                raise FormatSyntaxError("expected `e <u> <v> <1|2>` after the p line", ln, 1)
-            w = _int(toks[3], ln, "weight")
-            edges.append((_vertex(toks[1], ln, n), _vertex(toks[2], ln, n), w))
-        elif head == "config":
-            if len(toks) != 2 or toks[1] not in ("s", "t"):
-                raise FormatSyntaxError("expected `config s` or `config t`", ln, 1)
-            section = toks[1]
-            if section in arcs:
-                raise FormatSyntaxError(f"duplicate config {section}", ln, 1)
-            arcs[section] = []
-        elif head == "a":
-            if n is None:
-                raise FormatSyntaxError("a line before the p line", ln, 1)
-            if section is None:
-                raise FormatSyntaxError("a line outside a config section", ln, 1)
-            if len(toks) != 3:
-                raise FormatSyntaxError("expected `a <u> <v>`", ln, 1)
-            arcs[section].append((_vertex(toks[1], ln, n), _vertex(toks[2], ln, n)))
-        else:
-            raise FormatSyntaxError(f"unknown line type {head!r}", ln, 1)
-    if n is None:
-        raise FormatSyntaxError("missing p line", 1, 1)
-    if len(edges) != m:
-        raise FormatSemanticsError(f"header announces {m} edges, found {len(edges)}")
-    if set(arcs) != {"s", "t"}:
-        raise FormatSemanticsError("need both `config s` and `config t` sections")
+    n, _, edges, arcs_s, arcs_t = _read_parts(
+        text, "p ncl <n> <m>", weighted=True, section="config", item="a"
+    )
     try:
         machine = NclMachine(n, tuple(edges))
-    except (PreconditionError, RekonfigError) as exc:
+    except RekonfigError as exc:
         raise FormatSemanticsError(str(exc))
+    index = {arc: i for i, (u, v, _) in enumerate(machine.edges) for arc in ((u, v), (v, u))}
 
-    def to_config(which: str) -> NclConfig:
+    def to_config(which: str, arcs: list[tuple[int, int]]) -> NclConfig:
         heads: list[int | None] = [None] * machine.edge_count
-        index = {}
-        for i, (u, v, _) in enumerate(machine.edges):
-            index[(u, v)] = i
-            index[(v, u)] = i
-        for tail, head_v in arcs[which]:
+        for tail, head_v in arcs:
             i = index.get((tail, head_v))
             if i is None:
                 raise FormatSemanticsError(
@@ -292,15 +294,12 @@ def parse_ncl(text: str) -> tuple[NclMachine, NclConfig, NclConfig]:
                     f"config {which}: edge {tail + 1}-{head_v + 1} oriented twice"
                 )
             heads[i] = head_v
-        missing = [i for i, h in enumerate(heads) if h is None]
-        if missing:
-            u, v, _ = machine.edges[missing[0]]
-            raise FormatSemanticsError(
-                f"config {which}: edge {u + 1}-{v + 1} has no orientation"
-            )
+        if None in heads:
+            u, v, _ = machine.edges[heads.index(None)]
+            raise FormatSemanticsError(f"config {which}: edge {u + 1}-{v + 1} has no orientation")
         return NclConfig(tuple(heads))
 
-    return machine, to_config("s"), to_config("t")
+    return machine, to_config("s", arcs_s), to_config("t", arcs_t)
 
 
 def serialize_ncl(machine: NclMachine, cs: NclConfig, ct: NclConfig) -> str:
@@ -315,54 +314,13 @@ def serialize_ncl(machine: NclMachine, cs: NclConfig, ct: NclConfig) -> str:
 
 
 def parse_pmr(text: str) -> tuple[Graph, Matching, Matching]:
-    n = m = None
-    edges: list[tuple[int, int]] = []
-    matchings: dict[str, set[tuple[int, int]]] = {}
-    section: str | None = None
-    for ln, toks in _tokenized(text):
-        head = toks[0]
-        if head == "p":
-            if n is not None:
-                raise FormatSyntaxError("duplicate p line", ln, 1)
-            if len(toks) != 4 or toks[1] != "pmr":
-                raise FormatSyntaxError("expected `p pmr <n> <m>`", ln, 1)
-            n = _vertex_count(toks[2], ln)
-            m = _int(toks[3], ln, "edge count")
-        elif head == "e":
-            if section is not None or n is None:
-                raise FormatSyntaxError("misplaced e line", ln, 1)
-            if len(toks) != 3:
-                raise FormatSyntaxError("expected `e <u> <v>`", ln, 1)
-            edges.append((_vertex(toks[1], ln, n), _vertex(toks[2], ln, n)))
-        elif head == "matching":
-            if len(toks) != 2 or toks[1] not in ("s", "t"):
-                raise FormatSyntaxError("expected `matching s` or `matching t`", ln, 1)
-            section = toks[1]
-            if section in matchings:
-                raise FormatSyntaxError(f"duplicate matching {section}", ln, 1)
-            matchings[section] = set()
-        elif head == "m":
-            if n is None:
-                raise FormatSyntaxError("m line before the p line", ln, 1)
-            if section is None:
-                raise FormatSyntaxError("m line outside a matching section", ln, 1)
-            if len(toks) != 3:
-                raise FormatSyntaxError("expected `m <u> <v>`", ln, 1)
-            u, v = _vertex(toks[1], ln, n), _vertex(toks[2], ln, n)
-            matchings[section].add((min(u, v), max(u, v)))
-        else:
-            raise FormatSyntaxError(f"unknown line type {head!r}", ln, 1)
-    if n is None:
-        raise FormatSyntaxError("missing p line", 1, 1)
-    if len(edges) != m:
-        raise FormatSemanticsError(f"header announces {m} edges, found {len(edges)}")
-    if set(matchings) != {"s", "t"}:
-        raise FormatSemanticsError("need both `matching s` and `matching t` sections")
+    n, _, edges, ms, mt = _read_parts(text, "p pmr <n> <m>", section="matching", item="m")
     try:
         graph = new_graph(n, edges)
     except RekonfigError as exc:
         raise FormatSemanticsError(str(exc))
-    return graph, frozenset(matchings["s"]), frozenset(matchings["t"])
+    ms, mt = (frozenset({(min(u, v), max(u, v)) for u, v in part}) for part in (ms, mt))
+    return graph, ms, mt
 
 
 def serialize_pmr(g: Graph, ms: Matching, mt: Matching) -> str:

@@ -105,23 +105,14 @@ def inte3sat_to_isr(
         start.add(corner[(h, neg_slot)])
         target.add(corner[(h, pos_slot)])
 
-    for p in range(mu - 1):
-        v = len(tags)
-        tags.append(GadgetTag.PAD)
-        provenance.append(("pad", p))
-        start.add(v)
-        target.add(v)
-
-    g = new_graph(len(tags), edges)
-    k = len(start) - mu
-    inst = ReconfigInstance(
-        g,
+    core = ReconfigInstance(
+        new_graph(len(tags), edges),
         FeasibilityKind.INDEPENDENT_SET,
         frozenset(start),
         frozenset(target),
-        Rule(RuleKind.KTJ, k),
+        Rule(RuleKind.KTJ, len(start) - 1),
     )
-    return inst, GadgetAnnotation(tuple(tags), tuple(provenance))
+    return add_isolated_pads(core, GadgetAnnotation(tuple(tags), tuple(provenance)), mu - 1)
 
 
 def add_isolated_pads(

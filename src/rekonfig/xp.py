@@ -225,8 +225,6 @@ def build_clique_compressed_graph(
         raise PreconditionError(
             f"need 0 <= mu <= |s| and k = |s| - mu >= 1, got mu={mu}, |s|={len(ss)}"
         )
-    from math import comb
-
     clock = _BudgetClock.begin(budget)
     if comb(g.vertex_count, mu) > clock.budget.max_states:
         raise ResourceBudgetError(

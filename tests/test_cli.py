@@ -245,11 +245,14 @@ def test_oversized_header_exit_code(capsys, tmp_path, argv, header):
         (("oracle", "pmr"), "matching s\nm 1 2\n"),
         (("oracle", "ncl"), "p ncl -3 0\nconfig s\nconfig t\n"),
         (("reduce", "ncl2isr"), "p ncl -3 0\nconfig s\nconfig t\n"),
+        (("oracle", "ncl"), "config s\nconfig t\np ncl 0 0\n"),
+        (("oracle", "pmr"), "matching s\nmatching t\np pmr 0 0\n"),
     ],
 )
 def test_malformed_section_input_exit_code(capsys, tmp_path, argv, text):
-    # A section line before the p line, or a negative vertex count, is an
-    # input error: no crash, no verdict and no output instance.
+    # A section line before the p line, even a section's opening line, or a
+    # negative vertex count, is an input error: no crash, no verdict and no
+    # output instance.
     path = tmp_path / "input"
     path.write_text(text)
     code, out, err = run(capsys, *argv, str(path))

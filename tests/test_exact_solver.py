@@ -191,6 +191,25 @@ def test_time_budget_bounds_the_enumeration_on_the_largest_star():
     assert time.monotonic() - began < 0.5 + 1.0
 
 
+@pytest.mark.parametrize(
+    "n, edges, size",
+    [(40, [], 2), (8193, [(0, v) for v in range(1, 8193)], 1)],
+    ids=["780 pairs of 40 isolated vertices", "8,193 singletons of a star"],
+)
+def test_state_budget_bounds_the_flushed_completions(n, edges, size):
+    # Each family is mostly completions of one-token-short sets, which the
+    # enumeration flushes in bulk; they are charged before they are stored.
+    with pytest.raises(ResourceBudgetError, match="state budget"):
+        feasible_masks(new_graph(n, edges), IS, size, Budget(max_states=100))
+
+
+def test_bulk_charge_reads_the_clock_when_it_crosses_a_multiple_of_4096():
+    clock = exact._BudgetClock(Budget(max_seconds=1.0), time.monotonic() - 10.0)
+    clock.charge(4000)  # no multiple of 4096 reached: no clock read
+    with pytest.raises(ResourceBudgetError, match="time budget"):
+        clock.charge(1000)  # 4000 -> 5000 steps over 4096 without landing on it
+
+
 def _random_instance(n, seed, kind, rule_kind) -> ReconfigInstance | None:
     """Two random feasible sets of one size on a random graph, k up to their
     size; None when no size has two feasible sets."""

@@ -87,6 +87,10 @@ def test_instance_syntax_errors():
     with pytest.raises(FormatSyntaxError) as err:
         parse_instance("p reconfig 2 0 is ktj 1\ne 1\ns 1\nt 2\n")
     assert err.value.line == 2
+    # A bad header token is reported before a fault further down.
+    with pytest.raises(FormatSyntaxError) as err:
+        parse_instance("p reconfig 2 5 is bogus 1\ns 1\nt 2\n")
+    assert err.value.line == 1
 
 
 def test_certificate_round_trip():
@@ -176,6 +180,44 @@ def test_parsers_never_crash(text):
         parse_certificate(text, 5)
     except RekonfigError:
         pass
+
+
+@pytest.mark.parametrize(
+    "parse, fixture, section",
+    [
+        (parse_instance, "c4_is_ktj1.isr", None),
+        (parse_ncl, "k4.ncl", "config"),
+        (parse_pmr, "c4.pmr", "matching"),
+    ],
+    ids=["isr", "ncl", "pmr"],
+)
+def test_shared_grammar_rules(parse, fixture, section):
+    lines = [line for line in (FIXTURES / fixture).read_text().splitlines() if line[:2] != "c "]
+    opener = f"{section} " if section else ""
+    s_at = next(i for i, line in enumerate(lines) if line.startswith(opener + "s"))
+    t_at = next(i for i, line in enumerate(lines) if line.startswith(opener + "t"))
+    body, s_part, t_part = lines[:s_at], lines[s_at:t_at], lines[t_at:]
+
+    def text(*blocks):
+        return "".join(line + "\n" for block in blocks for line in block)
+
+    parse(text(body, s_part, t_part))
+    # Nothing comes before the p line, a part's opening line included.
+    for stray in (s_part[0], t_part[0], s_part[-1], body[1], "z 1 2"):
+        with pytest.raises(FormatSyntaxError, match="before the p line") as err:
+            parse(text(["c a comment", stray], body, s_part, t_part))
+        assert err.value.line == 2
+    for again in (s_part[:1], body[:1]):
+        with pytest.raises(FormatSyntaxError, match="duplicate") as err:
+            parse(text(body, s_part, t_part, again))
+        assert err.value.line == len(lines) + 1
+    if section:  # an .isr part is one line, so no e line can be inside one
+        with pytest.raises(FormatSyntaxError, match="inside") as err:
+            parse(text(body, s_part, body[1:2], t_part))
+        assert err.value.line == t_at + 1
+    for missing in (text(body, s_part), text(body, t_part)):
+        with pytest.raises(FormatSemanticsError, match="need both"):
+            parse(missing)
 
 
 def test_section_line_before_p_line_and_negative_counts_are_input_errors():
