@@ -10,7 +10,7 @@ module, such as ``rekonfig.cli``, does not load the others.
 from importlib import import_module
 
 _EXPORTS = {
-    "bounds": ("LengthBound", "find_simple_sequence", "greedy_coloring", "shortest_length_bound"),
+    "bounds": ("LengthBound", "find_simple_sequence", "shortest_length_bound"),
     "errors": (
         "FormatSemanticsError",
         "FormatSyntaxError",
@@ -25,7 +25,6 @@ _EXPORTS = {
         "Budget",
         "SolveResult",
         "TarResult",
-        "enumerate_feasible",
         "max_independent_set",
         "min_vertex_cover",
         "reachability_classes",

@@ -1,6 +1,6 @@
 """Quantitative machinery around the guaranteed value mu = |I| - k: the
-intersecting-family bound on shortest sequence length, greedy coloring, and
-the constructive three-move shortcut sequence.
+intersecting-family bound on shortest sequence length and the constructive
+three-move shortcut sequence.
 """
 
 from __future__ import annotations
@@ -10,14 +10,14 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
-from .exact import Budget, max_independent_set
+from .exact import Budget, _BudgetClock, _independent_masks
 from .graph import (
     Graph,
     ReconfigSequence,
-    VertexSet,
     check_vertex_set,
     closed_neighborhood,
     is_independent_set,
+    iter_bits,
 )
 
 
@@ -54,19 +54,6 @@ def shortest_length_bound(n: int, set_size: int, mu: int) -> LengthBound:
     return LengthBound(n, set_size, mu, bound, loose, max_length)
 
 
-def greedy_coloring(g: Graph) -> tuple[int, ...]:
-    """Proper coloring with at most max_degree + 1 colors: ascending vertex
-    id, smallest available color."""
-    colors: list[int] = [-1] * g.vertex_count
-    for v in range(g.vertex_count):
-        taken = {colors[u] for u in g.neighbors(v) if colors[u] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    return tuple(colors)
-
-
 def find_simple_sequence(
     g: Graph, i, j, mu: int, budget: Budget | None = None
 ) -> ReconfigSequence | None:
@@ -76,9 +63,9 @@ def find_simple_sequence(
 
     Returns None when the shortcut fails; that means nothing about
     reachability (fall back to the exact solver). The anchor sets are the
-    lexicographically smallest mu-subsets. I* is taken from the largest
-    greedy-coloring color class of the residue graph, with an exhaustive
-    maximum-independent-set fallback when the class is too small.
+    lexicographically smallest mu-subsets, and I* is the lexicographically
+    first independent k-set of the residue graph: the enumeration of
+    feasible sets stops at it.
     """
     si = check_vertex_set(g, i)
     sj = check_vertex_set(g, j)
@@ -94,25 +81,10 @@ def find_simple_sequence(
         raise PreconditionError(f"need 1 <= mu and 2*mu <= |i|, got mu={mu}, |i|={len(si)}")
     a = frozenset(sorted(si)[:mu])
     b = frozenset(sorted(sj)[:mu])
-    k = len(si) - mu
     removed = closed_neighborhood(g, a | b)
-    residue_vertices = sorted(set(range(g.vertex_count)) - removed)
-    if len(residue_vertices) < k:
+    sub, old_ids = g.induced_subgraph(set(range(g.vertex_count)) - removed)
+    first = _independent_masks(sub, len(si) - mu, _BudgetClock.begin(budget), limit=0)
+    if not first:
         return None
-    sub, old_ids = g.induced_subgraph(residue_vertices)
-    colors = greedy_coloring(sub)
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    star: VertexSet | None = None
-    if by_color:
-        best = max(by_color.values(), key=lambda cl: (len(cl), -min(cl, default=0)))
-        if len(best) >= k:
-            star = frozenset(old_ids[v] for v in best[:k])
-    if star is None:
-        big = max_independent_set(sub, budget)
-        if len(big) >= k:
-            star = frozenset(old_ids[v] for v in sorted(big)[:k])
-    if star is None:
-        return None
+    star = frozenset(old_ids[v] for v in iter_bits(first[0]))
     return ReconfigSequence((si, a | star, b | star, sj))

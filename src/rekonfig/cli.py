@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 = YES/ACCEPT, 1 = NO/REJECT, 2 = usage or input error,
-3 = resource budget exceeded. The machine-readable verdict (`yes` or `no`)
-goes to stdout; diagnostics go to stderr. Budgets come from
---budget-states/--budget-secs, falling back to REKONFIG_BUDGET_STATES and
-REKONFIG_BUDGET_SECS, then to the library defaults. Each command imports the
-modules only it needs, so a `solve` process does not load the compilers.
+3 = resource budget exceeded, 4 = internal error (any other exception,
+reported with its traceback, so that no crash reads as a NO or a REJECT).
+The machine-readable verdict (`yes` or `no`) goes to stdout; diagnostics
+go to stderr. Budgets come from --budget-states/--budget-secs, falling
+back to REKONFIG_BUDGET_STATES and REKONFIG_BUDGET_SECS, then to the
+library defaults. Each command imports the modules only it needs, so a
+`solve` process does not load the compilers.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _budget(args) -> Budget:
@@ -240,6 +243,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,6 +2,10 @@
 exact maximum independent set / minimum vertex cover, and token-addition-
 removal (TAR) value computation.
 
+One independent-set search, an iterative include-first DFS with a clique
+bound, lists the feasible sets of one size; the maximum independent set and
+the shortcut of `bounds.find_simple_sequence` ask it for a first set only.
+
 Every solver here is deliberately exhaustive. Budgets cap the number of
 enumerated states and wall-clock seconds; exceeding one raises
 ResourceBudgetError so callers can distinguish "no" from "too big".
@@ -13,7 +17,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import PreconditionError, ResourceBudgetError
 from .graph import (
@@ -134,8 +138,8 @@ def _clique_bound(cliques: list[int], candidates: int) -> int:
     return b
 
 
-class _LimitReached(Exception):
-    """Raised inside the enumeration once it holds more sets than its limit."""
+_FLUSH_IDS = 4096  # vertex ids per part of a flush, so at most that many completions
+_FLUSH_MASK = (1 << _FLUSH_IDS) - 1
 
 
 def _independent_masks(
@@ -145,39 +149,42 @@ def _independent_masks(
     order of the underlying vertex tuples (include-first DFS over ascending
     ids gives exactly that order).
 
+    The DFS keeps its open nodes (candidates, chosen, tokens still to place)
+    on an explicit stack, so no input is too deep for it. Each node is
+    charged once, and so is each completion: a node one token short flushes
+    its candidates as completions, at most 4096 vertex ids at a time, each
+    part paid for before it is stored.
+
     With a limit, the enumeration stops as soon as it holds more than
     `limit` sets; a result longer than `limit` is then an incomplete prefix
     of the family, good only for its length."""
-    full = g.full_mask
     masks = g.neighbor_masks
     cliques = _clique_partition_masks(g, clock)
-    out: list[int] = []
     if size == 0:
         return [0]
-
-    def rec(idx: int, chosen: int, count: int, banned: int) -> None:
+    out: list[int] = []
+    stack = [(g.full_mask, 0, size)]
+    while stack:
+        candidates, chosen, remaining = stack.pop()
         clock.charge()
-        candidates = (full >> idx << idx) & ~banned  # vertices with id >= idx
-        remaining = size - count
         if candidates.bit_count() < remaining or _clique_bound(cliques, candidates) < remaining:
-            return
-        bit = candidates & -candidates  # lowest remaining candidate, kept lexicographic
-        v = bit.bit_length() - 1
+            continue
         if remaining == 1:
-            # flush every remaining candidate as a completion, paid for first
-            clock.charge(candidates.bit_count())
-            for w in iter_bits(candidates):
-                out.append(chosen | (1 << w))
+            base = 0
+            while candidates:
+                part = candidates & _FLUSH_MASK
+                clock.charge(part.bit_count())
+                for w in iter_bits(part):
+                    out.append(chosen | 1 << (base + w))
+                candidates >>= _FLUSH_IDS
+                base += _FLUSH_IDS
             if limit is not None and len(out) > limit:
-                raise _LimitReached
-            return
-        rec(v + 1, chosen | bit, count + 1, banned | masks[v] | bit)
-        rec(v + 1, chosen, count, banned | bit)
-
-    try:
-        rec(0, 0, 0, 0)
-    except _LimitReached:
-        pass
+                break
+            continue
+        bit = candidates & -candidates  # lowest remaining candidate, kept lexicographic
+        rest = candidates ^ bit
+        stack.append((rest, chosen, remaining))  # exclude it, after
+        stack.append((rest & ~masks[bit.bit_length() - 1], chosen | bit, remaining - 1))
     return out
 
 
@@ -212,38 +219,20 @@ def feasible_masks(
     return _feasible_masks(g, kind, size, _BudgetClock.begin(budget))
 
 
-def enumerate_feasible(
-    g: Graph, kind: FeasibilityKind, size: int, budget: Budget | None = None
-) -> Iterator[VertexSet]:
-    """Yield every independent set (or vertex cover) of exactly `size`, each
-    once, in lexicographic order."""
-    for m in feasible_masks(g, kind, size, budget):
-        yield mask_to_set(m)
-
-
 def max_independent_set(g: Graph, budget: Budget | None = None) -> VertexSet:
-    """Exact maximum independent set via branch and bound (lexicographically
-    smallest among the maximum ones found first by the search order)."""
+    """Exact maximum independent set, the lexicographically first one.
+
+    First fit in id order gives the lexicographically first maximal set;
+    while the enumeration finds an independent set one larger, its first
+    one takes over."""
     clock = _BudgetClock.begin(budget)
-    masks = g.neighbor_masks
-    cliques = _clique_partition_masks(g, clock)
-    best_mask = 0
-    best_count = -1
-
-    def rec(candidates: int, chosen: int, count: int) -> None:
-        nonlocal best_mask, best_count
-        clock.charge()
-        if count > best_count:
-            best_mask, best_count = chosen, count
-        if not candidates or count + _clique_bound(cliques, candidates) <= best_count:
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        bit = 1 << v
-        rec(candidates & ~bit & ~masks[v], chosen | bit, count + 1)
-        rec(candidates & ~bit, chosen, count)
-
-    rec(g.full_mask, 0, 0)
-    return mask_to_set(best_mask)
+    best = 0
+    for v, nv in enumerate(g.neighbor_masks):
+        if not nv & best:
+            best |= 1 << v
+    while larger := _independent_masks(g, best.bit_count() + 1, clock, limit=0):
+        best = larger[0]
+    return mask_to_set(best)
 
 
 def min_vertex_cover(g: Graph, budget: Budget | None = None) -> VertexSet:

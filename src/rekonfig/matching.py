@@ -131,25 +131,31 @@ def _hopcroft_karp(nbr: tuple[int, ...], left: int, right: int) -> dict[int, int
                     queue.append(w)
         return found != _INF
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_right.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        dist[u] = _INF
-        return False
-
     while bfs():
-        for u in order:
-            if u not in pair_left:
-                dfs(u)
-    # dfs reaches itself through its closure cell; emptying the cell frees
-    # the closures and their tables now, by reference counting, instead of
-    # leaving a cycle for the garbage collector, whose passes would then
-    # land on whichever later call crosses its threshold.
-    del dfs
+        for root in order:
+            if root in pair_left:
+                continue
+            # Depth-first search for an augmenting path along the BFS layers,
+            # lowest id first, on an explicit stack of (left vertex, its
+            # untried neighbours, the right vertex it was entered through).
+            stack = [(root, iter(adj[root]), -1)]
+            while stack:
+                u, untried, _ = stack[-1]
+                for v in untried:
+                    w = pair_right.get(v)
+                    if w is None:  # v is free: flip the path on the stack
+                        while stack:
+                            x, _, entered = stack.pop()
+                            pair_left[x] = v
+                            pair_right[v] = x
+                            v = entered
+                        break
+                    if dist[w] == dist[u] + 1:
+                        stack.append((w, iter(adj[w]), v))
+                        break
+                else:  # dead end: no later path runs through u in this phase
+                    dist[u] = _INF
+                    stack.pop()
     return pair_left
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rekonfig.bounds import find_simple_sequence, greedy_coloring, shortest_length_bound
+from rekonfig.bounds import find_simple_sequence, shortest_length_bound
 from rekonfig.errors import PreconditionError
 from rekonfig.exact import solve_exact
 from rekonfig.graph import (
@@ -13,11 +13,13 @@ from rekonfig.graph import (
     ReconfigInstance,
     Rule,
     RuleKind,
+    closed_neighborhood,
+    is_independent_set,
     new_graph,
     verify_sequence,
 )
 
-from conftest import random_graph
+from conftest import brute_feasible, random_graph
 
 
 def cycle(n):
@@ -43,22 +45,6 @@ def test_bound_full_universe():
 def test_bound_rejects_mu_at_size():
     with pytest.raises(PreconditionError):
         shortest_length_bound(10, 4, 4)
-
-
-def test_greedy_coloring_examples(c4, k4):
-    assert len(set(greedy_coloring(c4))) == 2
-    assert len(set(greedy_coloring(k4))) == 4
-    assert set(greedy_coloring(new_graph(5, []))) == {0}
-
-
-@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=100, deadline=None)
-def test_greedy_coloring_proper_and_bounded(n, seed):
-    rng = random.Random(seed)
-    g = random_graph(rng, n, rng.uniform(0.1, 0.9))
-    colors = greedy_coloring(g)
-    assert all(colors[u] != colors[v] for u, v in g.edges())
-    assert len(set(colors)) <= g.max_degree + 1
 
 
 def test_simple_sequence_identity(c4):
@@ -96,8 +82,6 @@ def test_simple_sequence_soundness(n, seed):
     # whenever a shortcut is found it verifies and the instance is reachable
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.uniform(0.1, 0.5))
-    from conftest import brute_feasible
-
     size = rng.randint(2, max(2, n // 2))
     family = brute_feasible(g, FeasibilityKind.INDEPENDENT_SET, size)
     if len(family) < 2:
@@ -112,3 +96,32 @@ def test_simple_sequence_soundness(n, seed):
     )
     assert verify_sequence(inst, seq).accepted
     assert solve_exact(inst).reachable
+
+
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_simple_sequence_found_iff_the_residue_holds_an_independent_k_set(n, seed):
+    # The shortcut needs only some independent k-set outside N[A + B]; it
+    # takes the lexicographically first one.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.5))
+    size = rng.randint(2, max(2, n // 2))
+    family = brute_feasible(g, FeasibilityKind.INDEPENDENT_SET, size)
+    if len(family) < 2:
+        return
+    i, j = rng.sample(family, 2)
+    mu = rng.randint(1, size // 2)
+    anchors = frozenset(sorted(i)[:mu]) | frozenset(sorted(j)[:mu])
+    removed = closed_neighborhood(g, anchors)
+    residue_sets = [
+        x
+        for x in brute_feasible(g, FeasibilityKind.INDEPENDENT_SET, size - mu)
+        if not x & removed
+    ]
+    seq = find_simple_sequence(g, i, j, mu)
+    if not residue_sets:
+        assert seq is None
+        return
+    star = min(residue_sets, key=sorted)
+    assert seq.steps == (i, frozenset(sorted(i)[:mu]) | star, frozenset(sorted(j)[:mu]) | star, j)
+    assert all(is_independent_set(g, x) for x in seq)

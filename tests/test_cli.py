@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import rekonfig
+from rekonfig import cli
 from rekonfig.cli import main
 from rekonfig.io_formats import MAX_VERTICES, parse_instance
 
@@ -257,6 +258,55 @@ def test_malformed_section_input_exit_code(capsys, tmp_path, argv, text):
     path.write_text(text)
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == "" and "input error" in err
+
+
+def test_solve_answers_on_a_path_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # P_3000 with s = the even vertices and t = the odd ones under 1-TJ: the
+    # tokens walk off one end, one at a time. A recursion per decided vertex
+    # of the feasible-set search ended this YES in a RecursionError and
+    # exit 1, the NO code.
+    n = 3000
+    lines = [f"p reconfig {n} {n - 1} is ktj 1"]
+    lines += [f"e {v} {v + 1}" for v in range(1, n)]
+    lines.append("s " + " ".join(str(v) for v in range(1, n + 1, 2)))
+    lines.append("t " + " ".join(str(v) for v in range(2, n + 1, 2)))
+    path = tmp_path / "p3000.isr"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0 and out == "yes\n"
+
+
+def test_verify_accepts_a_kts_step_with_a_long_augmenting_path(capsys, tmp_path):
+    # The path 1999 - 2000 - 0 - 2001 - 1 - ... - 1998 - 3999 (0-based ids),
+    # s = the left vertices 0..1999 and t = the right ones, under 2000-TS:
+    # one legal step. The greedy start matches i to 2000 + i and leaves
+    # 1999 alone, so the only augmenting path runs through all 4000
+    # vertices; augmenting by recursion crashed and rejected the step.
+    h = 2000
+    edges = [(i, h + i) for i in range(h - 1)] + [(i, h + 1 + i) for i in range(h - 1)]
+    edges.append((h - 1, h))
+    lines = [f"p reconfig {2 * h} {len(edges)} is kts {h}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in edges]
+    left = " ".join(str(v) for v in range(1, h + 1))
+    right = " ".join(str(v) for v in range(h + 1, 2 * h + 1))
+    lines += [f"s {left}", f"t {right}"]
+    path = tmp_path / "path.isr"
+    path.write_text("\n".join(lines) + "\n")
+    cert = tmp_path / "cert"
+    cert.write_text(f"v {left}\nv {right}\n")
+    code, out, _ = run(capsys, "verify", str(path), "--certificate", str(cert))
+    assert code == 0 and out == "yes\n"
+
+
+@pytest.mark.parametrize("error", [RecursionError, ValueError, KeyError])
+def test_unexpected_error_is_neither_a_verdict_nor_a_usage_error(capsys, monkeypatch, error):
+    def crash(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_solve", crash)
+    code, out, err = run(capsys, "solve", str(FIXTURES / "c4_is_ktj2.isr"))
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == "" and "internal error" in err and "boom" in err
 
 
 def test_cli_import_loads_no_command_modules():

@@ -10,7 +10,6 @@ from rekonfig.errors import PreconditionError, ResourceBudgetError
 from rekonfig.exact import (
     Budget,
     SolveResult,
-    enumerate_feasible,
     feasible_masks,
     max_independent_set,
     min_vertex_cover,
@@ -41,10 +40,14 @@ IS = FeasibilityKind.INDEPENDENT_SET
 VC = FeasibilityKind.VERTEX_COVER
 
 
+def _feasible_sets(g, kind, size):
+    return [mask_to_set(m) for m in feasible_masks(g, kind, size)]
+
+
 def test_enumerate_c4(c4):
-    assert list(enumerate_feasible(c4, IS, 2)) == [frozenset({0, 2}), frozenset({1, 3})]
-    assert list(enumerate_feasible(c4, VC, 2)) == [frozenset({0, 2}), frozenset({1, 3})]
-    assert list(enumerate_feasible(c4, IS, 0)) == [frozenset()]
+    assert _feasible_sets(c4, IS, 2) == [frozenset({0, 2}), frozenset({1, 3})]
+    assert _feasible_sets(c4, VC, 2) == [frozenset({0, 2}), frozenset({1, 3})]
+    assert _feasible_sets(c4, IS, 0) == [frozenset()]
 
 
 @given(
@@ -57,10 +60,54 @@ def test_enumerate_matches_brute_force(n, seed, kind):
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.uniform(0.1, 0.8))
     for size in range(n + 1):
-        got = list(enumerate_feasible(g, kind, size))
+        got = _feasible_sets(g, kind, size)
         want = brute_feasible(g, kind, size)
         assert got == sorted(want, key=sorted)  # lexicographic, each once
         assert len(got) == len(set(got))
+
+
+def _recursive_independent_masks(g, size, clock, limit=None):
+    """Reference enumeration: the include-first DFS written as a recursion,
+    one call per decided vertex, with the same bound and the same charges;
+    at a limit it stops after the flush that passes it."""
+    cliques = exact._clique_partition_masks(g, clock)
+    if size == 0:
+        return [0]
+    out = []
+
+    def rec(candidates, chosen, remaining):
+        clock.charge()
+        if candidates.bit_count() < remaining or exact._clique_bound(cliques, candidates) < remaining:
+            return False
+        if remaining == 1:
+            clock.charge(candidates.bit_count())
+            out.extend(chosen | 1 << w for w in iter_bits(candidates))
+            return limit is not None and len(out) > limit
+        bit = candidates & -candidates
+        rest = candidates ^ bit
+        v = bit.bit_length() - 1
+        return rec(rest & ~g.neighbor_masks[v], chosen | bit, remaining - 1) or rec(
+            rest, chosen, remaining
+        )
+
+    rec(g.full_mask, 0, size)
+    return out
+
+
+@given(
+    st.integers(min_value=0, max_value=16),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([None, 0, 3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_enumeration_matches_the_recursive_reference_and_its_charges(n, seed, limit):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+    for size in range(n + 2):
+        clock, reference = exact._BudgetClock.begin(None), exact._BudgetClock.begin(None)
+        got = exact._independent_masks(g, size, clock, limit)
+        assert got == _recursive_independent_masks(g, size, reference, limit)
+        assert clock.counted == reference.counted
 
 
 def test_solve_exact_c4(c4):
@@ -592,6 +639,15 @@ def test_optima(c4, k4):
     edgeless = new_graph(5, [])
     assert len(max_independent_set(edgeless)) == 5
     assert min_vertex_cover(edgeless) == frozenset()
+
+
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_max_independent_set_is_the_lexicographically_first_maximum(n, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.9))
+    alpha = max(size for size in range(n + 1) if brute_feasible(g, IS, size))
+    assert max_independent_set(g) == min(brute_feasible(g, IS, alpha), key=sorted)
 
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6))
