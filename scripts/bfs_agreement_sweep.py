@@ -27,9 +27,13 @@ pair against TAR: 1-TJ reachability between t-sets is TAR reachability
 with floor t - 1 (Kaminski, Medvedev and Milanic, TCS 2012), so
 solve_tar_maxmin(g, s, t).value >= t - 1 for independent sets, and
 solve_tar_minmax(g, s, t).value <= |S| + 1 for covers, must hold iff the
-two labels agree. Prints one row per rule and k with how many solves took
-each path and how many pairs were checked against TAR, and exits non-zero
-on a mismatch or when a row has no solve on one of the two paths.
+two labels agree. Every graph with a K_{k+1,k+1} is a disjoint union, and
+where its tokens cannot leave their parts, solve_exact decides a pair part
+by part; each pair that takes that split is also checked on its own, YES
+and NO, against the labels. Prints one row per rule and k with how many solves took each
+path, how many took the split and how many pairs were checked against TAR,
+and exits non-zero on a mismatch, when a row has no solve on one of the two
+paths, or when no row has a split solve.
 
 Usage:
     python scripts/bfs_agreement_sweep.py [--graphs 10] [--pairs 10] [--seed 1]
@@ -158,15 +162,16 @@ def main():
 
     rng = random.Random(args.seed)
     failed = False
+    any_split = False
     print(
         f"{'rule':<5} {'k':>2} {'solves':>7} {'yes':>5} {'generator':>10} {'scan':>5} "
-        f"{'tar':>5} {'mismatch':>9} {'secs':>6}"
+        f"{'split':>6} {'tar':>5} {'mismatch':>9} {'secs':>6}"
     )
     for rule_kind in (RuleKind.KTJ, RuleKind.KTS):
         for k in (1, 2, 3):
             rule = Rule(rule_kind, k)
             t0 = time.time()
-            solves = yes = generated = tar = mismatches = 0
+            solves = yes = generated = split = tar = mismatches = 0
             for kind, dense, _ in itertools.product((IS, VC), (False, True), range(args.graphs)):
                 for _ in range(MAX_DRAWS):
                     g = sweep_graph(rng, k, dense)
@@ -183,6 +188,10 @@ def main():
                     yes += res.reachable
                     generated += len(labels) > 2 * exact._move_estimate(inst)
                     agree = res.reachable == (labels[s] == labels[target])
+                    by_parts = exact._split_verdict(inst, exact._BudgetClock.begin(None))
+                    if by_parts is not None:
+                        split += 1
+                        agree = agree and by_parts.reachable == res.reachable
                     if res.reachable:
                         agree = (
                             agree
@@ -194,11 +203,13 @@ def main():
                         agree = agree and tar_connects(inst) == (labels[s] == labels[target])
                     mismatches += not agree
             failed |= mismatches > 0 or generated == 0 or generated == solves
+            any_split |= split > 0
             print(
                 f"{rule_kind.value:<5} {k:>2} {solves:>7} {yes:>5} {generated:>10} {solves - generated:>5} "
-                f"{tar:>5} {mismatches:>9} {time.time() - t0:>6.1f}"
+                f"{split:>6} {tar:>5} {mismatches:>9} {time.time() - t0:>6.1f}"
             )
-    print("agreement and both paths:", "FAIL" if failed else "OK")
+    failed |= not any_split
+    print("agreement, both paths and the split:", "FAIL" if failed else "OK")
     return 1 if failed else 0
 
 

@@ -6,6 +6,10 @@ One independent-set search, an iterative include-first DFS with a clique
 bound, lists the feasible sets of one size; the maximum independent set and
 the shortcut of `bounds.find_simple_sequence` ask it for a first set only.
 
+`solve_exact` decides a disconnected instance one component at a time when
+no move can change how many tokens a component holds; otherwise, and for
+every shortest certificate, it searches the whole instance from both ends.
+
 Every solver here is deliberately exhaustive. Budgets cap the number of
 enumerated states and wall-clock seconds; exceeding one raises
 ResourceBudgetError so callers can distinguish "no" from "too big".
@@ -321,8 +325,7 @@ def _jumps(
     group that contains it has them too; one with more than j is not, since
     further members can raise j. Each B comes from one pair (E, A - B), so no
     B is made twice."""
-    tokens = [1 << v for v in iter_bits(a)]
-    cap = min(k, len(tokens))
+    cap = min(k, a.bit_count())
     out: list[int] = []
 
     def grow(rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int) -> None:
@@ -343,7 +346,7 @@ def _jumps(
                     if b not in visited:
                         out.append(b)
                 else:
-                    free = [t for t in tokens if not t & joined]
+                    free = [1 << v for v in iter_bits(a & ~joined)]
                     drops = free if extra == 1 else map(sum, combinations(free, extra))
                     out.extend([b ^ d for d in drops if b ^ d not in visited])
             if j < cap:
@@ -527,6 +530,76 @@ def _search_both_ends(
     return SolveResult(True, ReconfigSequence(to_meet + from_meet[1:]), expanded)
 
 
+def _components(g: Graph) -> list[list[int]]:
+    """The vertex lists of g's connected components, by least vertex."""
+    seen = [False] * g.vertex_count
+    out = []
+    for root in range(g.vertex_count):
+        if not seen[root]:
+            seen[root] = True
+            comp = [root]
+            for v in comp:  # comp grows while the loop walks it
+                for u in g.adjacency[v]:
+                    if not seen[u]:
+                        seen[u] = True
+                        comp.append(u)
+            out.append(comp)
+    return out
+
+
+def _split_verdict(inst: ReconfigInstance, clock: _BudgetClock) -> SolveResult | None:
+    """Decide a disconnected instance one component at a time, or None when
+    its graph is connected or its tokens may not be confined.
+
+    Tokens are counted in independent-set space, as _move_generator moves
+    them. They are confined when no move can change how many tokens a
+    component holds: under k-TS always, since tokens slide along edges;
+    under k-TJ when |A| = alpha(G), since a token that left a full component
+    would push another past its independence number. alpha(G) is the sum
+    over the components, so each one is probed, on its own subgraph, for an
+    independent set one larger than its token count.
+
+    A sequence projected onto one component is still a sequence there, and
+    sequences of different components can run one after another, so the
+    instance is YES iff every component is. A component whose ends hold
+    different counts makes a k-TS instance NO at once; under k-TJ it is not
+    full at one end (full components hold alpha(C) tokens at both), so the
+    tokens are not confined. Every component where the ends differ is then
+    searched alone, on the caller's clock, until one is NO. explored_states
+    is the sum of the parts' expansions."""
+    comps = _components(inst.graph)
+    if len(comps) == 1:
+        return None
+    jump = inst.rule.kind is RuleKind.KTJ
+    cover = inst.kind is FeasibilityKind.VERTEX_COVER
+    parts: list[ReconfigInstance] = []
+    for comp in comps:
+        clock.check_time()
+        s = frozenset(v for v in comp if v in inst.start)
+        t = frozenset(v for v in comp if v in inst.target)
+        if len(s) != len(t):
+            return None if jump else SolveResult(False, None, 0)
+        if s == t and not jump:
+            continue
+        sub, old = inst.graph.induced_subgraph(comp)
+        tokens = len(comp) - len(s) if cover else len(s)
+        if jump and _independent_masks(sub, tokens + 1, clock, limit=0):
+            return None
+        if s != t:
+            new = {v: i for i, v in enumerate(old)}
+            parts.append(ReconfigInstance(
+                sub, inst.kind, frozenset(new[v] for v in s), frozenset(new[v] for v in t),
+                inst.rule,
+            ))
+    explored = 0
+    for part in parts:
+        res = _search(part, clock, want_shortest=False)
+        explored += res.explored_states
+        if not res.reachable:
+            return SolveResult(False, None, explored)
+    return SolveResult(True, None, explored)
+
+
 def solve_exact(
     inst: ReconfigInstance, want_shortest: bool = False, budget: Budget | None = None
 ) -> SolveResult:
@@ -534,15 +607,29 @@ def solve_exact(
     When want_shortest is set, the returned certificate is a minimum-length
     sequence (BFS levels).
 
+    On a disconnected graph whose tokens are confined to their components,
+    the components are decided one at a time (_split_verdict): a NO, and a
+    YES without want_shortest, is their answer. A YES with want_shortest,
+    a connected graph and unconfined tokens take the search of the whole
+    instance, on the same budget clock."""
+    if inst.start == inst.target:
+        seq = ReconfigSequence((inst.start,)) if want_shortest else None
+        return SolveResult(True, seq, 0)
+    clock = _BudgetClock.begin(budget)
+    split = _split_verdict(inst, clock)
+    if split is not None and not (split.reachable and want_shortest):
+        return split
+    return _search(inst, clock, want_shortest)
+
+
+def _search(inst: ReconfigInstance, clock: _BudgetClock, want_shortest: bool) -> SolveResult:
+    """solve_exact's search of the whole instance, on the caller's clock.
+
     The feasible sets are counted only until they outnumber twice the
     per-state move estimate. If they do, moves are generated without the
     family; otherwise the complete small family is scanned. Either way the
     BFS runs from both ends, and one budget clock covers the counting and
     the search."""
-    if inst.start == inst.target:
-        seq = ReconfigSequence((inst.start,)) if want_shortest else None
-        return SolveResult(True, seq, 0)
-    clock = _BudgetClock.begin(budget)
     size = len(inst.start)
     cap = 2 * _move_estimate(inst)
     states = _feasible_masks(inst.graph, inst.kind, size, clock, limit=cap)

@@ -163,29 +163,127 @@ def test_solve_exact_one_clock_for_enumeration_and_search():
     assert solve_exact(inst, budget=Budget(max_states=total)).reachable
 
 
-def test_solve_exact_time_budget_bounds_each_expansion():
-    # G(22, 0.15) plus a disjoint K_{4,4} plus 10 disjoint K2s, independent
-    # 27-sets under 3-TJ. s and t hold a maximum independent set of every
-    # part, so every feasible set does too: the K_{4,4} tokens can only
-    # switch sides all 4 at once, and s and t sit on opposite sides, so the
-    # answer is NO after the whole start component (4,395 states, each
-    # expansion generating hundreds of moves; 1.4 to 2 s on a 2-core Xeon
-    # VM). Its charges pass a multiple of 4096 for the last time within
-    # 0.2 s, so a clock read only at those charges runs on to the NO.
+def _frozen_gadget_instance(hub: bool) -> ReconfigInstance:
+    """G(22, 0.15) plus a disjoint K_{4,4} plus 10 disjoint K2s, independent
+    27-sets under 3-TJ, with a hub vertex adjacent to all 50 of them if asked.
+    s and t hold a maximum independent set of every part, so every feasible
+    set does too (the hub is in none of them): the K_{4,4} tokens can only
+    switch sides all 4 at once, and s and t sit on opposite sides, so the
+    answer is NO."""
     rng = random.Random(3)
     n = 22
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
     core = max_independent_set(new_graph(n, edges))
     edges += [(n + i, n + 4 + j) for i in range(4) for j in range(4)]
     pairs = [(n + 8 + 2 * i, n + 9 + 2 * i) for i in range(10)]
-    g = new_graph(n + 8 + 2 * len(pairs), edges + pairs)
+    count = n + 8 + 2 * len(pairs)
+    if hub:
+        edges += [(v, count) for v in range(count)]
+    g = new_graph(count + hub, edges + pairs)
     start = core | frozenset(range(n, n + 4)) | frozenset(u for u, _ in pairs)
     target = core | frozenset(range(n + 4, n + 8)) | frozenset(v for _, v in pairs)
-    inst = ReconfigInstance(g, IS, start, target, Rule(RuleKind.KTJ, 3))
+    return ReconfigInstance(g, IS, start, target, Rule(RuleKind.KTJ, 3))
+
+
+def test_solve_exact_time_budget_bounds_each_expansion():
+    # The hub makes the graph connected, so the whole start component is
+    # searched before the NO (4,395 states, each expansion generating
+    # hundreds of moves; 1.1 to 1.4 s on a 2-core Xeon VM). Its charges pass a
+    # multiple of 4096 for the last time within 0.2 s, so a clock read only
+    # at those charges runs on to the NO.
+    inst = _frozen_gadget_instance(hub=True)
     began = time.monotonic()
     with pytest.raises(ResourceBudgetError):
         solve_exact(inst, budget=Budget(max_seconds=0.5))
     assert time.monotonic() - began < 0.5 + 1.0
+
+
+def test_solve_exact_splits_the_frozen_gadget_into_components():
+    # Without the hub, every part is at its independence number, so tokens
+    # cannot leave their parts and each part is searched alone. The K_{4,4}
+    # comes first and is NO after one expansion, since no 3-TJ move leaves
+    # its start; G(22, 0.15) is not searched, since s and t agree on it.
+    res = solve_exact(_frozen_gadget_instance(hub=False), want_shortest=True)
+    assert not res.reachable and res.explored_states <= 2
+
+
+def _disjoint_union(parts, rng=None):
+    """The disjoint union of (graph, start, target) parts, with the ids
+    offset in the order given, or shuffled by rng so that the components
+    interleave in id order."""
+    n = sum(g.vertex_count for g, _, _ in parts)
+    order = rng.sample(range(n), n) if rng else range(n)
+    edges, start, target, base = [], set(), set(), 0
+    for g, s, t in parts:
+        edges += [(order[base + u], order[base + v]) for u, v in g.edges()]
+        start |= {order[base + v] for v in s}
+        target |= {order[base + v] for v in t}
+        base += g.vertex_count
+    return new_graph(n, edges), start, target
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_split_gives_the_answer_of_the_whole_search(seed, kind, rule_kind, at_alpha):
+    # 2 to 4 parts of G(<= 6, p), tokens (in independent-set space) at the
+    # independence number or below it: under k-TS tokens are confined
+    # either way, under k-TJ only at the independence number.
+    rng = random.Random(seed)
+    parts = [random_graph(rng, rng.randint(1, 6), rng.uniform(0.1, 0.7)) for _ in range(rng.randint(2, 4))]
+    g, _, _ = _disjoint_union([(p, (), ()) for p in parts], rng)
+    alpha = len(max_independent_set(g))
+    tokens = alpha if at_alpha or alpha == 1 else rng.randint(1, alpha - 1)
+    size = tokens if kind is IS else g.vertex_count - tokens
+    family = feasible_masks(g, kind, size)
+    if len(family) < 2:
+        return
+    start, target = (mask_to_set(m) for m in rng.sample(family, 2))
+    inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, rng.randint(1, 3)))
+    whole = exact._search(inst, exact._BudgetClock.begin(None), want_shortest=True)
+    res = solve_exact(inst, want_shortest=True)
+    assert (res.reachable, res.shortest) == (whole.reachable, whole.shortest)
+    assert solve_exact(inst).reachable == whole.reachable
+    if len(family) <= 400:
+        labels = reachability_classes(g, kind, size, inst.rule)
+        assert whole.reachable == (labels[start] == labels[target])
+
+
+@pytest.mark.parametrize("rule_kind", [RuleKind.KTJ, RuleKind.KTS])
+def test_split_needs_confined_tokens(rule_kind):
+    # Two isolated vertices, S = {0}, T = {1}: one token below the
+    # independence number 2 jumps across components, but cannot slide there.
+    inst = ReconfigInstance(new_graph(2, []), IS, {0}, {1}, Rule(rule_kind, 1))
+    res = solve_exact(inst, want_shortest=True)
+    assert res.reachable == (rule_kind is RuleKind.KTJ)
+    if res.reachable:
+        assert res.shortest.steps == (frozenset({0}), frozenset({1}))
+
+
+@pytest.mark.parametrize("kind", [IS, VC])
+@pytest.mark.parametrize("rule_kind", [RuleKind.KTJ, RuleKind.KTS])
+@pytest.mark.parametrize("c5_last", [False, True])
+def test_split_decides_a_frozen_square_among_free_pairs(kind, rule_kind, c5_last):
+    # K_{2,2} plus 30 K2s, tokens at the independence number, 1 token per
+    # step: the K_{2,2} cannot switch sides, so NO, while the whole search
+    # would meet 2^30 states on the start's side. With c5_last the K2s come
+    # first and a C5 closes the graph: its 3 first-fit cliques exceed its
+    # independence number 2, so only a search shows that it is full, and
+    # that search must not branch over the K2s before it.
+    square = (new_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), {0, 1}, {2, 3})
+    pair = (new_graph(2, [(0, 1)]), {0}, {1})
+    c5 = (new_graph(5, [(i, (i + 1) % 5) for i in range(5)]), {0, 2}, {0, 2})
+    g, start, target = _disjoint_union([pair] * 30 + [square, c5] if c5_last else [square] + [pair] * 30)
+    if kind is VC:
+        start, target = complement_set(g, start), complement_set(g, target)
+    inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, 1))
+    began = time.monotonic()
+    assert not solve_exact(inst, want_shortest=True, budget=Budget(max_seconds=10)).reachable
+    assert time.monotonic() - began < 1.0
 
 
 def _first_fit_over_all_cliques(g):
