@@ -23,7 +23,6 @@ from .errors import (
     PreconditionError,
     RekonfigError,
     ResourceBudgetError,
-    SizeMismatchError,
 )
 from .exact import Budget, solve_exact
 from .graph import FeasibilityKind, RuleKind, verify_sequence
@@ -237,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatSyntaxError, FormatSemanticsError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PreconditionError, SizeMismatchError, RekonfigError) as exc:
+    except RekonfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -293,83 +293,44 @@ def _move_generator(inst: ReconfigInstance) -> Neighbours:
     Works on independent sets; a vertex cover is handled through its
     complement, which keeps |A △ B| and the k-TS matching (the removed and
     added vertices swap roles). Moves pivot on additions: only the
-    _candidates of a state may enter it. The builders flip each move back
-    and drop the visited ones as they make them.
+    _candidates of a state may enter it. One builder, _moves, serves both
+    rules; it flips each move back and drops the visited ones as it makes
+    them.
     """
     nbr = inst.graph.neighbor_masks
     k = inst.rule.k
     flip = inst.graph.full_mask if inst.kind is FeasibilityKind.VERTEX_COVER else 0
     slide = inst.rule.kind is RuleKind.KTS
-    moves = _slides if slide else _jumps
 
     def neighbours(state: int, visited: dict[int, int | None]) -> list[int]:
         a = state ^ flip
-        new = moves(a, _candidates(a, nbr, k, slide), nbr, k, flip, visited)
+        new = _moves(a, _candidates(a, nbr, k, slide), nbr, k, slide, flip, visited)
         new.sort(key=_set_sort_key, reverse=True)
         return new
 
     return neighbours
 
 
-def _jumps(
-    a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int,
+def _moves(
+    a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int, slide: bool,
     flip: int, visited: dict[int, int | None],
 ) -> list[int]:
     """The unvisited B ^ flip over the independent sets B with
-    0 < |A - B| = |B - A| <= k.
+    0 < |A - B| = |B - A| <= k, under k-TS (slide) only those where every
+    token of A - B slides along an edge to a vertex of B - A.
 
-    E = B - A is an independent set of j candidates whose conflicts number at
-    most j; A - B is those conflicts plus j - |∪c(E)| further tokens. Groups
-    grow depth-first in candidate order and skip a candidate next to a
-    member. A group with more than min(k, t) conflicts is cut, since every
-    group that contains it has them too; one with more than j is not, since
-    further members can raise j. Each B comes from one pair (E, A - B), so no
-    B is made twice."""
-    cap = min(k, a.bit_count())
-    out: list[int] = []
-
-    def grow(rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int) -> None:
-        # moved is (A + the group so far) ^ flip; rest holds the candidates
-        # after the group's last member.
-        for i, (u, c) in enumerate(rest):
-            bit = 1 << u
-            if banned & bit:
-                continue
-            joined = conflicts | c
-            count = joined.bit_count()
-            if count > cap:
-                continue
-            if count <= j:
-                b = moved ^ bit ^ joined
-                extra = j - count
-                if extra == 0:
-                    if b not in visited:
-                        out.append(b)
-                else:
-                    free = [1 << v for v in iter_bits(a & ~joined)]
-                    drops = free if extra == 1 else map(sum, combinations(free, extra))
-                    out.extend([b ^ d for d in drops if b ^ d not in visited])
-            if j < cap:
-                grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u])
-
-    grow(candidates, 1, a ^ flip, 0, 0)
-    return out
-
-
-def _slides(
-    a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int,
-    flip: int, visited: dict[int, int | None],
-) -> list[int]:
-    """The unvisited B ^ flip over the independent sets B reached by sliding
-    j <= k tokens of A along edges.
-
-    E = B - A is an independent set of j candidates (all with non-empty
-    conflicts). Every dropped token slides to a vertex of E, so the dropped
-    set is exactly ∪c(E), which must have j tokens. A perfect matching
-    between the two needs Hall's condition, which non-empty conflicts
-    already give for j <= 2. Groups grow as in _jumps; a group with fewer
-    conflicts than members is cut too, since it breaks Hall's condition
-    inside every group that contains it."""
+    E = B - A is an independent set of j candidates. Under k-TJ, A - B is
+    the conflicts ∪c(E), at most j of them, plus j - |∪c(E)| further tokens.
+    Under k-TS every dropped token slides to E, so A - B is exactly ∪c(E),
+    which must have j tokens and a perfect matching to E; non-empty
+    conflicts give Hall's condition for j <= 2, and _hall checks it for
+    j >= 3. Groups grow depth-first in candidate order and skip a candidate
+    next to a member. A group with more than min(k, t) conflicts is cut,
+    since every group that contains it has them too; one with more than j
+    is not, since further members can raise j. Under k-TS a group with
+    fewer conflicts than members is cut too, since it breaks Hall's
+    condition inside every group that contains it. Each B comes from one
+    pair (E, A - B), so no B is made twice."""
     cap = min(k, a.bit_count())
     out: list[int] = []
 
@@ -377,18 +338,23 @@ def _slides(
         rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int,
         members: tuple[int, ...],
     ) -> None:
-        # as in _jumps; members holds the conflicts of the group so far
+        # moved is (A + the group so far) ^ flip; rest holds the candidates
+        # after the group's last member; members holds their conflicts.
         for i, (u, c) in enumerate(rest):
             bit = 1 << u
             if banned & bit:
                 continue
             joined = conflicts | c
             count = joined.bit_count()
-            if count < j or count > cap:
+            if count > cap or (slide and count < j):
                 continue
-            if count == j and (j < 3 or _hall(members + (c,))):
+            if count <= j:
                 b = moved ^ bit ^ joined
-                if b not in visited:
+                if count < j:  # k-TJ only: j - count free tokens leave too
+                    free = [1 << v for v in iter_bits(a & ~joined)]
+                    drops = free if count == j - 1 else map(sum, combinations(free, j - count))
+                    out.extend([b ^ d for d in drops if b ^ d not in visited])
+                elif b not in visited and (j < 3 or not slide or _hall(members + (c,))):
                     out.append(b)
             if j < cap:
                 grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u], members + (c,))

@@ -285,13 +285,6 @@ def adjacent_kts(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> bool:
     return has_perfect_matching_between(g, sa - sb, sb - sa)
 
 
-def adjacent_under(inst_or_rule, g: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
-    rule: Rule = inst_or_rule.rule if isinstance(inst_or_rule, ReconfigInstance) else inst_or_rule
-    if rule.kind is RuleKind.KTJ:
-        return adjacent_ktj(a, b, rule.k)
-    return adjacent_kts(g, a, b, rule.k)
-
-
 def verify_sequence(inst: ReconfigInstance, seq: ReconfigSequence) -> Verdict:
     """Check a certificate against an instance.
 
@@ -313,8 +306,10 @@ def verify_sequence(inst: ReconfigInstance, seq: ReconfigSequence) -> Verdict:
             return Verdict(False, i, f"step has size {len(s)}, expected {size}")
         if not is_feasible(inst.graph, inst.kind, s):
             return Verdict(False, i, f"step is not a feasible {inst.kind.value} set")
+    k, jump = inst.rule.k, inst.rule.kind is RuleKind.KTJ
     for i in range(1, len(steps)):
-        if not adjacent_under(inst.rule, inst.graph, steps[i - 1], steps[i]):
+        a, b = steps[i - 1], steps[i]
+        if not (adjacent_ktj(a, b, k) if jump else adjacent_kts(inst.graph, a, b, k)):
             return Verdict(
                 False, i, f"steps {i - 1} and {i} are not adjacent under the rule"
             )

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Callable
 from .errors import (
     FormatSemanticsError,
     FormatSyntaxError,
-    PreconditionError,
     RekonfigError,
 )
 from .graph import (
@@ -259,7 +258,7 @@ def parse_cnf(text: str) -> CnfFormula:
         )
     try:
         return CnfFormula(nvars, tuple(clauses))
-    except (PreconditionError, RekonfigError) as exc:
+    except RekonfigError as exc:
         raise FormatSemanticsError(str(exc))
 
 

@@ -76,6 +76,14 @@ def test_simple_sequence_preconditions(c4):
         find_simple_sequence(c4, frozenset({0, 1}), frozenset({1, 3}), 1)  # not independent
 
 
+@pytest.mark.parametrize(
+    "i, j", [({0, 2}, {1}), ({1}, {0, 2})], ids=["i-larger", "j-larger"]
+)
+def test_simple_sequence_rejects_unequal_sizes(c4, i, j):
+    with pytest.raises(PreconditionError, match="set sizes differ"):
+        find_simple_sequence(c4, frozenset(i), frozenset(j), 1)
+
+
 @given(st.integers(min_value=4, max_value=9), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
 def test_simple_sequence_soundness(n, seed):

@@ -69,6 +69,25 @@ def test_xp_vcr_mu_mismatch(capsys):
     assert code == 2 and "contradicts" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, code, expect",
+    [
+        (("xp-vcr",), (FIXTURES / "c4_is_ktj1.isr").read_text(), 2,
+         "needs a vertex-cover instance"),
+        (("xp-vcr",), (FIXTURES / "c4_vc_ktj1.isr").read_text().replace("vc ktj", "vc kts"), 2,
+         "needs the ktj rule"),
+        # without -o the reduced instance goes to stdout
+        (("reduce", "pmr2isr"), (FIXTURES / "c4.pmr").read_text(), 0, "p reconfig "),
+    ],
+    ids=["xp-vcr-is", "xp-vcr-kts", "reduce-stdout"],
+)
+def test_command_checks_and_default_output(capsys, tmp_path, argv, text, code, expect):
+    path = tmp_path / "input"
+    path.write_text(text)
+    got, out, err = run(capsys, *argv, str(path))
+    assert got == code and expect in (err if code else out)
+
+
 def test_bound_output(capsys):
     code, out, _ = run(capsys, "bound", "--n", "10", "--size", "5", "--mu", "2")
     assert code == 0

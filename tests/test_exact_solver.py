@@ -539,16 +539,28 @@ def test_search_from_both_ends_matches_state_scan(n, seed, kind, rule_kind):
 
 
 def test_slides_need_hall_condition():
-    # Conflicts c(3) = c(4) = {0} and c(5) = {1, 2}: together they hold three
-    # tokens, but 3 and 4 compete for token 0, so {0, 1, 2} -> {3, 4, 5} is
-    # a 3-TJ move and no 3-TS move; under 3-TS the target is unreachable.
-    g = new_graph(6, [(0, 3), (0, 4), (1, 5), (2, 5)])
-    for rule_kind, reachable in ((RuleKind.KTJ, True), (RuleKind.KTS, False)):
-        inst = ReconfigInstance(
-            g, IS, frozenset({0, 1, 2}), frozenset({3, 4, 5}), Rule(rule_kind, 3)
-        )
-        assert (0b111000 in exact._move_generator(inst)(0b000111, {})) == reachable
-        assert _both_ends(inst).reachable == solve_exact(inst).reachable == reachable
+    cases = [
+        # Conflicts c(3) = c(4) = {0} and c(5) = {1, 2}: together they hold
+        # three tokens, but 3 and 4 compete for token 0, so {0, 1, 2} ->
+        # {3, 4, 5} is a 3-TJ move and no 3-TS move; under 3-TS the target is
+        # unreachable. From the start the k-TS cut drops the prefix {3, 4};
+        # the search from the target end is what reaches _hall, where
+        # c(1) = c(2) = {5} breaks the condition on a pair.
+        (6, [(0, 3), (0, 4), (1, 5), (2, 5)], 0b000111, 0b111000, 3),
+        # c(4) = {2, 3} and c(5) = c(6) = c(7) = {0, 1}: every prefix of
+        # {4, 5, 6, 7} keeps enough conflicts and every pair meets Hall's
+        # condition, so only the 3-subset {5, 6, 7}, which shares the two
+        # tokens 0 and 1, shows that {0, 1, 2, 3} -> {4, 5, 6, 7} is no 4-TS move.
+        (8, [(4, 2), (4, 3)] + [(v, u) for v in (5, 6, 7) for u in (0, 1)], 0b1111, 0b11110000, 4),
+    ]
+    for n, edges, start, target, k in cases:
+        g = new_graph(n, edges)
+        for rule_kind, reachable in ((RuleKind.KTJ, True), (RuleKind.KTS, False)):
+            inst = ReconfigInstance(
+                g, IS, mask_to_set(start), mask_to_set(target), Rule(rule_kind, k)
+            )
+            assert (target in exact._move_generator(inst)(start, {})) == reachable
+            assert _both_ends(inst).reachable == solve_exact(inst).reachable == reachable
 
 
 def test_group_cut_counts_conflicts_against_min_k_t():
@@ -785,6 +797,25 @@ def test_tar_minmax_examples(c4):
     k3 = new_graph(3, [(0, 1), (1, 2), (0, 2)])
     assert solve_tar_minmax(k3, frozenset({0, 1}), frozenset({0, 2})).value == 3
     assert solve_tar_minmax(k3, frozenset({0, 1}), frozenset({0, 1})).value == 2
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda g: feasible_masks(g, IS, 5), "size 5 out of range"),
+        (lambda g: feasible_masks(g, VC, -1), "size -1 out of range"),
+        (lambda g: solve_tar_maxmin(g, frozenset({0, 1}), frozenset({0, 2})),
+         "i is not an independent set"),
+        (lambda g: solve_tar_maxmin(g, frozenset({0, 2}), frozenset({0, 1})),
+         "j is not an independent set"),
+        (lambda g: solve_tar_minmax(g, frozenset({0}), frozenset({0, 2})),
+         "s is not a vertex cover"),
+    ],
+    ids=["enumerate-above-n", "enumerate-negative", "tar-i", "tar-j", "tar-cover"],
+)
+def test_input_checks(c4, call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call(c4)
 
 
 TAR_SOLVERS = ((IS, solve_tar_maxmin, is_independent_set), (VC, solve_tar_minmax, is_vertex_cover))

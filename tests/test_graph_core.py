@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rekonfig.errors import GraphConstructionError, SizeMismatchError
+from rekonfig.errors import GraphConstructionError, PreconditionError, SizeMismatchError
 from rekonfig.graph import (
     FeasibilityKind,
     ReconfigInstance,
     ReconfigSequence,
     Rule,
     RuleKind,
+    Verdict,
     adjacent_ktj,
     adjacent_kts,
+    check_vertex_set,
     closed_neighborhood,
     complement_set,
     is_independent_set,
@@ -132,6 +134,18 @@ def test_verify_mutations_reject(c4):
     ]
     for bad in mutations:
         assert not verify_sequence(inst, bad).accepted
+
+
+@pytest.mark.parametrize("vertex", [-1, 4])
+def test_out_of_range_vertices_are_refused(c4, vertex):
+    with pytest.raises(PreconditionError, match=f"vertex {vertex} out of range"):
+        check_vertex_set(c4, {0, vertex})
+    inst = ReconfigInstance(
+        c4, FeasibilityKind.INDEPENDENT_SET, frozenset({0}), frozenset({2}),
+        Rule(RuleKind.KTJ, 1),
+    )
+    bad = ReconfigSequence((frozenset({0}), frozenset({vertex}), frozenset({2})))
+    assert verify_sequence(inst, bad) == Verdict(False, 1, "step contains an out-of-range vertex")
 
 
 def test_closed_neighborhood(c4):

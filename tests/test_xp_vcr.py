@@ -429,6 +429,39 @@ def test_xp_precondition_errors(c4):
         xp_vcr_solve(star, frozenset({0}), frozenset({1, 2}), 1)  # sizes differ
 
 
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda g: clique_edge_oracle(g, {0}, {0, 1}, 2, S13, T24),
+         (PreconditionError, "subset sizes differ")),
+        # cover size 5 leaves 4 vertices to pick from the 3 outside Z = {0}
+        (lambda g: clique_edge_oracle(g, {0}, {0}, 5, S13, T24), False),
+        (lambda g: build_clique_compressed_graph(g, {0, 1}, T24, 1),
+         (PreconditionError, "s is not a vertex cover")),
+        (lambda g: build_clique_compressed_graph(g, S13, {0, 1, 2}, 1),
+         (PreconditionError, "cover sizes differ")),
+        (lambda g: build_clique_compressed_graph(g, S13, T24, 1, Budget(max_states=3)),
+         (ResourceBudgetError, r"C\(4,1\) nodes exceed")),
+        # a NO, so the query reaches the coverable pass over all C(4, 1) nodes
+        (lambda g: xp_vcr_solve(g, S13, T24, 1, Budget(max_states=3)),
+         (ResourceBudgetError, r"C\(4,1\) nodes exceed")),
+        (lambda g: xp_vcr_solve(g, S13, T24, -1), (PreconditionError, "mu must lie in")),
+        (lambda g: xp_vcr_solve(g, S13, T24, 3), (PreconditionError, "mu must lie in")),
+        (lambda g: xp_vcr_solve(g, S13, T24, 2), (PreconditionError, "must be >= 1")),
+    ],
+    ids=[
+        "oracle-sizes", "oracle-no-room", "build-non-cover", "build-sizes", "build-budget",
+        "solve-budget", "solve-mu-negative", "solve-mu-above-size", "solve-k-zero",
+    ],
+)
+def test_input_checks(c4, call, outcome):
+    if isinstance(outcome, tuple):
+        with pytest.raises(outcome[0], match=outcome[1]):
+            call(c4)
+    else:
+        assert call(c4) is outcome
+
+
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=100, deadline=None)
 def test_xp_matches_exact_solver(n, seed):
