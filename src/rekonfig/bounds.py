@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
-from .exact import Budget, _BudgetClock, _independent_masks
+from .exact import Budget, _BudgetClock, _first_independent
 from .graph import (
     Graph,
     ReconfigSequence,
@@ -83,8 +83,8 @@ def find_simple_sequence(
     b = frozenset(sorted(sj)[:mu])
     removed = closed_neighborhood(g, a | b)
     sub, old_ids = g.induced_subgraph(set(range(g.vertex_count)) - removed)
-    first = _independent_masks(sub, len(si) - mu, _BudgetClock.begin(budget), limit=0)
-    if not first:
+    first = _first_independent(sub, len(si) - mu, _BudgetClock.begin(budget))
+    if first is None:
         return None
-    star = frozenset(old_ids[v] for v in iter_bits(first[0]))
+    star = frozenset(old_ids[v] for v in iter_bits(first))
     return ReconfigSequence((si, a | star, b | star, sj))

@@ -145,7 +145,7 @@ def _cmd_oracle(args) -> int:
 
     if args.problem == "sat":
         phi = io_formats.parse_cnf(_read(args.input))
-        witness = sat_decide(phi, SatMode(args.mode))
+        witness = sat_decide(phi, SatMode(args.mode), _budget(args))
         if witness is not None:
             model = " ".join(
                 str(i + 1 if val else -(i + 1)) for i, val in enumerate(witness.values)
@@ -154,10 +154,10 @@ def _cmd_oracle(args) -> int:
         return _verdict(witness is not None)
     if args.problem == "ncl":
         machine, cs, ct = io_formats.parse_ncl(_read(args.input))
-        return _verdict(ncl_reachable(machine, cs, ct))
+        return _verdict(ncl_reachable(machine, cs, ct, _budget(args)))
     if args.problem == "pmr":
         g, ms, mt = io_formats.parse_pmr(_read(args.input))
-        return _verdict(pmr_reachable(g, ms, mt))
+        return _verdict(pmr_reachable(g, ms, mt, _budget(args)))
     raise PreconditionError(f"unknown oracle {args.problem}")  # pragma: no cover
 
 

@@ -3,8 +3,12 @@ exact maximum independent set / minimum vertex cover, and token-addition-
 removal (TAR) value computation.
 
 One independent-set search, an iterative include-first DFS with a clique
-bound, lists the feasible sets of one size; the maximum independent set and
-the shortcut of `bounds.find_simple_sequence` ask it for a first set only.
+bound, walks the sets of one size as blocks: a branch with one or two tokens
+left is counted with popcounts instead of being split. Three thin callers
+read the blocks. The full family expands them all. The maximum independent
+set, the split's probes and the shortcut of `bounds.find_simple_sequence`
+read the first set off the first block. `solve_exact` adds up the counts
+only until they show whether the family is small enough to scan.
 
 `solve_exact` decides a disconnected instance one component at a time when
 no move can change how many tokens a component holds; otherwise, and for
@@ -21,7 +25,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import PreconditionError, ResourceBudgetError
 from .graph import (
@@ -142,54 +146,113 @@ def _clique_bound(cliques: list[int], candidates: int) -> int:
     return b
 
 
-_FLUSH_IDS = 4096  # vertex ids per part of a flush, so at most that many completions
-_FLUSH_MASK = (1 << _FLUSH_IDS) - 1
+# Vertex ids per part of a block's expansion, so at most that many sets
+# per part; also the candidates between two clock reads.
+_CHUNK = 4096
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+# A block holds the independent sets of a DFS node that is at most two
+# tokens short: (count, chosen, candidates, remaining). Its sets are chosen
+# plus `remaining` mutually non-adjacent candidates; count is how many.
+Block = tuple[int, int, int, int]
 
 
-def _independent_masks(
-    g: Graph, size: int, clock: _BudgetClock, limit: int | None = None
-) -> list[int]:
-    """All independent sets of exactly `size`, as bitmasks, in lexicographic
+def _independent_blocks(g: Graph, size: int, clock: _BudgetClock) -> Iterator[Block]:
+    """The independent sets of exactly `size` as blocks, in lexicographic
     order of the underlying vertex tuples (include-first DFS over ascending
-    ids gives exactly that order).
+    ids gives exactly that order); empty blocks are skipped.
 
     The DFS keeps its open nodes (candidates, chosen, tokens still to place)
     on an explicit stack, so no input is too deep for it. Each node is
-    charged once, and so is each completion: a node one token short flushes
-    its candidates as completions, at most 4096 vertex ids at a time, each
-    part paid for before it is stored.
-
-    With a limit, the enumeration stops as soon as it holds more than
-    `limit` sets; a result longer than `limit` is then an incomplete prefix
-    of the family, good only for its length."""
-    masks = g.neighbor_masks
-    cliques = _clique_partition_masks(g, clock)
+    charged once. A node with three or more tokens to place is pruned by the
+    clique bound or split. A node one or two tokens short becomes a block at
+    once, counted by popcounts, which decide it exactly: one token short,
+    its candidates; two short, each candidate's later non-neighbours among
+    them, with the clock read once per 4096 candidates. Counting charges no
+    set: a caller charges the sets it builds."""
     if size == 0:
-        return [0]
-    out: list[int] = []
+        clock.charge()
+        yield 1, 0, 0, 0
+        return
+    masks = g.neighbor_masks
+    cliques = _clique_partition_masks(g, clock) if size > 2 else []
     stack = [(g.full_mask, 0, size)]
     while stack:
         candidates, chosen, remaining = stack.pop()
         clock.charge()
-        if candidates.bit_count() < remaining or _clique_bound(cliques, candidates) < remaining:
+        if remaining > 2:
+            if candidates.bit_count() < remaining or _clique_bound(cliques, candidates) < remaining:
+                continue
+            bit = candidates & -candidates  # lowest remaining candidate, kept lexicographic
+            rest = candidates ^ bit
+            stack.append((rest, chosen, remaining))  # exclude it, after
+            stack.append((rest & ~masks[bit.bit_length() - 1], chosen | bit, remaining - 1))
             continue
         if remaining == 1:
-            base = 0
-            while candidates:
-                part = candidates & _FLUSH_MASK
-                clock.charge(part.bit_count())
-                for w in iter_bits(part):
-                    out.append(chosen | 1 << (base + w))
-                candidates >>= _FLUSH_IDS
-                base += _FLUSH_IDS
-            if limit is not None and len(out) > limit:
-                break
-            continue
-        bit = candidates & -candidates  # lowest remaining candidate, kept lexicographic
-        rest = candidates ^ bit
-        stack.append((rest, chosen, remaining))  # exclude it, after
-        stack.append((rest & ~masks[bit.bit_length() - 1], chosen | bit, remaining - 1))
+            count = candidates.bit_count()
+        else:
+            count = sum(later.bit_count() for _, later in _pairs(candidates, masks, clock))
+        if count:
+            yield count, chosen, candidates, remaining
+
+
+def _pairs(
+    candidates: int, masks: tuple[int, ...], clock: _BudgetClock
+) -> Iterator[tuple[int, int]]:
+    """(bit of v, the later candidates not adjacent to v) for every
+    candidate v, ascending; the clock is read once per 4096 candidates."""
+    left = candidates.bit_count()
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        left -= 1
+        if left and not left % _CHUNK:
+            clock.check_time()
+        yield low, candidates & ~masks[low.bit_length() - 1]
+
+
+def _block_sets(
+    blocks: Iterable[Block], masks: tuple[int, ...], clock: _BudgetClock
+) -> list[int]:
+    """Every set of the blocks, in order. The sets of one chosen set are
+    built in parts of at most 4096 vertex ids, each part charged before it
+    is stored, so the clock is read at least once per 4096 sets."""
+    out: list[int] = []
+
+    def extend(chosen: int, bits: int) -> None:
+        base = 0
+        while bits:
+            part = bits & _CHUNK_MASK
+            clock.charge(part.bit_count())
+            out.extend([chosen | 1 << (base + w) for w in iter_bits(part)])
+            bits >>= _CHUNK
+            base += _CHUNK
+
+    for _, chosen, candidates, remaining in blocks:
+        if remaining == 0:
+            clock.charge()
+            out.append(chosen)
+        elif remaining == 1:
+            extend(chosen, candidates)
+        else:
+            for low, later in _pairs(candidates, masks, clock):
+                extend(chosen | low, later)
     return out
+
+
+def _first_independent(g: Graph, size: int, clock: _BudgetClock) -> int | None:
+    """The lexicographically first independent set of exactly `size`, or
+    None: read off the first block, whose other sets are neither built nor
+    charged."""
+    block = next(_independent_blocks(g, size, clock), None)
+    if block is None:
+        return None
+    _, chosen, candidates, remaining = block
+    if remaining == 2:
+        low, candidates = next(p for p in _pairs(candidates, g.neighbor_masks, clock) if p[1])
+        chosen |= low
+    clock.charge()
+    return chosen | candidates & -candidates
 
 
 def _set_sort_key(mask: int) -> str:
@@ -200,18 +263,53 @@ def _set_sort_key(mask: int) -> str:
     return bin(mask)[:1:-1]
 
 
-def _feasible_masks(
-    g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock, limit: int | None = None
-) -> list[int]:
-    """feasible_masks on the caller's clock; `limit` as in _independent_masks."""
+def _feasible_blocks(
+    g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock
+) -> Iterator[Block]:
+    """The blocks of the independent sets behind the feasible sets of
+    `size`: those sets themselves, or for vertex covers their complements."""
     if not (0 <= size <= g.vertex_count):
         raise PreconditionError(f"size {size} out of range for {g.vertex_count} vertices")
+    if kind is FeasibilityKind.VERTEX_COVER:
+        size = g.vertex_count - size
+    return _independent_blocks(g, size, clock)
+
+
+def _family(
+    g: Graph, kind: FeasibilityKind, blocks: Iterable[Block], clock: _BudgetClock
+) -> list[int]:
+    """The feasible sets behind `blocks`, lexicographically ordered. Vertex
+    covers come through the complement identity: x is a cover iff V minus x
+    is independent."""
+    masks = _block_sets(blocks, g.neighbor_masks, clock)
     if kind is FeasibilityKind.INDEPENDENT_SET:
-        return _independent_masks(g, size, clock, limit)
+        return masks
     full = g.full_mask
-    covers = [full ^ m for m in _independent_masks(g, g.vertex_count - size, clock, limit)]
+    covers = [full ^ m for m in masks]
     covers.sort(key=_set_sort_key, reverse=True)
     return covers
+
+
+def _feasible_masks(g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock) -> list[int]:
+    """feasible_masks on the caller's clock."""
+    return _family(g, kind, _feasible_blocks(g, kind, size, clock), clock)
+
+
+def _family_within(
+    g: Graph, kind: FeasibilityKind, size: int, cap: int, clock: _BudgetClock
+) -> list[int] | None:
+    """The feasible family of `size` if it holds at most `cap` sets, else
+    None. The block counts are added up as the blocks come, and the walk
+    stops once they pass cap, with no set built or charged; otherwise the
+    walked blocks are expanded, so the family is walked only once."""
+    walked: list[Block] = []
+    total = 0
+    for block in _feasible_blocks(g, kind, size, clock):
+        total += block[0]
+        if total > cap:
+            return None
+        walked.append(block)
+    return _family(g, kind, walked, clock)
 
 
 def feasible_masks(
@@ -227,15 +325,15 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> VertexSet:
     """Exact maximum independent set, the lexicographically first one.
 
     First fit in id order gives the lexicographically first maximal set;
-    while the enumeration finds an independent set one larger, its first
-    one takes over."""
+    while the search finds an independent set one larger, its first one
+    takes over."""
     clock = _BudgetClock.begin(budget)
     best = 0
     for v, nv in enumerate(g.neighbor_masks):
         if not nv & best:
             best |= 1 << v
-    while larger := _independent_masks(g, best.bit_count() + 1, clock, limit=0):
-        best = larger[0]
+    while (larger := _first_independent(g, best.bit_count() + 1, clock)) is not None:
+        best = larger
     return mask_to_set(best)
 
 
@@ -549,7 +647,7 @@ def _split_verdict(inst: ReconfigInstance, clock: _BudgetClock) -> SolveResult |
             continue
         sub, old = inst.graph.induced_subgraph(comp)
         tokens = len(comp) - len(s) if cover else len(s)
-        if jump and _independent_masks(sub, tokens + 1, clock, limit=0):
+        if jump and _first_independent(sub, tokens + 1, clock) is not None:
             return None
         if s != t:
             new = {v: i for i, v in enumerate(old)}
@@ -591,17 +689,18 @@ def solve_exact(
 def _search(inst: ReconfigInstance, clock: _BudgetClock, want_shortest: bool) -> SolveResult:
     """solve_exact's search of the whole instance, on the caller's clock.
 
-    The feasible sets are counted only until they outnumber twice the
-    per-state move estimate. If they do, moves are generated without the
-    family; otherwise the complete small family is scanned. Either way the
+    The feasible sets are counted block by block, only until they outnumber
+    twice the per-state move estimate (_family_within). If they do, moves
+    are generated and no set of the family is built; otherwise the complete
+    small family is built from the counted blocks and scanned. Either way the
     BFS runs from both ends, and one budget clock covers the counting and
     the search."""
     size = len(inst.start)
     cap = 2 * _move_estimate(inst)
-    states = _feasible_masks(inst.graph, inst.kind, size, clock, limit=cap)
+    states = _family_within(inst.graph, inst.kind, size, cap, clock)
     adjacent = _rule_adjacency(inst.graph, inst.rule, size)
     # cost: adjacency tests that one expansion is worth, for _bfs_both_ends
-    if len(states) > cap:
+    if states is None:
         neighbours, cost = _move_generator(inst), cap // 2
     else:
         neighbours, cost = _state_scan(states, adjacent), len(states)

@@ -10,14 +10,27 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import PreconditionError, ResourceBudgetError
+from .exact import Budget, _BudgetClock
 from .graph import Graph
 from .matching import Matching
+
+T = TypeVar("T")
 
 SAT_VARIABLE_BUDGET = 24
 NCL_EDGE_BUDGET = 20
 PMR_VERTEX_BUDGET = 16
+
+
+def _reading(items: Iterable[T], clock: _BudgetClock) -> Iterator[T]:
+    """The items in order, with the clock read before every 4096th item, so
+    its time limit bounds the loop."""
+    for i, item in enumerate(items):
+        if not i % 4096:
+            clock.check_time()
+        yield item
 
 
 @dataclass(frozen=True)
@@ -78,11 +91,15 @@ class SatMode(Enum):
     MIXED = "mixed"
 
 
-def sat_decide(phi: CnfFormula, mode: SatMode = SatMode.ANY) -> Assignment | None:
+def sat_decide(
+    phi: CnfFormula, mode: SatMode = SatMode.ANY, budget: Budget | None = None
+) -> Assignment | None:
     """First satisfying assignment in enumeration order, or None.
 
     Variable 1 is the fastest-varying bit, so the witness is deterministic.
-    MIXED skips the all-false and all-true assignments.
+    MIXED skips the all-false and all-true assignments. The budget's time
+    limit (the default Budget's when None) is checked once per 4096
+    assignments.
     """
     n = phi.variable_count
     if n > SAT_VARIABLE_BUDGET:
@@ -99,7 +116,7 @@ def sat_decide(phi: CnfFormula, mode: SatMode = SatMode.ANY) -> Assignment | Non
         pos.append(p)
         neg.append(nmask)
     full = (1 << n) - 1
-    for a in range(1 << n):
+    for a in _reading(range(1 << n), _BudgetClock.begin(budget)):
         if mode is SatMode.MIXED and (a == 0 or a == full):
             continue
         if all(p & a or nm & ~a for p, nm in zip(pos, neg)):
@@ -217,8 +234,12 @@ def _ncl_neighbors(m: NclMachine, cfg: NclConfig) -> list[NclConfig]:
     return out
 
 
-def ncl_reachable(m: NclMachine, cs: NclConfig, ct: NclConfig) -> bool:
-    """BFS over valid configurations under single-edge reversal."""
+def ncl_reachable(
+    m: NclMachine, cs: NclConfig, ct: NclConfig, budget: Budget | None = None
+) -> bool:
+    """BFS over valid configurations under single-edge reversal. The
+    budget's time limit (the default Budget's when None) is checked once
+    per configuration taken from the queue."""
     for name, c in (("source", cs), ("target", ct)):
         if not config_is_valid(m, c):
             raise PreconditionError(f"{name} configuration is invalid")
@@ -228,9 +249,11 @@ def ncl_reachable(m: NclMachine, cs: NclConfig, ct: NclConfig) -> bool:
         )
     if cs == ct:
         return True
+    clock = _BudgetClock.begin(budget)
     seen = {cs.heads}
     queue = deque([cs])
     while queue:
+        clock.check_time()
         cur = queue.popleft()
         for nxt in _ncl_neighbors(m, cur):
             if nxt.heads in seen:
@@ -261,7 +284,13 @@ def is_perfect_matching(g: Graph, m: Matching) -> bool:
 def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
     """All perfect matchings by backtracking on the lowest-id uncovered
     vertex, partners tried in ascending order. Odd vertex count gives the
-    empty list (not an error)."""
+    empty list (not an error). The default Budget's time limit applies."""
+    return _perfect_matchings(g, _BudgetClock.begin(None))
+
+
+def _perfect_matchings(g: Graph, clock: _BudgetClock) -> list[Matching]:
+    """enumerate_perfect_matchings on the caller's clock, read before every
+    4096th partial matching tried, the first one included."""
     if g.vertex_count > PMR_VERTEX_BUDGET:
         raise ResourceBudgetError(
             f"{g.vertex_count} vertices exceed the PMR budget {PMR_VERTEX_BUDGET}"
@@ -272,9 +301,13 @@ def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
     chosen: list[tuple[int, int]] = []
     covered = 0
     full = g.full_mask
+    tried = 0
 
     def rec() -> None:
-        nonlocal covered
+        nonlocal covered, tried
+        if not tried % 4096:
+            clock.check_time()
+        tried += 1
         if covered == full:
             out.append(frozenset(chosen))
             return
@@ -293,9 +326,12 @@ def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
     return out
 
 
-def pmr_reachable(g: Graph, ms: Matching, mt: Matching) -> bool:
+def pmr_reachable(g: Graph, ms: Matching, mt: Matching, budget: Budget | None = None) -> bool:
     """BFS over perfect matchings where adjacency is the flip operation:
-    symmetric difference of exactly four edges (necessarily a 4-cycle)."""
+    symmetric difference of exactly four edges (necessarily a 4-cycle). The
+    budget's time limit (the default Budget's when None) covers the
+    enumeration and the BFS, and is checked once per 4096 matchings either
+    of them walks."""
     for name, m in (("start", ms), ("target", mt)):
         if not is_perfect_matching(g, frozenset(m)):
             raise PreconditionError(f"{name} matching is not a perfect matching of the graph")
@@ -303,12 +339,13 @@ def pmr_reachable(g: Graph, ms: Matching, mt: Matching) -> bool:
     mt = frozenset(mt)
     if ms == mt:
         return True
-    matchings = enumerate_perfect_matchings(g)
+    clock = _BudgetClock.begin(budget)
+    matchings = _perfect_matchings(g, clock)
     seen = {ms}
     queue = deque([ms])
     while queue:
         cur = queue.popleft()
-        for cand in matchings:
+        for cand in _reading(matchings, clock):
             if cand in seen or len(cur ^ cand) != 4:
                 continue
             if cand == mt:

@@ -241,6 +241,38 @@ def test_xp_vcr_time_budget_exit_code(capsys, tmp_path):
     assert code == 3 and out == "" and "budget" in err
 
 
+def _unsat_cnf_24() -> str:
+    # 24 variables, clauses x1 and -x1: every one of the 2^24 assignments
+    # is tried, about 20 s without a budget.
+    return "p cnf 24 2\n1 0\n-1 0\n"
+
+
+def _k16_pmr() -> str:
+    # K_16, from {1-2, 3-4, ...} to {1-3, 2-4, 5-7, 6-8, ...}: the oracle
+    # enumerates all 2,027,025 perfect matchings before its BFS, which ran
+    # on past 30 s without a budget.
+    n = 16
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    lines = [f"p pmr {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+    lines.append("matching s")
+    lines += [f"m {v} {v + 1}" for v in range(1, n, 2)]
+    lines.append("matching t")
+    lines += [f"m {b + i} {b + i + 2}" for b in range(1, n, 4) for i in (0, 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "problem, text", [("sat", _unsat_cnf_24()), ("pmr", _k16_pmr())], ids=["sat", "pmr"]
+)
+def test_oracle_time_budget_exit_code(capsys, tmp_path, problem, text):
+    path = tmp_path / f"input.{problem}"
+    path.write_text(text)
+    began = time.monotonic()
+    code, out, err = run(capsys, "--budget-secs", "1", "oracle", problem, str(path))
+    assert code == 3 and out == "" and "budget" in err
+    assert time.monotonic() - began < 1 + 1.0
+
+
 @pytest.mark.parametrize(
     "argv, header",
     [

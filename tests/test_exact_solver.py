@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -66,48 +67,50 @@ def test_enumerate_matches_brute_force(n, seed, kind):
         assert len(got) == len(set(got))
 
 
-def _recursive_independent_masks(g, size, clock, limit=None):
+def _recursive_independent_masks(g, size, clock):
     """Reference enumeration: the include-first DFS written as a recursion,
-    one call per decided vertex, with the same bound and the same charges;
-    at a limit it stops after the flush that passes it."""
-    cliques = exact._clique_partition_masks(g, clock)
-    if size == 0:
-        return [0]
+    one call per decided vertex, with the same bound and the same charges.
+    Every node is charged once; the sets of a node one or two tokens short
+    are listed by brute force and charged as they are stored."""
+    cliques = exact._clique_partition_masks(g, clock) if size > 2 else []
     out = []
 
     def rec(candidates, chosen, remaining):
         clock.charge()
+        if remaining <= 2:
+            found = [
+                chosen | sum(c)
+                for c in combinations([1 << v for v in iter_bits(candidates)], remaining)
+                if is_independent_set(g, mask_to_set(sum(c)))
+            ]
+            clock.charge(len(found))
+            out.extend(found)
+            return
         if candidates.bit_count() < remaining or exact._clique_bound(cliques, candidates) < remaining:
-            return False
-        if remaining == 1:
-            clock.charge(candidates.bit_count())
-            out.extend(chosen | 1 << w for w in iter_bits(candidates))
-            return limit is not None and len(out) > limit
+            return
         bit = candidates & -candidates
         rest = candidates ^ bit
         v = bit.bit_length() - 1
-        return rec(rest & ~g.neighbor_masks[v], chosen | bit, remaining - 1) or rec(
-            rest, chosen, remaining
-        )
+        rec(rest & ~g.neighbor_masks[v], chosen | bit, remaining - 1)
+        rec(rest, chosen, remaining)
 
     rec(g.full_mask, 0, size)
     return out
 
 
-@given(
-    st.integers(min_value=0, max_value=16),
-    st.integers(min_value=0, max_value=10**6),
-    st.sampled_from([None, 0, 3]),
-)
+@given(st.integers(min_value=0, max_value=16), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=200, deadline=None)
-def test_enumeration_matches_the_recursive_reference_and_its_charges(n, seed, limit):
+def test_enumeration_matches_the_recursive_reference_and_its_charges(n, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.uniform(0.05, 0.7))
     for size in range(n + 2):
         clock, reference = exact._BudgetClock.begin(None), exact._BudgetClock.begin(None)
-        got = exact._independent_masks(g, size, clock, limit)
-        assert got == _recursive_independent_masks(g, size, reference, limit)
+        blocks = list(exact._independent_blocks(g, size, clock))
+        got = exact._block_sets(blocks, g.neighbor_masks, clock)
+        assert got == _recursive_independent_masks(g, size, reference)
         assert clock.counted == reference.counted
+        for block in blocks:
+            assert block[0] == len(exact._block_sets([block], g.neighbor_masks, clock)) > 0
 
 
 def test_solve_exact_c4(c4):
@@ -152,7 +155,7 @@ def test_solve_exact_one_clock_for_enumeration_and_search():
         g, IS, frozenset({0, 2, 4}), frozenset({5, 7, 9}), Rule(RuleKind.KTJ, 1)
     )
     clock = exact._BudgetClock.begin(None)
-    exact._feasible_masks(g, IS, 3, clock, limit=2 * exact._move_estimate(inst))
+    assert exact._family_within(g, IS, 3, 2 * exact._move_estimate(inst), clock) is None
     prefix = clock.counted
     assert _both_ends(inst, clock=clock).explored_states > 0
     total = clock.counted
@@ -355,6 +358,55 @@ def test_bulk_charge_reads_the_clock_when_it_crosses_a_multiple_of_4096():
         clock.charge(1000)  # 4000 -> 5000 steps over 4096 without landing on it
 
 
+@pytest.mark.parametrize(
+    "n, edges, size",
+    [(8193, [(0, v) for v in range(1, 8193)], 1), (130, [], 2)],
+    ids=["8,193 singletons of a star", "8,385 pairs of 130 isolated vertices"],
+)
+def test_building_a_kept_family_reads_the_clock_once_per_4096_sets(monkeypatch, n, edges, size):
+    # Counting a block charges none of its sets; building them charges each
+    # one and reads the clock as the list grows, whether one block holds the
+    # sets or many short runs of them do.
+    reads = []
+    monkeypatch.setattr(exact._BudgetClock, "check_time", lambda self: reads.append(self))
+    g = new_graph(n, edges)
+    clock = exact._BudgetClock.begin(None)
+    blocks = list(exact._independent_blocks(g, size, clock))
+    counted, before = clock.counted, len(reads)
+    family = exact._block_sets(blocks, g.neighbor_masks, clock)
+    assert len(family) == sum(count for count, *_ in blocks) == clock.counted - counted
+    assert len(reads) - before >= len(family) // 4096
+
+
+def test_counting_two_token_blocks_reads_the_clock_once_per_4096_candidates(monkeypatch):
+    # The 8,193 vertices of the star are one two-token block, counted by one
+    # popcount per candidate; only its node is charged.
+    reads = []
+    monkeypatch.setattr(exact._BudgetClock, "check_time", lambda self: reads.append(self))
+    n = 8193
+    g = new_graph(n, [(0, v) for v in range(1, n)])
+    clock = exact._BudgetClock.begin(None)
+    count, *_ = next(exact._independent_blocks(g, 2, clock))
+    assert count == (n - 1) * (n - 2) // 2 and clock.counted == 1
+    assert len(reads) >= n // 4096
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [(8193, [(0, v) for v in range(1, 8193)]), (3200, [])],
+    ids=["star K_1,8192", "3,200 isolated vertices"],
+)
+def test_a_family_too_large_to_scan_is_not_charged_to_the_default_budget(n, edges):
+    # Their 33.5M and 5.1M independent pairs exceed the default state budget;
+    # counting them must not spend it, so the move generator decides both.
+    inst = ReconfigInstance(
+        new_graph(n, edges), IS, frozenset({1, 2}), frozenset({3, 4}), Rule(RuleKind.KTJ, 1)
+    )
+    result = solve_exact(inst, want_shortest=True)
+    assert result.reachable
+    assert [sorted(s) for s in result.shortest.steps] == [[1, 2], [1, 3], [3, 4]]
+
+
 def _random_instance(n, seed, kind, rule_kind) -> ReconfigInstance | None:
     """Two random feasible sets of one size on a random graph, k up to their
     size; None when no size has two feasible sets."""
@@ -367,6 +419,33 @@ def _random_instance(n, seed, kind, rule_kind) -> ReconfigInstance | None:
     size = family[0].bit_count()
     start, target = (mask_to_set(m) for m in rng.sample(family, 2))
     return ReconfigInstance(g, kind, start, target, Rule(rule_kind, rng.randint(1, size)))
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_counts_decide_the_source_and_give_the_first_sets(n, seed, kind, rule_kind):
+    # _search keeps the family iff it holds at most twice the move estimate,
+    # and the callers that want one set get the family's first.
+    inst = _random_instance(n, seed, kind, rule_kind)
+    if inst is None:
+        return
+    g, size = inst.graph, len(inst.start)
+    family = feasible_masks(g, kind, size)
+    cap = 2 * exact._move_estimate(inst)
+    for limit in (cap, 0, len(family) - 1, len(family)):
+        within = exact._family_within(g, kind, size, limit, exact._BudgetClock.begin(None))
+        assert within == (None if len(family) > limit else family)
+    clock = exact._BudgetClock.begin(None)
+    for t in range(n + 2):
+        sets = feasible_masks(g, IS, t) if t <= n else []
+        assert exact._first_independent(g, t, clock) == (sets[0] if sets else None)
+    alpha = max(t for t in range(n + 1) if feasible_masks(g, IS, t))
+    assert max_independent_set(g) == mask_to_set(feasible_masks(g, IS, alpha)[0])
 
 
 def _sources(inst):

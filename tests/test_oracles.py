@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rekonfig.errors import PreconditionError, ResourceBudgetError
+from rekonfig.exact import Budget
+from rekonfig.graph import new_graph
 from rekonfig.oracles import (
     CnfFormula,
     NclConfig,
@@ -194,3 +196,25 @@ def test_pmr_examples(c4):
     assert pmr_reachable(c4, pms[0], pms[0])
     with pytest.raises(PreconditionError):
         pmr_reachable(c4, frozenset({(0, 1)}), pms[0])
+
+
+def _oracle_calls():
+    m = k4_machine()
+    configs = ncl_valid_configs(m)
+    c4 = new_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    pms = enumerate_perfect_matchings(c4)
+    return {
+        "sat": lambda budget: sat_decide(FIG_FORMULA, SatMode.MIXED, budget),
+        "ncl": lambda budget: ncl_reachable(m, configs[0], configs[-1], budget),
+        "pmr": lambda budget: pmr_reachable(c4, pms[0], pms[1], budget),
+    }
+
+
+@pytest.mark.parametrize("name", ["sat", "ncl", "pmr"])
+def test_oracles_check_a_given_time_budget(name):
+    # An oracle reads its budget's clock from the first step on; an ample
+    # budget changes no answer, and None means the default one.
+    call = _oracle_calls()[name]
+    assert call(Budget()) == call(None)
+    with pytest.raises(ResourceBudgetError, match="time budget"):
+        call(Budget(max_seconds=-1.0))
