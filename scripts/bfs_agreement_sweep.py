@@ -30,10 +30,19 @@ solve_tar_minmax(g, s, t).value <= |S| + 1 for covers, must hold iff the
 two labels agree. Every graph with a K_{k+1,k+1} is a disjoint union, and
 where its tokens cannot leave their parts, solve_exact decides a pair part
 by part; each pair that takes that split is also checked on its own, YES
-and NO, against the labels. Prints one row per rule and k with how many solves took each
-path, how many took the split and how many pairs were checked against TAR,
-and exits non-zero on a mismatch, when a row has no solve on one of the two
-paths, or when no row has a split solve.
+and NO, against the labels.
+
+A last row, 4-TS, checks fixed graphs whose start and target are no move
+only because three vertices of the target share two tokens: Hall's
+condition fails on a 3-subset (hall_graphs). The random rows did not catch
+a move generator that skips that check (exact._hall); here such a generator
+answers YES on every graph it decides. Each of these graphs is checked on
+that pair and on sampled pairs, as above.
+
+Prints one row per rule and k with how many solves took each path, how many
+took the split and how many pairs were checked against TAR, and exits
+non-zero on a mismatch, when a row has no solve on one of the two paths, or
+when no row has a split solve.
 
 Usage:
     python scripts/bfs_agreement_sweep.py [--graphs 10] [--pairs 10] [--seed 1]
@@ -60,6 +69,7 @@ from rekonfig.graph import (
     ReconfigInstance,
     Rule,
     RuleKind,
+    complement_set,
     new_graph,
     set_to_mask,
     verify_sequence,
@@ -153,6 +163,47 @@ def pairs(rng, labels, count):
             yield rng.choice(a), rng.choice(b)
 
 
+def check(inst, labels, row):
+    """Solve one pair, compare it with the labels as described above and
+    count it into the row."""
+    s, target = inst.start, inst.target
+    res = solve_exact(inst, want_shortest=True)
+    row["solves"] += 1
+    row["yes"] += res.reachable
+    row["generator"] += len(labels) > 2 * exact._move_estimate(inst)
+    agree = res.reachable == (labels[s] == labels[target])
+    by_parts = exact._split_verdict(inst, exact._BudgetClock.begin(None))
+    if by_parts is not None:
+        row["split"] += 1
+        agree = agree and by_parts.reachable == res.reachable
+    if res.reachable:
+        family = [set_to_mask(x) for x in labels]
+        agree = (
+            agree
+            and verify_sequence(inst, res.shortest).accepted
+            and res.shortest.length == shortest_length(inst, family)
+        )
+    if inst.rule == Rule(RuleKind.KTJ, 1):
+        row["tar"] += 1
+        agree = agree and tar_connects(inst) == (labels[s] == labels[target])
+    row["mismatch"] += not agree
+
+
+def hall_graphs():
+    """The graphs of the 4-TS row. c(4) = {2, 3} and c(5) = c(6) = c(7) =
+    {0, 1}: the group {4, 5, 6, 7} has four conflicts and every pair of it
+    meets Hall's condition, but the 3-subset {5, 6, 7} shares the two tokens
+    0 and 1, so {0, 1, 2, 3} -> {4, 5, 6, 7} is no 4-TS move. 5, 6 and 7 see
+    only 0 and 1, and a token on one of them keeps 0 and 1 empty, so at most
+    two tokens ever sit on them and the target is unreachable. A hub 8 next
+    to 0 and 2 connects the graph, so the split cannot decide it by counts,
+    and its r leaves enlarge the family: r <= 1 is scanned and r >= 2 takes
+    the move generator, which must check Hall's condition itself."""
+    for r in range(4):
+        edges = [(4, 2), (4, 3), (0, 8), (2, 8)] + [(v, u) for v in (5, 6, 7) for u in (0, 1)]
+        yield new_graph(9 + r, edges + [(8, 9 + i) for i in range(r)])
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--graphs", type=int, default=10, help="graphs of each sort per rule, k and kind")
@@ -167,11 +218,22 @@ def main():
         f"{'rule':<5} {'k':>2} {'solves':>7} {'yes':>5} {'generator':>10} {'scan':>5} "
         f"{'split':>6} {'tar':>5} {'mismatch':>9} {'secs':>6}"
     )
+
+    def report(rule, t0, row):
+        nonlocal failed, any_split
+        failed |= row["mismatch"] > 0 or row["generator"] in (0, row["solves"])
+        any_split |= row["split"] > 0
+        print(
+            f"{rule.kind.value:<5} {rule.k:>2} {row['solves']:>7} {row['yes']:>5} {row['generator']:>10} "
+            f"{row['solves'] - row['generator']:>5} {row['split']:>6} {row['tar']:>5} {row['mismatch']:>9} "
+            f"{time.time() - t0:>6.1f}"
+        )
+
     for rule_kind in (RuleKind.KTJ, RuleKind.KTS):
         for k in (1, 2, 3):
             rule = Rule(rule_kind, k)
             t0 = time.time()
-            solves = yes = generated = split = tar = mismatches = 0
+            row = Counter()
             for kind, dense, _ in itertools.product((IS, VC), (False, True), range(args.graphs)):
                 for _ in range(MAX_DRAWS):
                     g = sweep_graph(rng, k, dense)
@@ -180,34 +242,21 @@ def main():
                         break
                 else:
                     sys.exit(f"no graph with a split family in {MAX_DRAWS} draws")
-                family = [set_to_mask(s) for s in labels]
                 for s, target in pairs(rng, labels, args.pairs):
-                    inst = ReconfigInstance(g, kind, s, target, rule)
-                    res = solve_exact(inst, want_shortest=True)
-                    solves += 1
-                    yes += res.reachable
-                    generated += len(labels) > 2 * exact._move_estimate(inst)
-                    agree = res.reachable == (labels[s] == labels[target])
-                    by_parts = exact._split_verdict(inst, exact._BudgetClock.begin(None))
-                    if by_parts is not None:
-                        split += 1
-                        agree = agree and by_parts.reachable == res.reachable
-                    if res.reachable:
-                        agree = (
-                            agree
-                            and verify_sequence(inst, res.shortest).accepted
-                            and res.shortest.length == shortest_length(inst, family)
-                        )
-                    if rule_kind is RuleKind.KTJ and k == 1:
-                        tar += 1
-                        agree = agree and tar_connects(inst) == (labels[s] == labels[target])
-                    mismatches += not agree
-            failed |= mismatches > 0 or generated == 0 or generated == solves
-            any_split |= split > 0
-            print(
-                f"{rule_kind.value:<5} {k:>2} {solves:>7} {yes:>5} {generated:>10} {solves - generated:>5} "
-                f"{split:>6} {tar:>5} {mismatches:>9} {time.time() - t0:>6.1f}"
-            )
+                    check(ReconfigInstance(g, kind, s, target, rule), labels, row)
+            report(rule, t0, row)
+    rule = Rule(RuleKind.KTS, 4)
+    t0 = time.time()
+    row = Counter()
+    for g, kind in itertools.product(hall_graphs(), (IS, VC)):
+        s, target = frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})
+        if kind is VC:
+            s, target = complement_set(g, s), complement_set(g, target)
+        labels = reachability_classes(g, kind, len(s), rule)
+        check(ReconfigInstance(g, kind, s, target, rule), labels, row)
+        for s, target in pairs(rng, labels, args.pairs):
+            check(ReconfigInstance(g, kind, s, target, rule), labels, row)
+    report(rule, t0, row)
     failed |= not any_split
     print("agreement, both paths and the split:", "FAIL" if failed else "OK")
     return 1 if failed else 0

@@ -17,7 +17,8 @@ from .graph import (
     check_vertex_set,
     closed_neighborhood,
     is_independent_set,
-    iter_bits,
+    mask_to_set,
+    set_to_mask,
 )
 
 
@@ -81,10 +82,9 @@ def find_simple_sequence(
         raise PreconditionError(f"need 1 <= mu and 2*mu <= |i|, got mu={mu}, |i|={len(si)}")
     a = frozenset(sorted(si)[:mu])
     b = frozenset(sorted(sj)[:mu])
-    removed = closed_neighborhood(g, a | b)
-    sub, old_ids = g.induced_subgraph(set(range(g.vertex_count)) - removed)
-    first = _first_independent(sub, len(si) - mu, _BudgetClock.begin(budget))
+    residue = g.full_mask & ~set_to_mask(closed_neighborhood(g, a | b))
+    first = _first_independent(g, len(si) - mu, _BudgetClock.begin(budget), residue)
     if first is None:
         return None
-    star = frozenset(old_ids[v] for v in iter_bits(first))
+    star = mask_to_set(first)
     return ReconfigSequence((si, a | star, b | star, sj))

@@ -72,7 +72,7 @@ def _recursive_independent_masks(g, size, clock):
     one call per decided vertex, with the same bound and the same charges.
     Every node is charged once; the sets of a node one or two tokens short
     are listed by brute force and charged as they are stored."""
-    cliques = exact._clique_partition_masks(g, clock) if size > 2 else []
+    cliques = exact._clique_partition_masks(g, clock, g.full_mask) if size > 2 else []
     out = []
 
     def rec(candidates, chosen, remaining):
@@ -105,7 +105,7 @@ def test_enumeration_matches_the_recursive_reference_and_its_charges(n, seed):
     g = random_graph(rng, n, rng.uniform(0.05, 0.7))
     for size in range(n + 2):
         clock, reference = exact._BudgetClock.begin(None), exact._BudgetClock.begin(None)
-        blocks = list(exact._independent_blocks(g, size, clock))
+        blocks = list(exact._independent_blocks(g, size, clock, g.full_mask))
         got = exact._block_sets(blocks, g.neighbor_masks, clock)
         assert got == _recursive_independent_masks(g, size, reference)
         assert clock.counted == reference.counted
@@ -289,6 +289,75 @@ def test_split_decides_a_frozen_square_among_free_pairs(kind, rule_kind, c5_last
     assert time.monotonic() - began < 1.0
 
 
+def _random_mask(rng, g):
+    """A random vertex mask of g: a union of components half of the time,
+    any subset otherwise."""
+    if rng.random() < 0.5:
+        return sum(set_to_mask(c) for c in exact._components(g) if rng.random() < 0.5)
+    return sum(1 << v for v in range(g.vertex_count) if rng.random() < 0.5)
+
+
+@given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_a_probe_within_a_mask_is_the_probe_of_its_induced_subgraph(n, seed):
+    # Same first set, mapped back through the id map, and the same DFS: the
+    # same number of charged nodes.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+    within = _random_mask(rng, g)
+    sub, old = g.induced_subgraph(iter_bits(within))
+    for size in range(within.bit_count() + 2):
+        clock, reference = exact._BudgetClock.begin(None), exact._BudgetClock.begin(None)
+        first = exact._first_independent(sub, size, reference, sub.full_mask)
+        mapped = None if first is None else sum(1 << old[v] for v in iter_bits(first))
+        assert exact._first_independent(g, size, clock, within) == mapped
+        assert clock.counted == reference.counted
+
+
+@given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_a_probe_partitions_only_the_vertices_within_its_mask(n, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.9))
+    within = _random_mask(rng, g)
+    partitions = []
+    real = exact._clique_partition_masks
+
+    def spy(*args):
+        partitions.append(real(*args))
+        return partitions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_clique_partition_masks", spy)
+        exact._first_independent(g, 3, exact._BudgetClock.begin(None), within)
+    (cliques,) = partitions
+    assert sum(cliques) == within and all(q & ~within == 0 for q in cliques)
+    sub, old = g.induced_subgraph(iter_bits(within))
+    assert cliques == [sum(1 << old[v] for v in iter_bits(q)) for q in _first_fit_over_all_cliques(sub)]
+
+
+@pytest.mark.parametrize("kind", [IS, VC])
+@pytest.mark.parametrize("rule_kind", [RuleKind.KTJ, RuleKind.KTS])
+def test_parts_one_move_apart_are_settled_without_a_subgraph(monkeypatch, kind, rule_kind):
+    # Ten K2s and a triangle whose tokens each move along an edge, and a C5
+    # whose ends agree, all at the independence number: every part that
+    # differs is one move apart, so the pair test settles it and nothing is
+    # searched.
+    pair = (new_graph(2, [(0, 1)]), {0}, {1})
+    triangle = (new_graph(3, [(0, 1), (1, 2), (0, 2)]), {2}, {0})
+    c5 = (new_graph(5, [(i, (i + 1) % 5) for i in range(5)]), {1, 3}, {1, 3})
+    g, start, target = _disjoint_union([pair] * 5 + [c5, triangle] + [pair] * 5)
+    if kind is VC:
+        start, target = complement_set(g, start), complement_set(g, target)
+    inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, 1))
+
+    def no_subgraph(*args):
+        raise AssertionError("a settled part built a subgraph")
+
+    monkeypatch.setattr(type(g), "induced_subgraph", no_subgraph)
+    assert solve_exact(inst) == SolveResult(True, None, 0)
+
+
 def _first_fit_over_all_cliques(g):
     """Reference clique partition: each vertex, in id order, joins the first
     clique whose members are all its neighbours, testing every clique."""
@@ -309,7 +378,7 @@ def test_clique_partition_tries_only_the_cliques_of_earlier_neighbours(n, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.uniform(0.05, 0.95))
     clock = exact._BudgetClock.begin(None)
-    assert exact._clique_partition_masks(g, clock) == _first_fit_over_all_cliques(g)
+    assert exact._clique_partition_masks(g, clock, g.full_mask) == _first_fit_over_all_cliques(g)
 
 
 def test_time_budget_bounds_the_clique_partition():
@@ -371,7 +440,7 @@ def test_building_a_kept_family_reads_the_clock_once_per_4096_sets(monkeypatch, 
     monkeypatch.setattr(exact._BudgetClock, "check_time", lambda self: reads.append(self))
     g = new_graph(n, edges)
     clock = exact._BudgetClock.begin(None)
-    blocks = list(exact._independent_blocks(g, size, clock))
+    blocks = list(exact._independent_blocks(g, size, clock, g.full_mask))
     counted, before = clock.counted, len(reads)
     family = exact._block_sets(blocks, g.neighbor_masks, clock)
     assert len(family) == sum(count for count, *_ in blocks) == clock.counted - counted
@@ -386,9 +455,24 @@ def test_counting_two_token_blocks_reads_the_clock_once_per_4096_candidates(monk
     n = 8193
     g = new_graph(n, [(0, v) for v in range(1, n)])
     clock = exact._BudgetClock.begin(None)
-    count, *_ = next(exact._independent_blocks(g, 2, clock))
+    count, *_ = next(exact._independent_blocks(g, 2, clock, g.full_mask))
     assert count == (n - 1) * (n - 2) // 2 and clock.counted == 1
     assert len(reads) >= n // 4096
+
+
+def test_one_scan_expansion_reads_the_clock_once_per_4096_sets(monkeypatch):
+    # The 8,193 singletons of the star K_{1,8192} under 1-TJ: every set is
+    # one jump from every other, and one expansion tests them all.
+    reads = []
+    monkeypatch.setattr(exact._BudgetClock, "check_time", lambda self: reads.append(self))
+    n = 8193
+    g = new_graph(n, [(0, v) for v in range(1, n)])
+    clock = exact._BudgetClock.begin(None)
+    family = exact._feasible_masks(g, IS, 1, clock)
+    scan = exact._state_scan(family, exact._rule_adjacency(g, Rule(RuleKind.KTJ, 1), 1), clock)
+    before = len(reads)
+    assert len(scan(family[0], {family[0]: None})) == n - 1
+    assert len(reads) - before >= n // 4096
 
 
 @pytest.mark.parametrize(
@@ -443,7 +527,7 @@ def test_block_counts_decide_the_source_and_give_the_first_sets(n, seed, kind, r
     clock = exact._BudgetClock.begin(None)
     for t in range(n + 2):
         sets = feasible_masks(g, IS, t) if t <= n else []
-        assert exact._first_independent(g, t, clock) == (sets[0] if sets else None)
+        assert exact._first_independent(g, t, clock, g.full_mask) == (sets[0] if sets else None)
     alpha = max(t for t in range(n + 1) if feasible_masks(g, IS, t))
     assert max_independent_set(g) == mask_to_set(feasible_masks(g, IS, alpha)[0])
 
@@ -452,7 +536,9 @@ def _sources(inst):
     size = len(inst.start)
     states = feasible_masks(inst.graph, inst.kind, size)
     return {
-        "scan": exact._state_scan(states, exact._rule_adjacency(inst.graph, inst.rule, size)),
+        "scan": exact._state_scan(
+            states, exact._rule_adjacency(inst.graph, inst.rule, size), exact._BudgetClock.begin(None)
+        ),
         "moves": exact._move_generator(inst),
     }
 
@@ -674,7 +760,8 @@ def test_move_generator_lists_unvisited_neighbours_once_in_order(n, seed, kind, 
     rule = Rule(rule_kind, rng.randint(1, size))
     inst = ReconfigInstance(g, kind, mask_to_set(state), mask_to_set(other), rule)
     visited = {m: None for m in family if rng.random() < 0.3}
-    scan = exact._state_scan(family, exact._rule_adjacency(g, rule, size))(state, {state: None})
+    adjacent = exact._rule_adjacency(g, rule, size)
+    scan = exact._state_scan(family, adjacent, exact._BudgetClock.begin(None))(state, {state: None})
     got = exact._move_generator(inst)(state, visited)
     assert got == [b for b in scan if b not in visited]
     assert len(set(got)) == len(got)
@@ -1016,7 +1103,7 @@ def _classes_by_one_sided_bfs(g, kind, size, rule) -> dict:
     unvisited = feasible_masks(g, kind, size)
     number = 0
     while unvisited:
-        parent, _ = _bfs(unvisited[0], exact._state_scan(unvisited, adjacent), clock)
+        parent, _ = _bfs(unvisited[0], exact._state_scan(unvisited, adjacent, clock), clock)
         labels.update((mask_to_set(m), number) for m in parent)
         unvisited = [m for m in unvisited if m not in parent]
         number += 1
