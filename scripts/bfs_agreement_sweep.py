@@ -170,7 +170,7 @@ def check(inst, labels, row):
     res = solve_exact(inst, want_shortest=True)
     row["solves"] += 1
     row["yes"] += res.reachable
-    row["generator"] += len(labels) > 2 * exact._move_estimate(inst)
+    row["generator"] += len(labels) > 2 * exact._move_estimate(inst, inst.graph.full_mask)
     agree = res.reachable == (labels[s] == labels[target])
     by_parts = exact._split_verdict(inst, exact._BudgetClock.begin(None))
     if by_parts is not None:

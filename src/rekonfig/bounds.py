@@ -65,8 +65,9 @@ def find_simple_sequence(
     Returns None when the shortcut fails; that means nothing about
     reachability (fall back to the exact solver). The anchor sets are the
     lexicographically smallest mu-subsets, and I* is the lexicographically
-    first independent k-set of the residue graph: the enumeration of
-    feasible sets stops at it.
+    first independent k-set of the residue graph: the independent-set DFS,
+    kept inside the residue's vertex mask, reads it off its first block and
+    builds no other set.
     """
     si = check_vertex_set(g, i)
     sj = check_vertex_set(g, j)

@@ -4,20 +4,18 @@ removal (TAR) value computation.
 
 One independent-set search, an iterative include-first DFS with a clique
 bound, walks the sets of one size as blocks: a branch with one or two tokens
-left is counted with popcounts instead of being split. The DFS may be kept
-inside a vertex mask, which gives the search of the induced subgraph in the
-parent's ids. Three thin callers read the blocks. The full family expands
-them all. The maximum independent set, the split's probes and the shortcut
-of `bounds.find_simple_sequence` read the first set off the first block.
-`solve_exact` adds up the counts only until they show whether the family is
-small enough to scan.
+left is counted with popcounts instead of being split. Three thin callers
+read the blocks. The full family expands them all. The maximum independent
+set, the split's probes and the shortcut of `bounds.find_simple_sequence`
+read the first set off the first block. `solve_exact` adds up the counts
+only until they show whether the family is small enough to scan.
 
 `solve_exact` decides a disconnected instance one component at a time when
 no move can change how many tokens a component holds; otherwise, and for
 every shortest certificate, it searches the whole instance from both ends.
-Components are vertex masks of the parent graph: they are probed there, a
-component whose ends are one move apart is settled by the rule's pair test,
-and only the others are searched, each on its own induced subgraph.
+The DFS and the search may be kept inside a vertex mask, which gives those
+of the induced subgraph in the parent's ids: a component is probed, settled
+by the rule's pair test or searched without leaving the parent graph.
 
 Every solver here is deliberately exhaustive. Budgets cap the number of
 enumerated states and wall-clock seconds; exceeding one raises
@@ -112,6 +110,12 @@ class TarResult:
     witness: ReconfigSequence
 
 
+def _vertex_list(g: Graph, within: int) -> Iterable[int]:
+    """The vertices of `within` in id order. Walking a mask's bits costs O(n)
+    per bit (0.26 s on 65,536 vertices), so the full mask is range(n)."""
+    return range(g.vertex_count) if within == g.full_mask else list(iter_bits(within))
+
+
 def _clique_partition_masks(g: Graph, clock: _BudgetClock, within: int) -> list[int]:
     """Greedy first-fit partition of the vertices of `within`, in id order,
     into cliques; the clock is read once per vertex.
@@ -127,8 +131,7 @@ def _clique_partition_masks(g: Graph, clock: _BudgetClock, within: int) -> list[
     masks = g.neighbor_masks
     cliques: dict[int, int] = {}  # first member -> clique, in creation order
     leaders = 0
-    # Walking a mask's bits costs O(n) per bit: 0.26 s on 65,536 vertices.
-    for v in range(g.vertex_count) if within == g.full_mask else iter_bits(within):
+    for v in _vertex_list(g, within):
         clock.check_time()
         nv = masks[v]
         bit = 1 << v
@@ -276,52 +279,53 @@ def _set_sort_key(mask: int) -> str:
 
 
 def _feasible_blocks(
-    g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock
+    g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock, within: int
 ) -> Iterator[Block]:
-    """The blocks of the independent sets behind the feasible sets of
-    `size`: those sets themselves, or for vertex covers their complements."""
-    if not (0 <= size <= g.vertex_count):
-        raise PreconditionError(f"size {size} out of range for {g.vertex_count} vertices")
+    """The blocks of the independent sets behind the feasible sets of `size`
+    inside `within`: those sets themselves, or for covers their complements."""
+    n = within.bit_count()
+    if not (0 <= size <= n):
+        raise PreconditionError(f"size {size} out of range for {n} vertices")
     if kind is FeasibilityKind.VERTEX_COVER:
-        size = g.vertex_count - size
-    return _independent_blocks(g, size, clock, g.full_mask)
+        size = n - size
+    return _independent_blocks(g, size, clock, within)
 
 
 def _family(
-    g: Graph, kind: FeasibilityKind, blocks: Iterable[Block], clock: _BudgetClock
+    g: Graph, kind: FeasibilityKind, blocks: Iterable[Block], clock: _BudgetClock, within: int
 ) -> list[int]:
     """The feasible sets behind `blocks`, lexicographically ordered. Vertex
-    covers come through the complement identity: x is a cover iff V minus x
-    is independent."""
+    covers come through the complement identity: x is a cover of the subgraph
+    that `within` induces iff `within` minus x is independent."""
     masks = _block_sets(blocks, g.neighbor_masks, clock)
     if kind is FeasibilityKind.INDEPENDENT_SET:
         return masks
-    full = g.full_mask
-    covers = [full ^ m for m in masks]
+    covers = [within ^ m for m in masks]
     covers.sort(key=_set_sort_key, reverse=True)
     return covers
 
 
 def _feasible_masks(g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock) -> list[int]:
     """feasible_masks on the caller's clock."""
-    return _family(g, kind, _feasible_blocks(g, kind, size, clock), clock)
+    full = g.full_mask
+    return _family(g, kind, _feasible_blocks(g, kind, size, clock, full), clock, full)
 
 
 def _family_within(
-    g: Graph, kind: FeasibilityKind, size: int, cap: int, clock: _BudgetClock
+    g: Graph, kind: FeasibilityKind, size: int, cap: int, clock: _BudgetClock, within: int
 ) -> list[int] | None:
-    """The feasible family of `size` if it holds at most `cap` sets, else
-    None. The block counts are added up as the blocks come, and the walk
-    stops once they pass cap, with no set built or charged; otherwise the
+    """The feasible family of `size` inside `within` if it holds at most `cap`
+    sets, else None. The block counts are added up as the blocks come, and the
+    walk stops once they pass cap, with no set built or charged; otherwise the
     walked blocks are expanded, so the family is walked only once."""
     walked: list[Block] = []
     total = 0
-    for block in _feasible_blocks(g, kind, size, clock):
+    for block in _feasible_blocks(g, kind, size, clock, within):
         total += block[0]
         if total > cap:
             return None
         walked.append(block)
-    return _family(g, kind, walked, clock)
+    return _family(g, kind, walked, clock, within)
 
 
 def feasible_masks(
@@ -396,13 +400,15 @@ def _state_scan(
     return neighbours
 
 
-def _candidates(a: int, nbr: tuple[int, ...], k: int, slide: bool) -> list[tuple[int, int]]:
-    """(u, c(u)) for every vertex u outside the independent set A that a
-    move may add: its conflicts c(u) = N(u) ∩ A must all leave, so
-    |c(u)| <= k, and under k-TS (slide) a token must slide onto u, so
+def _candidates(
+    a: int, vertices: Iterable[int], nbr: tuple[int, ...], k: int, slide: bool
+) -> list[tuple[int, int]]:
+    """(u, c(u)) for every vertex u of `vertices` outside the independent
+    set A that a move may add: its conflicts c(u) = N(u) ∩ A must all leave,
+    so |c(u)| <= k, and under k-TS (slide) a token must slide onto u, so
     c(u) is not empty."""
     out = []
-    for u in range(len(nbr)):
+    for u in vertices:
         if not (a >> u) & 1:
             c = nbr[u] & a
             if c.bit_count() <= k and (c or not slide):
@@ -410,24 +416,23 @@ def _candidates(a: int, nbr: tuple[int, ...], k: int, slide: bool) -> list[tuple
     return out
 
 
-def _move_generator(inst: ReconfigInstance) -> Neighbours:
-    """Neighbour source that generates the k-TJ or k-TS moves of a state.
-
-    Works on independent sets; a vertex cover is handled through its
-    complement, which keeps |A △ B| and the k-TS matching (the removed and
-    added vertices swap roles). Moves pivot on additions: only the
+def _move_generator(inst: ReconfigInstance, within: int) -> Neighbours:
+    """Neighbour source that generates a state's k-TJ or k-TS moves in
+    `within`. Works on independent sets; a vertex cover is handled through its
+    complement in `within`, which keeps |A △ B| and the k-TS matching (the
+    removed and added vertices swap roles). Moves pivot on additions: only the
     _candidates of a state may enter it. One builder, _moves, serves both
-    rules; it flips each move back and drops the visited ones as it makes
-    them.
+    rules; it flips each move back and drops the visited ones as it makes them.
     """
     nbr = inst.graph.neighbor_masks
     k = inst.rule.k
-    flip = inst.graph.full_mask if inst.kind is FeasibilityKind.VERTEX_COVER else 0
+    flip = within if inst.kind is FeasibilityKind.VERTEX_COVER else 0
     slide = inst.rule.kind is RuleKind.KTS
+    vertices = _vertex_list(inst.graph, within)
 
     def neighbours(state: int, visited: dict[int, int | None]) -> list[int]:
         a = state ^ flip
-        new = _moves(a, _candidates(a, nbr, k, slide), nbr, k, slide, flip, visited)
+        new = _moves(a, _candidates(a, vertices, nbr, k, slide), nbr, k, slide, flip, visited)
         new.sort(key=_set_sort_key, reverse=True)
         return new
 
@@ -501,20 +506,20 @@ def _hall(conflicts: tuple[int, ...]) -> bool:
     return True
 
 
-def _move_estimate(inst: ReconfigInstance) -> int:
-    """Candidate groups the generator tries per expansion: sum over
-    j <= min(k, t) of C(m, j), where t is the number of tokens of the
+def _move_estimate(inst: ReconfigInstance, within: int) -> int:
+    """Candidate groups the generator tries per expansion inside `within`:
+    sum over j <= min(k, t) of C(m, j), where t is the number of tokens of the
     independent set (the cover's complement) and m the number of its
-    _candidates; the larger value of the start and the target. Counts
-    groups only, so it costs one pass over the vertices per end."""
-    g = inst.graph
-    flip = g.full_mask if inst.kind is FeasibilityKind.VERTEX_COVER else 0
+    _candidates; the larger value of the start and the target, masked by
+    `within`. Counts groups only, so it costs one pass over the vertices."""
+    flip = within if inst.kind is FeasibilityKind.VERTEX_COVER else 0
     k = inst.rule.k
     slide = inst.rule.kind is RuleKind.KTS
+    vertices = _vertex_list(inst.graph, within)
     est = 0
-    for end in (inst.start, inst.target):
-        a = set_to_mask(end) ^ flip
-        m = len(_candidates(a, g.neighbor_masks, k, slide))
+    for end in inst.end_masks:
+        a = (end & within) ^ flip
+        m = len(_candidates(a, vertices, inst.graph.neighbor_masks, k, slide))
         est = max(est, sum(comb(m, j) for j in range(1, min(k, a.bit_count()) + 1)))
     return est
 
@@ -647,9 +652,8 @@ def _split_verdict(inst: ReconfigInstance, clock: _BudgetClock) -> SolveResult |
     always, since tokens slide along edges; under k-TJ when |A| = alpha(G),
     since a token that left a full component would push another past its
     independence number. alpha(G) is the sum over the components, so each
-    one is probed, on the parent graph with the DFS kept inside the
-    component's mask, for an independent set one larger than its token
-    count.
+    one is probed inside its mask for an independent set one larger than its
+    token count.
 
     A sequence projected onto one component is still a sequence there, and
     sequences of different components can run one after another, so the
@@ -659,15 +663,15 @@ def _split_verdict(inst: ReconfigInstance, clock: _BudgetClock) -> SolveResult |
     tokens are not confined. Every component where the ends differ is then
     decided in order, on the caller's clock, until one is NO: one whose ends
     pass the rule's pair test is YES in one move, with no search; any other
-    is searched alone on its induced subgraph. explored_states is the sum of
-    the searched parts' expansions; a part settled by the pair test adds 0."""
+    is searched alone, inside its mask. explored_states is the sum of the
+    searched parts' expansions; a part settled by the pair test adds 0."""
     comps = _components(inst.graph)
     if len(comps) == 1:
         return None
     g = inst.graph
     jump = inst.rule.kind is RuleKind.KTJ
     cover = inst.kind is FeasibilityKind.VERTEX_COVER
-    start, target = set_to_mask(inst.start), set_to_mask(inst.target)
+    start, target = inst.end_masks
     parts: list[tuple[int, int, int]] = []
     for comp in map(set_to_mask, comps):
         clock.check_time()
@@ -684,13 +688,7 @@ def _split_verdict(inst: ReconfigInstance, clock: _BudgetClock) -> SolveResult |
     for comp, s, t in parts:
         if _rule_adjacency(g, inst.rule, s.bit_count())(s, t):
             continue
-        sub, old = g.induced_subgraph(iter_bits(comp))
-        new = {v: i for i, v in enumerate(old)}
-        part = ReconfigInstance(
-            sub, inst.kind, frozenset(new[v] for v in iter_bits(s)),
-            frozenset(new[v] for v in iter_bits(t)), inst.rule,
-        )
-        res = _search(part, clock, want_shortest=False)
+        res = _search(inst, comp, clock, want_shortest=False)
         explored += res.explored_states
         if not res.reachable:
             return SolveResult(False, None, explored)
@@ -716,31 +714,32 @@ def solve_exact(
     split = _split_verdict(inst, clock)
     if split is not None and not (split.reachable and want_shortest):
         return split
-    return _search(inst, clock, want_shortest)
+    return _search(inst, inst.graph.full_mask, clock, want_shortest)
 
 
-def _search(inst: ReconfigInstance, clock: _BudgetClock, want_shortest: bool) -> SolveResult:
-    """solve_exact's search of the whole instance, on the caller's clock.
-
-    The feasible sets are counted block by block, only until they outnumber
-    twice the per-state move estimate (_family_within). If they do, moves
-    are generated and no set of the family is built; otherwise the complete
-    small family is built from the counted blocks and scanned. Either way the
-    BFS runs from both ends, and one budget clock covers the counting and
-    the search."""
-    size = len(inst.start)
-    cap = 2 * _move_estimate(inst)
-    states = _family_within(inst.graph, inst.kind, size, cap, clock)
+def _search(
+    inst: ReconfigInstance, within: int, clock: _BudgetClock, want_shortest: bool
+) -> SolveResult:
+    """solve_exact's search inside the vertex mask `within`, from the ends
+    masked by it, on the caller's clock: every candidate, conflict and slide
+    of a set inside `within` stays there, so this is the search of the
+    subgraph that `within` induces, in the parent's ids. The feasible sets are
+    counted block by block, only until they outnumber twice the per-state
+    move estimate (_family_within). If they do, moves are generated and no set
+    of the family is built; otherwise the complete small family is built from
+    the counted blocks and scanned. Either way the BFS runs from both ends,
+    and one budget clock covers counting and search."""
+    source, target = (end & within for end in inst.end_masks)
+    size = source.bit_count()
+    cap = 2 * _move_estimate(inst, within)
+    states = _family_within(inst.graph, inst.kind, size, cap, clock, within)
     adjacent = _rule_adjacency(inst.graph, inst.rule, size)
     # cost: adjacency tests that one expansion is worth, for _bfs_both_ends
     if states is None:
-        neighbours, cost = _move_generator(inst), cap // 2
+        neighbours, cost = _move_generator(inst, within), cap // 2
     else:
         neighbours, cost = _state_scan(states, adjacent, clock), len(states)
-    return _search_both_ends(
-        set_to_mask(inst.start), set_to_mask(inst.target), neighbours, adjacent, cost, clock,
-        want_shortest,
-    )
+    return _search_both_ends(source, target, neighbours, adjacent, cost, clock, want_shortest)
 
 
 def reachability_classes(
@@ -755,7 +754,7 @@ def reachability_classes(
     labelled by a BFS from that set: every expanded set splits the still
     unlabelled rest of the family into its neighbours, the next frontier,
     and the others. One state is charged per labelled set, and the clock is
-    read once per expansion."""
+    read before every 4096 pair tests of an expansion, as in _state_scan."""
     clock = _BudgetClock.begin(budget)
     rest = _feasible_masks(g, kind, size, clock)
     adjacent = _rule_adjacency(g, rule, size)
@@ -768,15 +767,16 @@ def reachability_classes(
         while frontier:
             level: list[int] = []
             for a in frontier:
-                clock.check_time()
                 others = []
-                for b in rest:
-                    if adjacent(a, b):
-                        clock.charge()
-                        label[b] = number
-                        level.append(b)
-                    else:
-                        others.append(b)
+                for i in range(0, len(rest), _CHUNK):
+                    clock.check_time()
+                    for b in rest[i:i + _CHUNK]:
+                        if adjacent(a, b):
+                            clock.charge()
+                            label[b] = number
+                            level.append(b)
+                        else:
+                            others.append(b)
                 rest = others
             frontier = level
         number += 1

@@ -227,6 +227,11 @@ class ReconfigInstance:
             if not is_feasible(self.graph, self.kind, s):
                 raise PreconditionError(f"{name} set is not feasible for {self.kind.value}")
 
+    @cached_property
+    def end_masks(self) -> tuple[int, int]:
+        """start and target as vertex masks; building one costs O(n) per vertex."""
+        return set_to_mask(self.start), set_to_mask(self.target)
+
 
 @dataclass(frozen=True)
 class ReconfigSequence:

@@ -155,7 +155,8 @@ def test_solve_exact_one_clock_for_enumeration_and_search():
         g, IS, frozenset({0, 2, 4}), frozenset({5, 7, 9}), Rule(RuleKind.KTJ, 1)
     )
     clock = exact._BudgetClock.begin(None)
-    assert exact._family_within(g, IS, 3, 2 * exact._move_estimate(inst), clock) is None
+    cap = 2 * exact._move_estimate(inst, g.full_mask)
+    assert exact._family_within(g, IS, 3, cap, clock, g.full_mask) is None
     prefix = clock.counted
     assert _both_ends(inst, clock=clock).explored_states > 0
     total = clock.counted
@@ -247,7 +248,7 @@ def test_split_gives_the_answer_of_the_whole_search(seed, kind, rule_kind, at_al
         return
     start, target = (mask_to_set(m) for m in rng.sample(family, 2))
     inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, rng.randint(1, 3)))
-    whole = exact._search(inst, exact._BudgetClock.begin(None), want_shortest=True)
+    whole = exact._search(inst, g.full_mask, exact._BudgetClock.begin(None), want_shortest=True)
     res = solve_exact(inst, want_shortest=True)
     assert (res.reachable, res.shortest) == (whole.reachable, whole.shortest)
     assert solve_exact(inst).reachable == whole.reachable
@@ -267,16 +268,21 @@ def test_split_needs_confined_tokens(rule_kind):
         assert res.shortest.steps == (frozenset({0}), frozenset({1}))
 
 
+def _no_subgraph(*args):
+    raise AssertionError("the split built a subgraph")
+
+
 @pytest.mark.parametrize("kind", [IS, VC])
 @pytest.mark.parametrize("rule_kind", [RuleKind.KTJ, RuleKind.KTS])
 @pytest.mark.parametrize("c5_last", [False, True])
-def test_split_decides_a_frozen_square_among_free_pairs(kind, rule_kind, c5_last):
+def test_split_decides_a_frozen_square_among_free_pairs(monkeypatch, kind, rule_kind, c5_last):
     # K_{2,2} plus 30 K2s, tokens at the independence number, 1 token per
     # step: the K_{2,2} cannot switch sides, so NO, while the whole search
     # would meet 2^30 states on the start's side. With c5_last the K2s come
     # first and a C5 closes the graph: its 3 first-fit cliques exceed its
     # independence number 2, so only a search shows that it is full, and
-    # that search must not branch over the K2s before it.
+    # that search must not branch over the K2s before it. The K_{2,2} is
+    # searched inside its mask of the parent graph, with no subgraph built.
     square = (new_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), {0, 1}, {2, 3})
     pair = (new_graph(2, [(0, 1)]), {0}, {1})
     c5 = (new_graph(5, [(i, (i + 1) % 5) for i in range(5)]), {0, 2}, {0, 2})
@@ -284,8 +290,26 @@ def test_split_decides_a_frozen_square_among_free_pairs(kind, rule_kind, c5_last
     if kind is VC:
         start, target = complement_set(g, start), complement_set(g, target)
     inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, 1))
+    monkeypatch.setattr(type(g), "induced_subgraph", _no_subgraph)
     began = time.monotonic()
     assert not solve_exact(inst, want_shortest=True, budget=Budget(max_seconds=10)).reachable
+    assert time.monotonic() - began < 1.0
+
+
+@pytest.mark.parametrize("rule_kind", [RuleKind.KTJ, RuleKind.KTS])
+def test_searched_parts_do_not_walk_the_whole_graph(rule_kind):
+    # 2,000 paths P4, each from {a, c} to {b, d}: two moves apart, so every
+    # part is searched. Part searches that walked all 8,000 vertices per
+    # expansion took about 9 s, and ones that built the parent's end masks
+    # again about 5 s, on a 2-core Xeon VM; both grow with the square of the
+    # number of parts.
+    parts = 2000
+    edges = [(4 * p + i, 4 * p + i + 1) for p in range(parts) for i in range(3)]
+    start = {4 * p + i for p in range(parts) for i in (0, 2)}
+    target = {4 * p + i for p in range(parts) for i in (1, 3)}
+    inst = ReconfigInstance(new_graph(4 * parts, edges), IS, start, target, Rule(rule_kind, 1))
+    began = time.monotonic()
+    assert solve_exact(inst, budget=Budget(max_seconds=10)) == SolveResult(True, None, 2 * parts)
     assert time.monotonic() - began < 1.0
 
 
@@ -336,6 +360,45 @@ def test_a_probe_partitions_only_the_vertices_within_its_mask(n, seed):
     assert cliques == [sum(1 << old[v] for v in iter_bits(q)) for q in _first_fit_over_all_cliques(sub)]
 
 
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_search_within_a_mask_is_the_search_of_its_induced_subgraph(n, seed, kind, rule_kind):
+    # Two feasible sets of the subgraph that a random mask induces, in the
+    # parent's ids. Covers also hold every vertex outside the mask, so that
+    # they cover the parent graph; the search masks those off. Same verdict,
+    # expansions, certificate through the id map and charges as the search
+    # of the subgraph itself.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+    within = _random_mask(rng, g)
+    sub, old = g.induced_subgraph(iter_bits(within))
+    sizes = range(1, sub.vertex_count + 1)
+    families = [f for f in (feasible_masks(sub, kind, size) for size in sizes) if len(f) > 1]
+    if not families:
+        return
+    family = rng.choice(families)
+    start, target = rng.sample(family, 2)
+    rule = Rule(rule_kind, rng.randint(1, start.bit_count()))
+    outside = g.full_mask & ~within if kind is VC else 0
+    lift = [mask_to_set(sum(1 << old[v] for v in iter_bits(m)) | outside) for m in (start, target)]
+    inst = ReconfigInstance(g, kind, *lift, rule)
+    part = ReconfigInstance(sub, kind, mask_to_set(start), mask_to_set(target), rule)
+    clock, reference = exact._BudgetClock.begin(None), exact._BudgetClock.begin(None)
+    got = exact._search(inst, within, clock, want_shortest=True)
+    ref = exact._search(part, sub.full_mask, reference, want_shortest=True)
+    assert (got.reachable, got.explored_states) == (ref.reachable, ref.explored_states)
+    if ref.shortest is None:
+        assert got.shortest is None
+    else:
+        assert got.shortest.steps == tuple(frozenset(old[v] for v in s) for s in ref.shortest.steps)
+    assert clock.counted == reference.counted
+
+
 @pytest.mark.parametrize("kind", [IS, VC])
 @pytest.mark.parametrize("rule_kind", [RuleKind.KTJ, RuleKind.KTS])
 def test_parts_one_move_apart_are_settled_without_a_subgraph(monkeypatch, kind, rule_kind):
@@ -350,11 +413,7 @@ def test_parts_one_move_apart_are_settled_without_a_subgraph(monkeypatch, kind, 
     if kind is VC:
         start, target = complement_set(g, start), complement_set(g, target)
     inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, 1))
-
-    def no_subgraph(*args):
-        raise AssertionError("a settled part built a subgraph")
-
-    monkeypatch.setattr(type(g), "induced_subgraph", no_subgraph)
+    monkeypatch.setattr(type(g), "induced_subgraph", _no_subgraph)
     assert solve_exact(inst) == SolveResult(True, None, 0)
 
 
@@ -520,9 +579,9 @@ def test_block_counts_decide_the_source_and_give_the_first_sets(n, seed, kind, r
         return
     g, size = inst.graph, len(inst.start)
     family = feasible_masks(g, kind, size)
-    cap = 2 * exact._move_estimate(inst)
+    cap = 2 * exact._move_estimate(inst, g.full_mask)
     for limit in (cap, 0, len(family) - 1, len(family)):
-        within = exact._family_within(g, kind, size, limit, exact._BudgetClock.begin(None))
+        within = exact._family_within(g, kind, size, limit, exact._BudgetClock.begin(None), g.full_mask)
         assert within == (None if len(family) > limit else family)
     clock = exact._BudgetClock.begin(None)
     for t in range(n + 2):
@@ -539,7 +598,7 @@ def _sources(inst):
         "scan": exact._state_scan(
             states, exact._rule_adjacency(inst.graph, inst.rule, size), exact._BudgetClock.begin(None)
         ),
-        "moves": exact._move_generator(inst),
+        "moves": exact._move_generator(inst, inst.graph.full_mask),
     }
 
 
@@ -604,11 +663,12 @@ def test_move_generator_matches_state_scan(n, seed, kind, rule_kind):
 def _both_ends(inst, neighbours=None, clock=None) -> SolveResult:
     """Search from both ends, pricing an expansion at the move estimate as
     solve_exact does on its generator path, whichever the neighbour source."""
-    neighbours = neighbours or exact._move_generator(inst)
+    full = inst.graph.full_mask
+    neighbours = neighbours or exact._move_generator(inst, full)
     adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
     return exact._search_both_ends(
         set_to_mask(inst.start), set_to_mask(inst.target), neighbours, adjacent,
-        exact._move_estimate(inst), clock or exact._BudgetClock.begin(None), want_shortest=True,
+        exact._move_estimate(inst, full), clock or exact._BudgetClock.begin(None), want_shortest=True,
     )
 
 
@@ -674,8 +734,10 @@ def test_search_from_both_ends_matches_full_level_reference(n, seed, kind, rule_
         return
     size = len(inst.start)
     if cost is None:
-        scan = source == "scan"
-        cost = len(feasible_masks(inst.graph, kind, size)) if scan else exact._move_estimate(inst)
+        if source == "scan":
+            cost = len(feasible_masks(inst.graph, kind, size))
+        else:
+            cost = exact._move_estimate(inst, inst.graph.full_mask)
     adjacent = exact._rule_adjacency(inst.graph, inst.rule, size)
     expanded, ref_expanded = _against_full_level(inst, _sources(inst)[source], adjacent, cost)
     assert expanded <= ref_expanded
@@ -724,7 +786,7 @@ def test_slides_need_hall_condition():
             inst = ReconfigInstance(
                 g, IS, mask_to_set(start), mask_to_set(target), Rule(rule_kind, k)
             )
-            assert (target in exact._move_generator(inst)(start, {})) == reachable
+            assert (target in exact._move_generator(inst, g.full_mask)(start, {})) == reachable
             assert _both_ends(inst).reachable == solve_exact(inst).reachable == reachable
 
 
@@ -736,7 +798,7 @@ def test_group_cut_counts_conflicts_against_min_k_t():
         inst = ReconfigInstance(
             new_graph(4, edges), IS, frozenset({0, 2}), frozenset({1, 3}), Rule(rule_kind, 2)
         )
-        assert 0b1010 in exact._move_generator(inst)(0b0101, {})
+        assert 0b1010 in exact._move_generator(inst, inst.graph.full_mask)(0b0101, {})
 
 
 @given(
@@ -762,7 +824,7 @@ def test_move_generator_lists_unvisited_neighbours_once_in_order(n, seed, kind, 
     visited = {m: None for m in family if rng.random() < 0.3}
     adjacent = exact._rule_adjacency(g, rule, size)
     scan = exact._state_scan(family, adjacent, exact._BudgetClock.begin(None))(state, {state: None})
-    got = exact._move_generator(inst)(state, visited)
+    got = exact._move_generator(inst, g.full_mask)(state, visited)
     assert got == [b for b in scan if b not in visited]
     assert len(set(got)) == len(got)
     assert got == sorted(got, key=exact._set_sort_key, reverse=True)
@@ -793,17 +855,16 @@ def test_search_from_both_ends_charges_every_stored_state():
     inst = _prism_instance()
     source, target = set_to_mask(inst.start), set_to_mask(inst.target)
     adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
+    full = inst.graph.full_mask
+    moves, cost = exact._move_generator(inst, full), exact._move_estimate(inst, full)
     clock = exact._BudgetClock.begin(None)
-    meet, from_source, from_target, _ = exact._bfs_both_ends(
-        source, target, exact._move_generator(inst), adjacent, exact._move_estimate(inst), clock
-    )
+    meet, from_source, from_target, _ = exact._bfs_both_ends(source, target, moves, adjacent, cost, clock)
     stored = len(from_source) + len(from_target)
     assert meet is not None and len(from_source) > 1 and len(from_target) > 1
     assert clock.counted == stored
     with pytest.raises(ResourceBudgetError):
         exact._bfs_both_ends(
-            source, target, exact._move_generator(inst), adjacent, exact._move_estimate(inst),
-            exact._BudgetClock.begin(Budget(max_states=stored - 1)),
+            source, target, moves, adjacent, cost, exact._BudgetClock.begin(Budget(max_states=stored - 1))
         )
 
 
@@ -821,8 +882,9 @@ def test_meeting_level_expands_where_the_better_states_outnumber_its_cost():
         tests[a] = tests.get(a, 0) + 1
         return rule_adjacency(a, b)
 
-    cost = exact._move_estimate(inst)
-    expanded, ref_expanded = _against_full_level(inst, exact._move_generator(inst), adjacent, cost)
+    full = inst.graph.full_mask
+    moves, cost = exact._move_generator(inst, full), exact._move_estimate(inst, full)
+    expanded, ref_expanded = _against_full_level(inst, moves, adjacent, cost)
     assert expanded <= ref_expanded
     assert max(tests.values(), default=0) <= cost
 
@@ -1126,6 +1188,35 @@ def test_reachability_classes_match_one_sided_bfs_labelling(n, seed, kind, rule_
     size = rng.choice(sizes)
     rule = Rule(rule_kind, rng.randint(1, size))
     assert reachability_classes(g, kind, size, rule) == _classes_by_one_sided_bfs(g, kind, size, rule)
+
+
+def test_one_labelling_expansion_reads_the_clock_once_per_4096_pair_tests(monkeypatch):
+    # An isolated vertex 0 and the star K_{1,8192}, singletons under 1-TS:
+    # {0} comes first and slides nowhere, so its one expansion tests all
+    # 8,193 other sets and labels none of them, which charges nothing; then
+    # the star's centre labels its leaves.
+    tests, reads = [], []
+    real = exact._rule_adjacency
+
+    def counted(*args):
+        adjacent = real(*args)
+
+        def test(a, b):
+            tests.append(None)
+            return adjacent(a, b)
+
+        return test
+
+    monkeypatch.setattr(exact, "_rule_adjacency", counted)
+    monkeypatch.setattr(exact._BudgetClock, "check_time", lambda self: reads.append(len(tests)))
+    n = 8194
+    g = new_graph(n, [(1, v) for v in range(2, n)])
+    labels = reachability_classes(g, IS, 1, Rule(RuleKind.KTS, 1))
+    assert labels[frozenset({0})] == 0 and set(labels.values()) == {0, 1}
+    assert len(tests) == (n - 1) + (n - 2)
+    # Between two clock reads, and after the last one, at most 4096 tests.
+    gaps = [b - a for a, b in zip(reads, reads[1:] + [len(tests)])]
+    assert max(gaps) <= 4096
 
 
 def test_reachability_classes_charge_one_state_per_labelled_set():
