@@ -664,28 +664,49 @@ def _split_verdict(inst: ReconfigInstance, clock: _BudgetClock) -> SolveResult |
     decided in order, on the caller's clock, until one is NO: one whose ends
     pass the rule's pair test is YES in one move, with no search; any other
     is searched alone, inside its mask. explored_states is the sum of the
-    searched parts' expansions; a part settled by the pair test adds 0."""
+    searched parts' expansions; a part settled by the pair test adds 0.
+
+    The ends' vertices are counted per component through one vertex to
+    component index, so a component costs O(its size) until its mask is
+    needed, for the k-TJ probe or because its ends differ; the clock is read
+    before each mask is built."""
     comps = _components(inst.graph)
     if len(comps) == 1:
         return None
     g = inst.graph
     jump = inst.rule.kind is RuleKind.KTJ
     cover = inst.kind is FeasibilityKind.VERTEX_COVER
-    start, target = inst.end_masks
-    parts: list[tuple[int, int, int]] = []
-    for comp in map(set_to_mask, comps):
-        clock.check_time()
-        s, t = start & comp, target & comp
-        size = s.bit_count()
-        if size != t.bit_count():
+    comp_of = [0] * g.vertex_count
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
+    held = [0] * len(comps)  # start's vertices per component
+    for v in inst.start:
+        held[comp_of[v]] += 1
+    gap = held[:]  # start's minus target's vertices per component
+    for v in inst.target:
+        gap[comp_of[v]] -= 1
+    differs = [False] * len(comps)
+    for v in inst.start ^ inst.target:
+        differs[comp_of[v]] = True
+    parts: list[int] = []
+    for i, comp in enumerate(comps):
+        if gap[i]:
             return None if jump else SolveResult(False, None, 0)
-        tokens = comp.bit_count() - size if cover else size
-        if jump and _first_independent(g, tokens + 1, clock, comp) is not None:
-            return None
-        if s != t:
-            parts.append((comp, s, t))
+        if not (jump or differs[i]):
+            continue
+        clock.check_time()
+        mask = set_to_mask(comp)
+        if jump:
+            tokens = len(comp) - held[i] if cover else held[i]
+            if _first_independent(g, tokens + 1, clock, mask) is not None:
+                return None
+        if differs[i]:
+            parts.append(mask)
+    start, target = inst.end_masks
     explored = 0
-    for comp, s, t in parts:
+    for comp in parts:
+        s, t = start & comp, target & comp
         if _rule_adjacency(g, inst.rule, s.bit_count())(s, t):
             continue
         res = _search(inst, comp, clock, want_shortest=False)
@@ -754,7 +775,8 @@ def reachability_classes(
     labelled by a BFS from that set: every expanded set splits the still
     unlabelled rest of the family into its neighbours, the next frontier,
     and the others. One state is charged per labelled set, and the clock is
-    read before every 4096 pair tests of an expansion, as in _state_scan."""
+    read before every 4096 pair tests of an expansion, as in _state_scan,
+    and before every 4096 labelled masks turned into sets."""
     clock = _BudgetClock.begin(budget)
     rest = _feasible_masks(g, kind, size, clock)
     adjacent = _rule_adjacency(g, rule, size)
@@ -780,7 +802,13 @@ def reachability_classes(
                 rest = others
             frontier = level
         number += 1
-    return {mask_to_set(m): lab for m, lab in label.items()}
+    labelled = list(label.items())
+    out: dict[VertexSet, int] = {}
+    for i in range(0, len(labelled), _CHUNK):
+        clock.check_time()
+        for m, lab in labelled[i:i + _CHUNK]:
+            out[mask_to_set(m)] = lab
+    return out
 
 
 def _tar_moves(g: Graph, theta: int) -> Neighbours:

@@ -7,9 +7,10 @@ along the edges of a graph between two given disjoint sides and ignores
 every other edge, so callers pass the sides they already know instead of
 building and 2-coloring a subgraph. A greedy pass starts it, and most of
 the small residues the XP oracle asks about are settled by that pass alone.
-The XP decision needs only the size of a maximum matching (König's
-theorem), so it calls the core directly; the König cover is built only for
-a witness.
+The XP decision asks only whether a maximum matching has at most `spare`
+edges (by König's theorem, the size of the residue's minimum cover), so it
+calls the core directly with the private limit spare + 1, at which the core
+stops; the König cover is built only for a witness.
 
 Tie-breaking is deterministic everywhere (lowest id first) so golden tests
 stay stable. Isolated vertices are assigned to the left side of a
@@ -64,7 +65,9 @@ def bipartition_of(g: Graph) -> Bipartition | None:
     return Bipartition(left, right)
 
 
-def _hopcroft_karp(nbr: tuple[int, ...], left: int, right: int) -> dict[int, int]:
+def _hopcroft_karp(
+    nbr: tuple[int, ...], left: int, right: int, limit: int | None = None
+) -> dict[int, int]:
     """Maximum matching along the edges between the disjoint vertex masks
     left and right, where nbr[v] is the neighbour mask of v.
 
@@ -73,12 +76,20 @@ def _hopcroft_karp(nbr: tuple[int, ...], left: int, right: int) -> dict[int, int
     returned at once when it saturates either side; otherwise
     Hopcroft-Karp phases, O(sqrt(n) * (n + m)), augment it. Returns the
     partner of every matched left vertex.
+
+    With a limit, the matching returned has min(limit, maximum) edges: the
+    greedy pass and the phases stop as soon as it holds limit edges, for a
+    caller that only asks whether the maximum reaches limit. Without one it
+    is maximum, and the only added cost is one comparison per left vertex
+    of the greedy pass and per augmenting path.
     """
+    if limit is None:
+        limit = left.bit_count()  # no matching is larger
     pair_left: dict[int, int] = {}
     reaches: list[tuple[int, int]] = []  # (u, its neighbours on the right)
     free = right
     m = left
-    while m:
+    while m and len(pair_left) < limit:
         low = m & -m
         m ^= low
         u = low.bit_length() - 1
@@ -90,7 +101,7 @@ def _hopcroft_karp(nbr: tuple[int, ...], left: int, right: int) -> dict[int, int
                 low = avail & -avail
                 pair_left[u] = low.bit_length() - 1
                 free ^= low
-    if len(pair_left) == len(reaches) or not free:
+    if len(pair_left) >= limit or len(pair_left) == len(reaches) or not free:
         return pair_left
 
     pair_right = {v: u for u, v in pair_left.items()}
@@ -149,6 +160,8 @@ def _hopcroft_karp(nbr: tuple[int, ...], left: int, right: int) -> dict[int, int
                             pair_left[x] = v
                             pair_right[v] = x
                             v = entered
+                        if len(pair_left) == limit:
+                            return pair_left
                         break
                     if dist[w] == dist[u] + 1:
                         stack.append((w, iter(adj[w]), v))

@@ -36,6 +36,7 @@ from .exact import Budget, _BudgetClock
 from .graph import (
     Graph,
     VertexSet,
+    _independent_mask,
     check_vertex_set,
     is_vertex_cover,
     iter_bits,
@@ -104,7 +105,10 @@ def _accepting_guess(
     shared part is settled the residue's edges join s_p - t_p to t_p - s_p
     and, by König's theorem, its minimum cover has the size of its maximum
     matching. A guess whose own count |A| + |forced| already exceeds
-    t_prime is skipped before any matching.
+    t_prime is skipped before any matching. The guess accepts iff that
+    matching has at most spare = t_prime - |A| - |forced| edges, so the
+    matching core is asked to stop at spare + 1 edges instead of building a
+    maximum matching.
     """
     shared = s_p & t_p
     outside = rest & ~shared
@@ -121,7 +125,7 @@ def _accepting_guess(
             if spare < 0:
                 continue
             residue = outside & ~forced
-            if len(_hopcroft_karp(nbr, residue & s_p, residue & t_p)) <= spare:
+            if len(_hopcroft_karp(nbr, residue & s_p, residue & t_p, spare + 1)) <= spare:
                 return a
     return None
 
@@ -248,21 +252,20 @@ def build_clique_compressed_graph(
     return CliqueCompressedGraph(mu, cover_size, nodes, frozenset(edges))
 
 
-def _decider(g: Graph, ss: VertexSet, st: VertexSet, mu: int) -> Callable[[int], bool]:
-    """The per-query decision "some cover of size |ss| contains Z", memoized
-    on the unions Z of more than mu vertices. Each Z is decided by
-    _accepting_guess on masks, the same core clique_edge_oracle uses: the
-    caller has validated ss and st, and covers of G also cover G - Z, so no
-    call re-validates them. The answer does not depend on ss and st, only
-    the route to it does. A single node, of mu vertices, is asked only by
-    the coverable pass, once each, so its decision is not stored: the memo
-    holds unions of two distinct nodes, not an entry per node of the
-    C(n, mu) the pass visits."""
+def _decider(g: Graph, smask: int, tmask: int, mu: int) -> Callable[[int], bool]:
+    """The per-query decision "some cover of size |smask| contains Z",
+    memoized on the unions Z of more than mu vertices. smask and tmask are
+    the input covers as vertex masks. Each Z is decided by _accepting_guess
+    on masks, the same core clique_edge_oracle uses: xp_vcr_solve has
+    checked both covers once, and covers of G also cover G - Z, so no call
+    re-validates them. The answer does not depend on the covers, only the
+    route to it does. A single node, of mu vertices, is asked only by the
+    coverable pass, once each, so its decision is not stored: the memo holds
+    unions of two distinct nodes, not an entry per node of the C(n, mu) the
+    pass visits."""
     nbr = g.neighbor_masks
     full = g.full_mask
-    cover_size = len(ss)
-    smask = set_to_mask(ss)
-    tmask = set_to_mask(st)
+    cover_size = smask.bit_count()
     z_memo: dict[int, bool] = {}
 
     def decide(z: int) -> bool:
@@ -281,17 +284,22 @@ def _decider(g: Graph, ss: VertexSet, st: VertexSet, mu: int) -> Callable[[int],
     return decide
 
 
-def _cross_unions(ss: VertexSet, st: VertexSet, mu: int):
-    """The unions X | Y of a size-mu subset X of ss and one Y of st, both
-    holding ss & st (which has fewer than mu vertices), lazily and in
-    lexicographic order of the two parts outside ss & st."""
-    shared = set_to_mask(ss & st)
-    r = mu - len(ss & st)
-    t_only = sorted(st - ss)
-    for a in combinations(sorted(ss - st), r):
-        xa = shared | set_to_mask(a)
+def _bits(mask: int) -> list[int]:
+    """The single-bit masks of mask's vertices, in ascending order."""
+    return [1 << v for v in iter_bits(mask)]
+
+
+def _cross_unions(smask: int, tmask: int, mu: int):
+    """The unions X | Y of a size-mu subset X of the cover smask and one Y
+    of tmask, both holding smask & tmask (which has fewer than mu vertices),
+    lazily and in lexicographic order of the two parts outside it."""
+    shared = smask & tmask
+    r = mu - shared.bit_count()
+    t_only = _bits(tmask & ~smask)
+    for a in combinations(_bits(smask & ~tmask), r):
+        xa = shared | sum(a)
         for b in combinations(t_only, r):
-            yield xa | set_to_mask(b)
+            yield xa | sum(b)
 
 
 class _Labelling:
@@ -357,9 +365,9 @@ class _Labelling:
                     f"{clock.budget.max_states}"
                 )
             found = []
-            for c in combinations(range(g.vertex_count), mu):
+            for c in combinations(_bits(g.full_mask), mu):
                 clock.check_time()
-                x = set_to_mask(c)
+                x = sum(c)  # the bits are disjoint, so the sum is their union
                 if decide(x):
                     found.append(x)
             self.coverable = found
@@ -412,36 +420,37 @@ class _Labelling:
         self.covers.clear()
 
     def connected(
-        self, g: Graph, ss: VertexSet, st: VertexSet, mu: int, x: int, y: int, budget: Budget | None
+        self, g: Graph, smask: int, tmask: int, mu: int, x: int, y: int, budget: Budget | None
     ) -> bool:
-        """Whether x, a size-mu subset of ss, and y, one of st, lie in one
-        component, deciding as little as it can: known classes, then the
-        same after joining x and y to the seen covers they share mu vertices
-        with, then the edge x-y, then edges between the cliques of ss and
-        st, then a BFS from x's class that stops once it meets y, and only
-        when x's component runs out without meeting y, the full labelling.
+        """Whether x, a size-mu subset of the cover smask, and y, one of the
+        cover tmask, lie in one component, deciding as little as it can:
+        known classes, then the same after joining x and y to the seen covers
+        they share mu vertices with, then the edge x-y, then edges between
+        the cliques of the two covers, then a BFS from x's class that stops
+        once it meets y, and only when x's component runs out without
+        meeting y, the full labelling.
         The budget clock starts after the lookups that answer without a
         decision, and is read once per clique pair tried."""
         if self.find(x) == self.find(y):
             return True
         if self.complete:
             return False
-        self.meet(set_to_mask(ss), x, mu)
-        self.meet(set_to_mask(st), y, mu)
+        self.meet(smask, x, mu)
+        self.meet(tmask, y, mu)
         if self.find(x) == self.find(y):
             return True
         clock = _BudgetClock.begin(budget)
-        decide = _decider(g, ss, st, mu)
+        decide = _decider(g, smask, tmask, mu)
         if decide(x | y):
             self.union(x, y)
             return True
-        # Any edge between the cliques of ss and st joins x and y. Try the
-        # pairs whose unions are smallest, both sides holding ss & st, at
+        # Any edge between the cliques of the covers joins x and y. Try the
+        # pairs whose unions are smallest, both sides holding their overlap, at
         # most C(n, mu) of them, before the coverable pass. They cost a NO
         # nothing: its BFS pops every node of x's component against every
         # node of y's, so it decides each such union anyway, from the memo.
         limit = min(comb(g.vertex_count, mu), clock.budget.max_states)
-        for z in islice(_cross_unions(ss, st, mu), limit):
+        for z in islice(_cross_unions(smask, tmask, mu), limit):
             clock.check_time()
             if decide(z):
                 self.union(x, y)
@@ -458,39 +467,65 @@ class _Labelling:
         return False
 
 
+def _vertex_mask(g: Graph, x) -> int:
+    """The vertex mask of x, read in one pass that range-checks each vertex
+    as check_vertex_set does; a repeated vertex counts once."""
+    n = g.vertex_count
+    m = 0
+    for v in x:
+        if not (0 <= v < n):
+            raise PreconditionError(f"vertex {v} out of range for {n} vertices")
+        m |= 1 << v
+    return m
+
+
+def _lowest_bits(mask: int, count: int) -> int:
+    """The count lowest vertices of mask, as a mask."""
+    out = 0
+    for _ in range(count):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
 def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
     """Decide vertex-cover reconfiguration under k-TJ with k = |s| - mu.
 
-    Immediate YES when mu = 0 (all tokens may jump at once) or when
-    |s intersect t| >= mu (the two covers are already adjacent). Otherwise
-    the answer is whether the lexicographically smallest size-mu subsets of
-    s and of t lie in one component of the compressed graph; by the
-    compression equivalence the choice of subsets does not matter. The
-    search stops as soon as it joins them, and what it learnt, the covers
-    s and t included, stays in g.xp_labellings for later queries of the same
-    cover size and mu: the compressed graph depends only on (g, |s|, mu),
-    and s and t merely steer the decisions, so one labelling serves every
-    cover pair of a size.
+    s and t are read once into vertex masks, and the checks and the search
+    work on those masks; any iterable of vertices will do, repeats
+    included. Immediate YES when mu = 0 (all tokens may jump at once) or
+    when |s intersect t| >= mu (the two covers are already adjacent).
+    Otherwise the answer is whether the lexicographically smallest size-mu
+    subsets of s and of t (their mu lowest vertices) lie in one component
+    of the compressed graph; by the compression equivalence the choice of
+    subsets does not matter. The search stops as soon as it joins them, and
+    what it learnt, the covers s and t included, stays in g.xp_labellings
+    for later queries of the same cover size and mu: the compressed graph
+    depends only on (g, |s|, mu), and s and t merely steer the decisions,
+    so one labelling serves every cover pair of a size.
     """
-    ss = check_vertex_set(g, s)
-    st = check_vertex_set(g, t)
-    for name, c in (("s", ss), ("t", st)):
-        if not is_vertex_cover(g, c):
+    smask = _vertex_mask(g, s)
+    tmask = _vertex_mask(g, t)
+    nbr, full = g.neighbor_masks, g.full_mask
+    for name, m in (("s", smask), ("t", tmask)):
+        if not _independent_mask(nbr, full & ~m):  # V - m independent iff m covers
             raise PreconditionError(f"{name} is not a vertex cover")
-    if len(ss) != len(st):
-        raise PreconditionError(f"cover sizes differ: {len(ss)} vs {len(st)}")
-    if not (0 <= mu <= len(ss)):
-        raise PreconditionError(f"mu must lie in [0, {len(ss)}], got {mu}")
-    if mu == 0 or len(ss & st) >= mu:
+    size = smask.bit_count()
+    if size != tmask.bit_count():
+        raise PreconditionError(f"cover sizes differ: {size} vs {tmask.bit_count()}")
+    if not (0 <= mu <= size):
+        raise PreconditionError(f"mu must lie in [0, {size}], got {mu}")
+    if mu == 0 or (smask & tmask).bit_count() >= mu:
         return True
-    k = len(ss) - mu
+    k = size - mu
     if k < 1:
         raise PreconditionError(f"k = |s| - mu = {k} must be >= 1")
     labellings = g.xp_labellings
-    state = labellings.get((len(ss), mu))
+    state = labellings.get((size, mu))
     if state is None:
-        state = labellings[len(ss), mu] = _Labelling()
+        state = labellings[size, mu] = _Labelling()
     # Both anchors lie inside a cover of size |s|, so both are coverable.
-    x = set_to_mask(sorted(ss)[:mu])
-    y = set_to_mask(sorted(st)[:mu])
-    return state.connected(g, ss, st, mu, x, y, budget)
+    x = _lowest_bits(smask, mu)
+    y = _lowest_bits(tmask, mu)
+    return state.connected(g, smask, tmask, mu, x, y, budget)

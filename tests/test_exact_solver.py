@@ -313,6 +313,22 @@ def test_searched_parts_do_not_walk_the_whole_graph(rule_kind):
     assert time.monotonic() - began < 1.0
 
 
+def test_idle_components_build_no_mask(monkeypatch):
+    # A P20 from its even to its odd vertices beside 2,000 idle K2s, under
+    # 1-TS: only the path's ends differ, so only the path's mask is built.
+    # One mask per component made the split quadratic in their number: at
+    # 20,000 K2s it took about 120 ms.
+    path = (new_graph(20, [(v, v + 1) for v in range(19)]), range(0, 20, 2), range(1, 20, 2))
+    idle = (new_graph(2, [(0, 1)]), {0}, {0})
+    g, start, target = _disjoint_union([path] + [idle] * 2000)
+    inst = ReconfigInstance(g, IS, start, target, Rule(RuleKind.KTS, 1))
+    built = []
+    real = exact.set_to_mask
+    monkeypatch.setattr(exact, "set_to_mask", lambda x: built.append(None) or real(x))
+    assert solve_exact(inst) == SolveResult(True, None, 10)
+    assert len(built) == 1
+
+
 def _random_mask(rng, g):
     """A random vertex mask of g: a union of components half of the time,
     any subset otherwise."""
@@ -1217,6 +1233,9 @@ def test_one_labelling_expansion_reads_the_clock_once_per_4096_pair_tests(monkey
     # Between two clock reads, and after the last one, at most 4096 tests.
     gaps = [b - a for a, b in zip(reads, reads[1:] + [len(tests)])]
     assert max(gaps) <= 4096
+    # After the last test, the n labelled masks are turned into sets in
+    # parts of 4096, with a clock read before each.
+    assert reads.count(len(tests)) == -(-n // 4096)
 
 
 def test_reachability_classes_charge_one_state_per_labelled_set():

@@ -222,6 +222,36 @@ def test_hopcroft_karp_core_matches_the_recursive_reference(n, seed):
     assert list(got.items()) == list(_recursive_hopcroft_karp(g.neighbor_masks, am, bm).items())
 
 
+@given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_capped_hopcroft_karp_stops_at_the_limit(n, seed):
+    # Sparse graphs and sides that leave some vertices out, so that the
+    # limit also falls inside the phases, not only in the greedy start.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.4))
+    nbr = g.neighbor_masks
+    a, b = _random_sides(rng, g, n)
+    am, bm = set_to_mask(a), set_to_mask(b)
+    full = _hopcroft_karp(nbr, am, bm)
+    for limit in range(len(full) + 2):
+        capped = _hopcroft_karp(nbr, am, bm, limit)
+        assert min(len(capped), limit) == min(len(full), limit)
+        assert all((am >> u) & 1 and (bm >> v) & 1 and g.has_edge(u, v) for u, v in capped.items())
+        assert len(set(capped.values())) == len(capped)
+        if len(full) < limit:
+            assert len(capped) == len(full)
+        assert len(capped) == min(len(full), limit)  # it stops exactly at the limit
+
+
+def test_capped_hopcroft_karp_stops_inside_a_phase():
+    # Greedy matches 0-4 and 2-6 and leaves 1 and 3 free; one phase then
+    # finds the disjoint paths 1-4-0-5 and 3-6-2-7, and with limit 3 it
+    # must stop after the first.
+    g = new_graph(8, [(0, 4), (0, 5), (1, 4), (2, 6), (2, 7), (3, 6)])
+    assert len(_hopcroft_karp(g.neighbor_masks, 0x0F, 0xF0)) == 4
+    assert _hopcroft_karp(g.neighbor_masks, 0x0F, 0xF0, 3) == {0: 5, 1: 4, 2: 6}
+
+
 def _has_augmenting_path(g: Graph, bp, matching) -> bool:
     """BFS for an alternating path from an unmatched left to an unmatched right."""
     match_of = {}

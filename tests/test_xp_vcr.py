@@ -156,7 +156,7 @@ def _assert_roots_match_reference(g):
         for mu in range(1, size):
             # A fresh labelling completed as a NO query completes it.
             state = xp._Labelling()
-            decide = xp._decider(g, s, t, mu)
+            decide = xp._decider(g, set_to_mask(s), set_to_mask(t), mu)
             nodes = state.nodes(g, mu, decide, xp._BudgetClock.begin(None))
             state.label_all(nodes, decide, xp._BudgetClock.begin(None))
             roots = {v: state.find(v) for v in nodes}
@@ -384,7 +384,7 @@ def test_clique_tries_cost_a_no_nothing(monkeypatch):
     for (s, t), yes in cold.items():
         if yes:
             continue
-        tried += len(set(xp._cross_unions(s, t, 4)))
+        tried += len(set(xp._cross_unions(set_to_mask(s), set_to_mask(t), 4)))
         calls.clear()
         _cold(g, s, t, 4)
         with_tries = len(calls)
@@ -417,6 +417,40 @@ def test_xp_examples(c4):
     assert not xp_vcr_solve(c4, S13, T24, 1)
     assert xp_vcr_solve(c4, S13, T24, 0)
     assert xp_vcr_solve(c4, S13, S13, 1)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [list, frozenset, lambda x: (v for v in x), lambda x: sorted(x, reverse=True) * 2],
+    ids=["list", "frozenset", "generator", "list-with-repeats"],
+)
+def test_xp_reads_covers_from_any_iterable(form):
+    # s and t are read once into masks: any iterable of vertices gives the
+    # answer of the frozensets, a repeated vertex counted once.
+    g, cold = _k34_plus_edge_answers()
+    for (s, t), want in cold.items():
+        assert _cold(g, form(s), form(t), 4) == want, (s, t)
+
+
+@pytest.mark.parametrize(
+    "s, t, mu, message",
+    [
+        ([0, 9], [1, 3], 1, "vertex 9 out of range for 4 vertices"),
+        ([-1, 0], [1, 3], 1, "vertex -1 out of range for 4 vertices"),
+        # the range of t is checked before s is tested as a cover
+        ([0, 1], [1, 7], 1, "vertex 7 out of range for 4 vertices"),
+        # the cover tests come before the sizes, s before t
+        ([0, 1], [1], 5, "s is not a vertex cover"),
+        ([0, 2], [1], 5, "t is not a vertex cover"),
+        # the sizes come before the range of mu; a repeat counts once
+        ([0, 2, 2], [0, 1, 3], 5, "cover sizes differ: 2 vs 3"),
+    ],
+    ids=["s-range", "s-negative", "t-range", "s-cover", "t-cover", "sizes"],
+)
+def test_xp_input_errors_keep_their_texts_and_order(c4, s, t, mu, message):
+    with pytest.raises(PreconditionError) as raised:
+        xp_vcr_solve(c4, s, t, mu)
+    assert str(raised.value) == message
 
 
 def test_xp_precondition_errors(c4):
