@@ -11,6 +11,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "bounds": ("LengthBound", "find_simple_sequence", "shortest_length_bound"),
+    "budget": ("Budget",),
     "errors": (
         "FormatSemanticsError",
         "FormatSyntaxError",
@@ -22,7 +23,6 @@ _EXPORTS = {
         "SizeMismatchError",
     ),
     "exact": (
-        "Budget",
         "SolveResult",
         "TarResult",
         "max_independent_set",

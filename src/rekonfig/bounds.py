@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .budget import Budget, _BudgetClock
 from .errors import PreconditionError
-from .exact import Budget, _BudgetClock, _first_independent
 from .graph import (
     Graph,
     ReconfigSequence,
@@ -69,6 +69,8 @@ def find_simple_sequence(
     kept inside the residue's vertex mask, reads it off its first block and
     builds no other set.
     """
+    from .exact import _first_independent  # the length bound needs no solver
+
     si = check_vertex_set(g, i)
     sj = check_vertex_set(g, j)
     for name, s in (("i", si), ("j", sj)):

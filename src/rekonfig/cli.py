@@ -6,8 +6,11 @@ reported with its traceback, so that no crash reads as a NO or a REJECT).
 The machine-readable verdict (`yes` or `no`) goes to stdout; diagnostics
 go to stderr. Budgets come from --budget-states/--budget-secs, falling
 back to REKONFIG_BUDGET_STATES and REKONFIG_BUDGET_SECS, then to the
-library defaults. Each command imports the modules only it needs, so a
-`solve` process does not load the compilers.
+library defaults. Each command imports only the modules it runs: only
+`solve` loads the exact solver, `xp-vcr` the XP solver, `oracle` the
+oracles and `bound` the length bound, and `reduce` loads the one compiler it
+names (with the oracles' data types), and the solver only when `planarize`
+must check a crossed edge off the variable cycles against every feasible set.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 import sys
 
 from . import io_formats
+from .budget import Budget
 from .errors import (
     FormatSemanticsError,
     FormatSyntaxError,
@@ -24,7 +28,6 @@ from .errors import (
     RekonfigError,
     ResourceBudgetError,
 )
-from .exact import Budget, solve_exact
 from .graph import FeasibilityKind, RuleKind, verify_sequence
 
 EXIT_YES = 0
@@ -32,6 +35,17 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+
+def __getattr__(name: str):
+    # `cli.solve_exact` is the solver that `solve` runs, resolved on first
+    # read (PEP 562) so that importing the front end does not load it. Not
+    # cached here: the name always reads the current binding in `exact`.
+    if name == "solve_exact":
+        from .exact import solve_exact
+
+        return solve_exact
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _budget(args) -> Budget:
@@ -66,6 +80,8 @@ def _verdict(yes: bool) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .exact import solve_exact
+
     inst = io_formats.parse_instance(_read(args.instance))
     want_cert = args.certificate is not None
     result = solve_exact(inst, want_shortest=args.shortest or want_cert, budget=_budget(args))
@@ -103,37 +119,29 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .reductions import (
-        add_isolated_pads,
-        e3sat_to_inte3sat,
-        grid_draw,
-        inte3sat_to_isr,
-        ncl_to_isr,
-        planarize,
-        pmr_to_isr,
-    )
+    from . import reductions
 
     if args.compiler == "sat2int":
         phi = io_formats.parse_cnf(_read(args.input))
-        _emit(io_formats.serialize_cnf(e3sat_to_inte3sat(phi)), args.output)
+        _emit(io_formats.serialize_cnf(reductions.e3sat_to_inte3sat(phi)), args.output)
     elif args.compiler == "int2isr":
         phi = io_formats.parse_cnf(_read(args.input))
-        inst, _ = inte3sat_to_isr(phi, mu=args.mu)
+        inst, _ = reductions.inte3sat_to_isr(phi, mu=args.mu)
         _emit(io_formats.serialize_instance(inst), args.output)
     elif args.compiler == "planarize":
         phi = io_formats.parse_cnf(_read(args.input))
-        inst, ann = inte3sat_to_isr(phi, mu=1)
-        drawing = grid_draw(inst, ann)
-        planar, ann = planarize(inst, drawing, ann, budget=_budget(args))
-        planar, ann = add_isolated_pads(planar, ann, args.mu - 1)
+        inst, ann = reductions.inte3sat_to_isr(phi, mu=1)
+        drawing = reductions.grid_draw(inst, ann)
+        planar, ann = reductions.planarize(inst, drawing, ann, budget=_budget(args))
+        planar, ann = reductions.add_isolated_pads(planar, ann, args.mu - 1)
         _emit(io_formats.serialize_instance(planar), args.output)
     elif args.compiler == "ncl2isr":
         machine, cs, ct = io_formats.parse_ncl(_read(args.input))
-        inst, _ = ncl_to_isr(machine, cs, ct, args.k, RuleKind(args.rule))
+        inst, _ = reductions.ncl_to_isr(machine, cs, ct, args.k, RuleKind(args.rule))
         _emit(io_formats.serialize_instance(inst), args.output)
     elif args.compiler == "pmr2isr":
         g, ms, mt = io_formats.parse_pmr(_read(args.input))
-        inst = pmr_to_isr(g, ms, mt, RuleKind(args.rule))
+        inst = reductions.pmr_to_isr(g, ms, mt, RuleKind(args.rule))
         _emit(io_formats.serialize_instance(inst), args.output)
     else:  # pragma: no cover - argparse restricts choices
         raise PreconditionError(f"unknown compiler {args.compiler}")

@@ -24,13 +24,13 @@ ResourceBudgetError so callers can distinguish "no" from "too big".
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .errors import PreconditionError, ResourceBudgetError
+from .budget import Budget, _BudgetClock
+from .errors import PreconditionError
 from .graph import (
     FeasibilityKind,
     Graph,
@@ -48,45 +48,6 @@ from .graph import (
     set_to_mask,
 )
 from .matching import has_perfect_matching_between
-
-DEFAULT_MAX_STATES = 5_000_000
-DEFAULT_MAX_SECONDS = 60.0
-
-
-@dataclass(frozen=True)
-class Budget:
-    max_states: int = DEFAULT_MAX_STATES
-    max_seconds: float = DEFAULT_MAX_SECONDS
-
-    def __post_init__(self):
-        # No count or time is ever greater than NaN, so it would bound nothing.
-        if self.max_states != self.max_states or self.max_seconds != self.max_seconds:
-            raise PreconditionError(f"budget limits must be numbers, not NaN: {self}")
-
-
-@dataclass
-class _BudgetClock:
-    budget: Budget
-    start: float
-    counted: int = 0
-
-    @classmethod
-    def begin(cls, budget: Budget | None) -> "_BudgetClock":
-        return cls(budget or Budget(), time.monotonic())
-
-    def charge(self, states: int = 1) -> None:
-        self.counted += states
-        if self.counted > self.budget.max_states:
-            raise ResourceBudgetError(
-                f"state budget exceeded ({self.counted} > {self.budget.max_states})"
-            )
-        if self.counted % 4096 < states:  # the count crossed a multiple of 4096
-            self.check_time()
-
-    def check_time(self) -> None:
-        """Read the clock now; for loops whose single steps are expensive."""
-        if time.monotonic() - self.start > self.budget.max_seconds:
-            raise ResourceBudgetError(f"time budget exceeded ({self.budget.max_seconds}s)")
 
 
 @dataclass(frozen=True)

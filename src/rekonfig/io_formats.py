@@ -50,9 +50,9 @@ from .graph import (
     RuleKind,
     new_graph,
 )
-from .matching import Matching
 
-if TYPE_CHECKING:  # the parsers import them when called
+if TYPE_CHECKING:  # annotations only; the parsers import the oracles' types when called
+    from .matching import Matching
     from .oracles import CnfFormula, NclConfig, NclMachine
 
 # Largest vertex count a header may announce. Parsers check it before any

@@ -12,8 +12,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, TypeVar
 
+from .budget import Budget, _BudgetClock
 from .errors import PreconditionError, ResourceBudgetError
-from .exact import Budget, _BudgetClock
 from .graph import Graph
 from .matching import Matching
 

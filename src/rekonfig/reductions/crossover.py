@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..budget import Budget
 from ..errors import NonGoodCrossingError, PreconditionError
-from ..exact import Budget, feasible_masks
 from ..graph import (
     ReconfigInstance,
     Rule,
@@ -100,6 +100,8 @@ def _check_good(
     if structural:
         return  # variable-cycle edges are always good: even cycle, alternating tokens
     if "masks" not in feasible_cache:
+        from ..exact import feasible_masks  # the only use of the solver in `reduce`
+
         feasible_cache["masks"] = feasible_masks(
             inst.graph, inst.kind, len(inst.start), budget
         )

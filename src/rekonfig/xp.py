@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .budget import Budget, _BudgetClock
 from .errors import PreconditionError, ResourceBudgetError
-from .exact import Budget, _BudgetClock
 from .graph import (
     Graph,
     VertexSet,

@@ -308,7 +308,7 @@ def test_criterion_05_crossover_gadget_and_planarization():
         (v2, role_id["v2p"]),
     ]
     bounded = new_graph(12, edges)
-    from rekonfig.reductions.planarize import _TOKEN_TABLE
+    from rekonfig.reductions.crossover import _TOKEN_TABLE
 
     for su, sv in itertools.product((1, 2), repeat=2):
         boundary = {u1 if su == 1 else u2, v1 if sv == 1 else v2}

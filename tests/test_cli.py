@@ -360,16 +360,95 @@ def test_unexpected_error_is_neither_a_verdict_nor_a_usage_error(capsys, monkeyp
     assert out == "" and "internal error" in err and "boom" in err
 
 
-def test_cli_import_loads_no_command_modules():
-    # A solve process needs neither the compilers nor the XP solver nor the
-    # length bound nor the oracles; each command imports its own modules.
+def _fresh(probe: str, *argv: str, cwd=None) -> str:
+    """Run `probe` in a new interpreter, where no rekonfig module is loaded
+    yet (in this process the tests have loaded them all), and return its
+    stdout."""
     src = str(Path(rekonfig.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, rekonfig.cli; print(*sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    loaded = set(out.stdout.split())
-    assert "rekonfig.cli" in loaded
-    assert not {"rekonfig.reductions", "rekonfig.xp", "rekonfig.bounds", "rekonfig.oracles"} & loaded
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+# The front end and the core layers; every other rekonfig module is one
+# that a command runs.
+_FRONT_END = {"rekonfig", "cli", "budget", "errors", "graph", "io_formats", "matching"}
+
+
+def _command_modules(stdout: str) -> set[str]:
+    return {m.removeprefix("rekonfig.") for m in stdout.split() if m.startswith("rekonfig")} - _FRONT_END
+
+
+def test_cli_import_loads_no_command_modules():
+    # Importing the front end loads no solver, compiler, oracle or bound.
+    loaded = _fresh("import sys, rekonfig.cli; print(*sys.modules)")
+    assert "rekonfig.cli" in loaded.split()
+    assert _command_modules(loaded) == set()
+
+
+# Each command, its exit code, and the command modules its process loads:
+# only `solve` loads the exact solver, and each compiler loads only its own
+# reductions submodules (`reduce` also reads the oracles' data types).
+_COMMANDS = [
+    (["solve", "c4_is_ktj2.isr", "--certificate", "c4.cert"], 0, {"exact"}),
+    (["verify", "c4_is_ktj2.isr", "--certificate", "c4.cert"], 0, set()),
+    (["xp-vcr", "c4_vc_ktj1.isr"], 1, {"xp"}),
+    (["oracle", "sat", "fig_formula.cnf"], 0, {"oracles"}),
+    (["oracle", "ncl", "k4.ncl"], 0, {"oracles"}),
+    (["oracle", "pmr", "c4.pmr"], 0, {"oracles"}),
+    (["bound", "--n", "6", "--size", "3", "--mu", "1"], 0, {"bounds"}),
+    (["reduce", "sat2int", "forced_chain.cnf", "-o", "out"], 0, {"oracles", "reductions", "reductions.sat"}),
+    (["reduce", "int2isr", "fig_formula.cnf", "-o", "out"], 0,
+     {"oracles", "reductions", "reductions.isr_from_sat", "reductions.annotations"}),
+    (["reduce", "planarize", "fig_formula.cnf", "-o", "out"], 0,
+     {"oracles", "reductions", "reductions.isr_from_sat", "reductions.annotations", "reductions.drawing",
+      "reductions.crossover"}),
+    (["reduce", "ncl2isr", "k4.ncl", "-o", "out"], 0,
+     {"oracles", "reductions", "reductions.ncl", "reductions.annotations"}),
+    (["reduce", "pmr2isr", "c4.pmr", "-o", "out"], 0, {"oracles", "reductions", "reductions.pmr"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    _COMMANDS,
+    ids=[" ".join(argv[:2]) if argv[0] in ("oracle", "reduce") else argv[0] for argv, _, _ in _COMMANDS],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, modules):
+    for name in FIXTURES.iterdir():
+        (tmp_path / name.name).write_bytes(name.read_bytes())
+    if argv[0] == "verify":
+        assert main(["solve", "--certificate", str(tmp_path / "c4.cert"), str(tmp_path / "c4_is_ktj2.isr")]) == 0
+    probe = "import sys; from rekonfig.cli import main; code = main(sys.argv[1:]); print(code, *sys.modules)"
+    *_, last = _fresh(probe, *argv, cwd=tmp_path).splitlines()
+    assert int(last.split()[0]) == code
+    assert _command_modules(last) == modules
+
+
+def test_reductions_export_no_submodule():
+    # With every submodule loaded first, each exported name must still be
+    # the function or type of its home module: a submodule named like a
+    # function it exports would shadow it once loaded.
+    probe = """
+import importlib, pkgutil, types
+import rekonfig.reductions as package
+for info in pkgutil.iter_modules(package.__path__):
+    importlib.import_module(f"{package.__name__}.{info.name}")
+for name in package.__all__:
+    value = getattr(package, name)
+    home = importlib.import_module(f"{package.__name__}.{package._MODULE_OF[name]}")
+    assert not isinstance(value, types.ModuleType), name
+    assert value is getattr(home, name), name
+namespace = {}
+exec("from rekonfig.reductions import *", namespace)
+assert set(package.__all__) <= set(namespace)
+print(len(package.__all__))
+"""
+    import rekonfig.reductions
+
+    assert int(_fresh(probe)) == len(rekonfig.reductions.__all__) > 0
 
 
 def test_package_exports_every_name():
