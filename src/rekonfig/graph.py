@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import GraphConstructionError, PreconditionError, SizeMismatchError
 
@@ -285,9 +285,32 @@ def adjacent_kts(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> bool:
     sa, sb = frozenset(a), frozenset(b)
     if not adjacent_ktj(sa, sb, k):
         return False
-    from .matching import has_perfect_matching_between
+    # At most k vertices move, so the pair test of the moved vertices alone,
+    # with no token shared, is the test of a and b.
+    gone, added = (set_to_mask(check_vertex_set(g, x)) for x in (sa - sb, sb - sa))
+    return _rule_adjacency(g, Rule(RuleKind.KTS, k), gone.bit_count())(gone, added)
 
-    return has_perfect_matching_between(g, sa - sb, sb - sa)
+
+def _rule_adjacency(g: Graph, rule: Rule, size: int) -> Callable[[int, int], bool]:
+    """The rule's pair test on vertex masks of `size` vertices each: |A ∩ B| >=
+    size - k, and under k-TS a perfect matching along edges of g from A - B
+    onto B - A. One test serves verify_sequence and the exact search."""
+    threshold = size - rule.k  # |A ∩ B| >= size - k  <=>  |A △ B| <= 2k
+    if rule.kind is RuleKind.KTJ:
+        if threshold <= 0:
+            return lambda a, b: True
+        return lambda a, b: (a & b).bit_count() >= threshold
+    from .matching import _hopcroft_karp  # matching imports this module
+
+    nbr = g.neighbor_masks
+
+    def kts(a: int, b: int) -> bool:
+        if (a & b).bit_count() < threshold:
+            return False
+        gone = a & ~b
+        return len(_hopcroft_karp(nbr, gone, b & ~a)) == gone.bit_count()
+
+    return kts
 
 
 def verify_sequence(inst: ReconfigInstance, seq: ReconfigSequence) -> Verdict:
@@ -296,25 +319,29 @@ def verify_sequence(inst: ReconfigInstance, seq: ReconfigSequence) -> Verdict:
     ACCEPT iff the first step equals start, the last equals target, every
     step is feasible with cardinality |start|, and every consecutive pair is
     adjacent under the instance rule. All failures are REJECT verdicts with
-    the index and reason of the first violation; nothing raises.
+    the index and reason of the first violation; nothing raises. Each step
+    becomes a vertex mask once, for its feasibility and its pair tests.
     """
-    steps = seq.steps
+    g, steps = inst.graph, seq.steps
     size = len(inst.start)
     if steps[0] != inst.start:
         return Verdict(False, 0, "first step differs from the start set")
     if steps[-1] != inst.target:
         return Verdict(False, len(steps) - 1, "last step differs from the target set")
+    cover = inst.kind is FeasibilityKind.VERTEX_COVER
+    masks = []
     for i, s in enumerate(steps):
-        if any(not (0 <= v < inst.graph.vertex_count) for v in s):
+        if any(not (0 <= v < g.vertex_count) for v in s):
             return Verdict(False, i, "step contains an out-of-range vertex")
         if len(s) != size:
             return Verdict(False, i, f"step has size {len(s)}, expected {size}")
-        if not is_feasible(inst.graph, inst.kind, s):
+        m = set_to_mask(s)
+        if not _independent_mask(g.neighbor_masks, g.full_mask & ~m if cover else m):
             return Verdict(False, i, f"step is not a feasible {inst.kind.value} set")
-    k, jump = inst.rule.k, inst.rule.kind is RuleKind.KTJ
-    for i in range(1, len(steps)):
-        a, b = steps[i - 1], steps[i]
-        if not (adjacent_ktj(a, b, k) if jump else adjacent_kts(inst.graph, a, b, k)):
+        masks.append(m)
+    adjacent = _rule_adjacency(g, inst.rule, size)
+    for i in range(1, len(masks)):
+        if not adjacent(masks[i - 1], masks[i]):
             return Verdict(
                 False, i, f"steps {i - 1} and {i} are not adjacent under the rule"
             )

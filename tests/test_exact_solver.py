@@ -128,6 +128,45 @@ def test_solve_exact_identity(c4):
     assert res.reachable and res.shortest.length == 0
 
 
+def _caterpillar_one_slide() -> tuple:
+    """A 40-vertex spine path 0-39 with the pendant 40 + i on spine vertex i:
+    from the 40 pendants to the pendants with 40's token slid onto 0."""
+    spine = 40
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(i, spine + i) for i in range(spine)]
+    start = frozenset(range(spine, 2 * spine))
+    return new_graph(2 * spine, edges), start, start - {spine} | {0}, spine - 1
+
+
+def _isolated_one_jump() -> tuple:
+    """60 isolated vertices, from {0, ..., 29} to {1, ..., 30}."""
+    return new_graph(60, []), frozenset(range(30)), frozenset(range(1, 31)), 29
+
+
+@pytest.mark.parametrize("kind", [IS, VC])
+@pytest.mark.parametrize(
+    "make, rule_kind",
+    [(_caterpillar_one_slide, RuleKind.KTJ), (_caterpillar_one_slide, RuleKind.KTS),
+     (_isolated_one_jump, RuleKind.KTJ)],
+    ids=["caterpillar-ktj", "caterpillar-kts", "isolated-ktj"],
+)
+def test_ends_one_move_apart_are_settled_before_any_count(make, rule_kind, kind):
+    # k = |S| - 1, so the move estimate is about 2^40 on the caterpillar and
+    # 2^30 on the isolated vertices, and counting the family ran on until
+    # the default state budget (about 8 s on the connected caterpillar) or a
+    # 3 s time budget stopped it. The pair test, asked first, sees that the
+    # ends are one move apart.
+    g, start, target, k = make()
+    if kind is VC:
+        start, target = complement_set(g, start), complement_set(g, target)
+    inst = ReconfigInstance(g, kind, start, target, Rule(rule_kind, k))
+    began = time.monotonic()
+    res = solve_exact(inst, want_shortest=True, budget=Budget(max_seconds=2))
+    assert time.monotonic() - began < 1.0
+    assert res.reachable and res.explored_states == 0
+    assert res.shortest.steps == (start, target)
+    assert verify_sequence(inst, res.shortest).accepted
+
+
 def test_solve_exact_budget_error():
     g = new_graph(24, [])
     inst = ReconfigInstance(
@@ -156,7 +195,7 @@ def test_solve_exact_one_clock_for_enumeration_and_search():
     )
     clock = exact._BudgetClock.begin(None)
     cap = 2 * exact._move_estimate(inst, g.full_mask)
-    assert exact._family_within(g, IS, 3, cap, clock, g.full_mask) is None
+    assert exact._family(g, IS, 3, clock, g.full_mask, cap) is None
     prefix = clock.counted
     assert _both_ends(inst, clock=clock).explored_states > 0
     total = clock.counted
@@ -457,26 +496,33 @@ def test_clique_partition_tries_only_the_cliques_of_earlier_neighbours(n, seed):
 
 
 def test_time_budget_bounds_the_clique_partition():
-    # The star K_{1,8191}, independent 1-sets under 1-TJ: its partition has
-    # 8,191 cliques, and testing each vertex against all of them took about
-    # 40 s with no clock read; s and t are one jump apart.
+    # The star K_{1,8186} with a path 8187-8191 hanging from its centre 0,
+    # independent 3-sets under 1-TS: the partition behind the count of 3-sets
+    # has 8,189 cliques, and testing each vertex against all of them took
+    # about 40 s with no clock read. s and t are two slides apart, through
+    # the centre, so the pair test does not settle them.
     n = 8192
-    g = new_graph(n, [(0, v) for v in range(1, n)])
-    inst = ReconfigInstance(g, IS, frozenset({0}), frozenset({1}), Rule(RuleKind.KTJ, 1))
+    g = new_graph(n, [(0, v) for v in range(1, n - 4)] + [(v, v + 1) for v in range(n - 5, n - 1)])
+    inst = ReconfigInstance(
+        g, IS, frozenset({n - 5, n - 3, n - 1}), frozenset({1, n - 3, n - 1}), Rule(RuleKind.KTS, 1)
+    )
     began = time.monotonic()
     result = solve_exact(inst, want_shortest=True, budget=Budget(max_seconds=0.5))
-    assert result.reachable and result.shortest.length == 1
+    assert result.reachable and result.shortest.length == 2
     assert time.monotonic() - began < 0.5 + 1.0
 
 
 def test_time_budget_bounds_the_enumeration_on_the_largest_star():
-    # The star K_{1,65535}, as large as an instance file may be
-    # (io_formats.MAX_VERTICES), independent 1-sets under 1-TJ. A table of
-    # the n + 1 vertex suffixes, built before the enumeration's first clock
-    # read, made this solve run 2.7 s and peak at 1.1 GB on a 2-core Xeon VM.
+    # The star K_{1,65534} with one leaf, 1, extended by the vertex 65535:
+    # as large as an instance file may be (io_formats.MAX_VERTICES),
+    # independent 1-sets under 1-TS, from the centre to the new vertex, two
+    # slides apart. Every leaf is a candidate of the centre, so all 65,536
+    # sets are built and scanned. A table of the n + 1 vertex suffixes,
+    # built before the enumeration's first clock read, made this solve's
+    # count run 2.7 s and peak at 1.1 GB on a 2-core Xeon VM.
     n = 65536
-    g = new_graph(n, [(0, v) for v in range(1, n)])
-    inst = ReconfigInstance(g, IS, frozenset({0}), frozenset({1}), Rule(RuleKind.KTJ, 1))
+    g = new_graph(n, [(0, v) for v in range(1, n - 1)] + [(1, n - 1)])
+    inst = ReconfigInstance(g, IS, frozenset({0}), frozenset({n - 1}), Rule(RuleKind.KTS, 1))
     began = time.monotonic()
     with pytest.raises(ResourceBudgetError):
         solve_exact(inst, want_shortest=True, budget=Budget(max_seconds=0.5))
@@ -543,7 +589,7 @@ def test_one_scan_expansion_reads_the_clock_once_per_4096_sets(monkeypatch):
     n = 8193
     g = new_graph(n, [(0, v) for v in range(1, n)])
     clock = exact._BudgetClock.begin(None)
-    family = exact._feasible_masks(g, IS, 1, clock)
+    family = exact._family(g, IS, 1, clock, g.full_mask)
     scan = exact._state_scan(family, exact._rule_adjacency(g, Rule(RuleKind.KTJ, 1), 1), clock)
     before = len(reads)
     assert len(scan(family[0], {family[0]: None})) == n - 1
@@ -597,7 +643,7 @@ def test_block_counts_decide_the_source_and_give_the_first_sets(n, seed, kind, r
     family = feasible_masks(g, kind, size)
     cap = 2 * exact._move_estimate(inst, g.full_mask)
     for limit in (cap, 0, len(family) - 1, len(family)):
-        within = exact._family_within(g, kind, size, limit, exact._BudgetClock.begin(None), g.full_mask)
+        within = exact._family(g, kind, size, exact._BudgetClock.begin(None), g.full_mask, limit)
         assert within == (None if len(family) > limit else family)
     clock = exact._BudgetClock.begin(None)
     for t in range(n + 2):
@@ -605,6 +651,22 @@ def test_block_counts_decide_the_source_and_give_the_first_sets(n, seed, kind, r
         assert exact._first_independent(g, t, clock, g.full_mask) == (sets[0] if sets else None)
     alpha = max(t for t in range(n + 1) if feasible_masks(g, IS, t))
     assert max_independent_set(g) == mask_to_set(feasible_masks(g, IS, alpha)[0])
+
+
+@given(st.integers(min_value=0, max_value=14), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=300, deadline=None)
+def test_cover_families_within_a_mask_are_the_sorted_complements(n, seed):
+    # _family lists the covers inside a mask as the complements of the
+    # independent sets in reverse; the reference sorts the complements.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+    within = _random_mask(rng, g)
+    clock = exact._BudgetClock.begin(None)
+    for size in range(within.bit_count() + 1):
+        independent = exact._family(g, IS, within.bit_count() - size, clock, within)
+        complements = [within ^ m for m in independent]
+        want = sorted(complements, key=exact._set_sort_key, reverse=True)
+        assert exact._family(g, VC, size, clock, within) == want
 
 
 def _sources(inst):
@@ -862,7 +924,7 @@ def test_generator_path_counts_only_part_of_the_family():
     # solve, search included.
     inst = _prism_instance()
     clock = exact._BudgetClock.begin(None)
-    exact._feasible_masks(inst.graph, IS, 4, clock)
+    exact._family(inst.graph, IS, 4, clock, inst.graph.full_mask)
     res = solve_exact(inst, want_shortest=True, budget=Budget(max_states=clock.counted))
     assert res.reachable and verify_sequence(inst, res.shortest).accepted
 
@@ -960,14 +1022,16 @@ def test_solve_exact_estimates_without_enumerating_groups(monkeypatch):
 
 
 def test_solve_exact_scans_on_dense_k2(monkeypatch):
-    # Complement of C9: only the 9 cycle edges are independent 2-sets, fewer
-    # than twice the 7 + 21 = 28 candidate groups of {0, 1}: each of the 7
-    # other vertices has at most two conflicts.
+    # Complement of the square of C9, each vertex adjacent to the four at
+    # cyclic distance 3 or 4: only the 9 runs {i, i + 1, i + 2} are
+    # independent 3-sets, fewer than twice the 4 + 6 = 10 candidate groups
+    # of {0, 1, 2}, whose candidates 3, 4, 7 and 8 have at most two
+    # conflicts. {0, 1, 2} and {4, 5, 6} share no vertex, so they are no
+    # 2-TJ move, and {2, 3, 4} lies between them.
     n = 9
-    cycle = {frozenset({i, (i + 1) % n}) for i in range(n)}
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if frozenset({u, v}) not in cycle]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if min(v - u, n - v + u) > 2]
     inst = ReconfigInstance(
-        new_graph(n, edges), IS, frozenset({0, 1}), frozenset({4, 5}), Rule(RuleKind.KTJ, 2)
+        new_graph(n, edges), IS, frozenset({0, 1, 2}), frozenset({4, 5, 6}), Rule(RuleKind.KTJ, 2)
     )
     assert _picked_source(monkeypatch, inst) == ["_state_scan"]
 
@@ -1242,7 +1306,7 @@ def test_reachability_classes_charge_one_state_per_labelled_set():
     g = new_graph(8, [(v, (v + 1) % 8) for v in range(8)])
     rule = Rule(RuleKind.KTJ, 1)
     clock = exact._BudgetClock.begin(None)
-    family = exact._feasible_masks(g, IS, 3, clock)
+    family = exact._family(g, IS, 3, clock, g.full_mask)
     limit = clock.counted + len(family)
     assert len(reachability_classes(g, IS, 3, rule, Budget(max_states=limit))) == len(family)
     with pytest.raises(ResourceBudgetError):
