@@ -8,6 +8,14 @@ summary row per vertex count. The pairs of each cover size and mu are asked
 in an order shuffled by the --seed generator, so different seeds exercise
 the solver's shared cache in different query orders.
 
+A last row sweeps K_{a,a} + C_{2c}, vertices relabelled by the same
+generator. Its minimum covers hold a whole side of K_{a,a} and of the
+cycle, so at that size and mu >= 3 it holds NO pairs (covers on different
+sides of K_{a,a}, k < a) and YES pairs, and the vertex pairs across a side
+lie in no cover. The nogood column counts the queries whose coverable pass
+found such a pair and walked only the nodes that hold none. Exits non-zero
+on a mismatch, or when the K_{a,a} + C_{2c} row has no such query.
+
 Usage:
     python scripts/xp_agreement_sweep.py [--max-n 7] [--random 100] [--seed 1]
 """
@@ -62,8 +70,21 @@ def union_find_labels(count, edges):
     return [find(i) for i in range(count)]
 
 
+def biclique_plus_cycle(a, c, rng):
+    """K_{a,a} + C_{2c}, its vertices relabelled at random."""
+    n = 2 * a + 2 * c
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = [(i, a + j) for i in range(a) for j in range(a)]
+    edges += [(2 * a + i, 2 * a + (i + 1) % (2 * c)) for i in range(2 * c)]
+    return new_graph(n, [(order[u], order[v]) for u, v in edges])
+
+
 def sweep_graph(g, rng):
+    """(checks, mismatches, queries whose coverable pass found a vertex pair
+    in no cover) over every cover size, mu and ordered cover pair of g."""
     checks = mismatches = 0
+    walked = set()
     for size in range(1, g.vertex_count + 1):
         covers = feasible_masks(g, FeasibilityKind.VERTEX_COVER, size)
         if len(covers) < 2:
@@ -83,7 +104,12 @@ def sweep_graph(g, rng):
                 checks += 1
                 if got != (labels[i] == labels[j]):
                     mismatches += 1
-    return checks, mismatches
+                # A labelling's pass runs once, in one query, and sets apart
+                # only when it found a pair in no cover.
+                state = g.xp_labellings.get((size, mu))
+                if state is not None and state.apart:
+                    walked.add((size, mu))
+    return checks, mismatches, len(walked)
 
 
 def main():
@@ -105,20 +131,30 @@ def main():
             new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         )
     pools[f"random n<=10 ({args.random})"] = randoms
+    bicliques = "K_a,a + C_2c"
+    pools[bicliques] = [biclique_plus_cycle(a, c, rng) for a, c in ((2, 2), (3, 2), (2, 3))]
 
     total_mismatch = 0
-    print(f"{'pool':<24} {'graphs':>7} {'checks':>10} {'mismatch':>9} {'secs':>7}")
+    nogoods = {}
+    print(f"{'pool':<24} {'graphs':>7} {'checks':>10} {'mismatch':>9} {'nogood':>7} {'secs':>7}")
     for name, graphs in pools.items():
         t0 = time.time()
-        checks = mismatches = 0
+        checks = mismatches = nogood = 0
         for g in graphs:
-            dc, dm = sweep_graph(g, rng)
+            dc, dm, dn = sweep_graph(g, rng)
             checks += dc
             mismatches += dm
+            nogood += dn
         total_mismatch += mismatches
-        print(f"{name:<24} {len(graphs):>7} {checks:>10} {mismatches:>9} {time.time()-t0:>7.1f}")
+        nogoods[name] = nogood
+        print(
+            f"{name:<24} {len(graphs):>7} {checks:>10} {mismatches:>9} {nogood:>7} "
+            f"{time.time()-t0:>7.1f}"
+        )
     print("agreement:", "100%" if total_mismatch == 0 else f"{total_mismatch} mismatches")
-    return 0 if total_mismatch == 0 else 1
+    if not nogoods[bicliques]:
+        print(f"no query of the {bicliques} row found a vertex pair in no cover")
+    return 0 if total_mismatch == 0 and nogoods[bicliques] else 1
 
 
 if __name__ == "__main__":

@@ -145,11 +145,13 @@ def _independent_blocks(g: Graph, size: int, clock: _BudgetClock, within: int) -
     The DFS keeps its open nodes (candidates, chosen, tokens still to place)
     on an explicit stack, so no input is too deep for it. Each node is
     charged once. A node with three or more tokens to place is pruned by the
-    clique bound or split. A node one or two tokens short becomes a block at
-    once, counted by popcounts, which decide it exactly: one token short,
-    its candidates; two short, each candidate's later non-neighbours among
-    them, with the clock read once per 4096 candidates. Counting charges no
-    set: a caller charges the sets it builds."""
+    clique bound or split; the bound scans every clique, so the clock is
+    also read once per 4096 cliques scanned. A node one or two tokens short
+    becomes a block at once, counted by popcounts, which decide it exactly:
+    one token short, its candidates; two short, each candidate's later
+    non-neighbours among them, with the clock read once per 4096
+    candidates. Counting charges no set: a caller charges the sets it
+    builds."""
     if size == 0:
         clock.charge()
         yield 1, 0, 0, 0
@@ -157,11 +159,18 @@ def _independent_blocks(g: Graph, size: int, clock: _BudgetClock, within: int) -
     masks = g.neighbor_masks
     cliques = _clique_partition_masks(g, clock, within) if size > 2 else []
     stack = [(within, 0, size)]
+    scanned = 0  # cliques scanned by the bound since the last clock read
     while stack:
         candidates, chosen, remaining = stack.pop()
         clock.charge()
         if remaining > 2:
-            if candidates.bit_count() < remaining or _clique_bound(cliques, candidates) < remaining:
+            if candidates.bit_count() < remaining:
+                continue
+            scanned += len(cliques)
+            if scanned >= _CHUNK:
+                scanned = 0
+                clock.check_time()
+            if _clique_bound(cliques, candidates) < remaining:
                 continue
             bit = candidates & -candidates  # lowest remaining candidate, kept lexicographic
             rest = candidates ^ bit

@@ -17,7 +17,11 @@ then edges between other size-mu subsets of S and of T (all subsets of one
 cover are pairwise adjacent, so any such edge joins the anchors), then a
 BFS from the first anchor over the coverable nodes (those some cover
 contains) that stops once it reaches the second. Only a NO labels every
-component. What a query learns, the coverable nodes, a union-find over the
+component. Coverability is closed under subsets, so when there are fewer
+vertex pairs than size-mu subsets, the pass that lists the coverable nodes
+first decides every pair: a node holding a pair that no cover contains is
+not coverable, and a union holding one is no edge, so neither is decided
+(the nogoods of constraint learning, Dechter, AI 1990). What a query learns, the coverable nodes, a union-find over the
 nodes known to be connected, the input covers seen so far and whether the
 labelling is complete, is a fact about the compressed graph of (G, |S|, mu).
 So it is kept on the graph itself, in Graph.xp_labellings under (|S|, mu),
@@ -47,7 +51,7 @@ from .graph import (
 from .matching import Bipartition, _hopcroft_karp, bipartition_of, konig_min_vertex_cover
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from itertools import combinations, islice
 from math import comb
 
@@ -259,10 +263,10 @@ def _decider(g: Graph, smask: int, tmask: int, mu: int) -> Callable[[int], bool]
     on masks, the same core clique_edge_oracle uses: xp_vcr_solve has
     checked both covers once, and covers of G also cover G - Z, so no call
     re-validates them. The answer does not depend on the covers, only the
-    route to it does. A single node, of mu vertices, is asked only by the
-    coverable pass, once each, so its decision is not stored: the memo holds
-    unions of two distinct nodes, not an entry per node of the C(n, mu) the
-    pass visits."""
+    route to it does. A single node, of mu vertices, and a vertex pair are
+    asked only by the coverable pass, once each, so their decisions are not
+    stored: the memo holds unions of two distinct nodes, not an entry per
+    node of the C(n, mu) the pass visits."""
     nbr = g.neighbor_masks
     full = g.full_mask
     cover_size = smask.bit_count()
@@ -289,6 +293,28 @@ def _bits(mask: int) -> list[int]:
     return [1 << v for v in iter_bits(mask)]
 
 
+def _nogoods(
+    g: Graph, covers: Iterable[int], decide: Callable[[int], bool], clock: _BudgetClock
+) -> list[int]:
+    """Per vertex u, the mask of the vertices v that no cover of the
+    decider's size holds together with u. A pair inside one of covers,
+    covers of that size, is not decided; the clock is read once per
+    decision."""
+    bad = [0] * g.vertex_count
+    for u in range(g.vertex_count):
+        bu = 1 << u
+        later = g.full_mask & -(bu << 1)
+        for c in covers:
+            if c & bu:
+                later &= ~c
+        for v in iter_bits(later):
+            clock.check_time()
+            if not decide(bu | 1 << v):
+                bad[u] |= 1 << v
+                bad[v] |= bu
+    return bad
+
+
 def _cross_unions(smask: int, tmask: int, mu: int):
     """The unions X | Y of a size-mu subset X of the cover smask and one Y
     of tmask, both holding smask & tmask (which has fewer than mu vertices),
@@ -309,7 +335,10 @@ class _Labelling:
     coverable lists, in lexicographic order, the size-mu node masks that some
     cover of that size contains; any edge X-Y needs a cover containing
     X union Y, so the other nodes are isolated. It stays None until a pass
-    over all C(n, mu) nodes has finished. parent is a union-find with path
+    over all C(n, mu) nodes has finished. apart maps each coverable node to
+    the vertices that no cover holds together with it, when that pass found
+    a vertex pair in no cover, and is empty otherwise; it is set with
+    coverable. parent is a union-find with path
     halving (Tarjan, JACM 1975) over nodes known to be connected: a union
     follows a decided edge, so classes only ever grow inside components.
     complete is set once every component has been labelled; find then
@@ -322,10 +351,11 @@ class _Labelling:
     budget aborts leaves a state that later queries can build on.
     """
 
-    __slots__ = ("coverable", "parent", "complete", "covers")
+    __slots__ = ("coverable", "apart", "parent", "complete", "covers")
 
     def __init__(self) -> None:
         self.coverable: list[int] | None = None
+        self.apart: dict[int, int] = {}
         self.parent: dict[int, int] = {}
         self.complete = False
         self.covers: dict[int, int] = {}
@@ -356,20 +386,49 @@ class _Labelling:
         self, g: Graph, mu: int, decide: Callable[[int], bool], clock: _BudgetClock
     ) -> list[int]:
         """The coverable nodes, from one pass that is run on first need.
-        budget.max_states caps the C(n, mu) nodes it visits; the clock is
-        read once per node."""
+        budget.max_states caps the C(n, mu) nodes it may visit; the clock is
+        read once per pair decided and once per node or walk step.
+
+        When there are fewer vertex pairs than nodes, the pass first
+        decides every pair that no seen input cover holds. If some pair
+        lies in no cover, only the nodes that hold no such pair can be
+        coverable: an include-first walk over ascending vertices visits
+        exactly those, in lexicographic order, pruning a branch once its
+        candidates run short, and records in apart the vertices each
+        coverable node shares no cover with. Otherwise every node is
+        decided in lexicographic order."""
         if self.coverable is None:
-            if comb(g.vertex_count, mu) > clock.budget.max_states:
+            n = g.vertex_count
+            if comb(n, mu) > clock.budget.max_states:
                 raise ResourceBudgetError(
-                    f"C({g.vertex_count},{mu}) nodes exceed the state budget "
-                    f"{clock.budget.max_states}"
+                    f"C({n},{mu}) nodes exceed the state budget {clock.budget.max_states}"
                 )
+            bad = _nogoods(g, self.covers, decide, clock) if comb(n, 2) < comb(n, mu) else []
             found = []
-            for c in combinations(_bits(g.full_mask), mu):
-                clock.check_time()
-                x = sum(c)  # the bits are disjoint, so the sum is their union
-                if decide(x):
-                    found.append(x)
+            apart = {}
+            if any(bad):
+                # (chosen, vertices apart from it, candidates, still to pick)
+                stack = [(0, 0, g.full_mask, mu)]
+                while stack:
+                    clock.check_time()
+                    x, far, candidates, need = stack.pop()
+                    if not need:
+                        if decide(x):
+                            found.append(x)
+                            apart[x] = far
+                    elif candidates.bit_count() >= need:
+                        low = candidates & -candidates
+                        rest = candidates ^ low
+                        stack.append((x, far, rest, need))  # without low, after
+                        b = bad[low.bit_length() - 1]
+                        stack.append((x | low, far | b, rest & ~b, need - 1))
+            else:
+                for c in combinations(_bits(g.full_mask), mu):
+                    clock.check_time()
+                    x = sum(c)  # the bits are disjoint, so the sum is their union
+                    if decide(x):
+                        found.append(x)
+            self.apart = apart
             self.coverable = found
         return self.coverable
 
@@ -384,16 +443,19 @@ class _Labelling:
     ) -> list[int] | None:
         """BFS that joins into root's class every pending node reachable
         from the nodes in queue, testing each popped node only against the
-        nodes not yet discovered; the clock is read once per pop. Returns
+        nodes not yet discovered, and deciding no union that holds a vertex
+        the popped node is apart from; the clock is read once per pop. Returns
         the pending nodes left undiscovered, or None, with target joined,
         as soon as a discovered node is in target's class or has an edge to
         target."""
+        apart = self.apart
         while queue:
             clock.check_time()
             u = queue.popleft()
+            far = apart.get(u, 0)
             undiscovered = []
             for v in pending:
-                if decide(u | v):
+                if not v & far and decide(u | v):
                     met = target is not None and (
                         self.find(v) == self.find(target) or decide(v | target)
                     )

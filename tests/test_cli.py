@@ -224,18 +224,16 @@ def test_unusable_budget_is_a_usage_error(capsys, monkeypatch, argv, env):
 
 
 def test_xp_vcr_time_budget_exit_code(capsys, tmp_path):
-    # K_{3,3} on 1-3 / 4-6 plus the cycle C16 on 7-22; s = {1, 2, 3} +
-    # {7, 9, ..., 21}, t = {4, 5, 6} + {8, 10, ..., 22}, mu = 10 so k = 1.
-    # The instance is NO, so the query labels all C(22, 10) = 646,646
-    # nodes, which takes about 7 s without a budget.
-    n = 22
-    edges = [(i, j) for i in range(1, 4) for j in range(4, 7)]
-    edges += [(7 + i, 7 + (i + 1) % 16) for i in range(16)]
-    lines = [f"p reconfig {n} {len(edges)} vc ktj 1"]
+    # The cycle C40 on 1-40; s = {1, 3, ..., 39} + {2}, t = {2, 4, ..., 40}
+    # + {1}, mu = 5 so k = 16: a YES that the tries between the cliques of
+    # s and t find after 396,322 decisions, about 3.3 s without a budget.
+    n = 40
+    edges = [(v, v % n + 1) for v in range(1, n + 1)]
+    lines = [f"p reconfig {n} {len(edges)} vc ktj 16"]
     lines += [f"e {u} {v}" for u, v in edges]
-    lines.append("s " + " ".join(str(v) for v in [1, 2, 3] + list(range(7, n + 1, 2))))
-    lines.append("t " + " ".join(str(v) for v in [4, 5, 6] + list(range(8, n + 1, 2))))
-    path = tmp_path / "k33_c16.isr"
+    lines.append("s " + " ".join(str(v) for v in list(range(1, n, 2)) + [2]))
+    lines.append("t " + " ".join(str(v) for v in list(range(2, n + 1, 2)) + [1]))
+    path = tmp_path / "c40.isr"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "--budget-secs", "0.3", "xp-vcr", str(path))
     assert code == 3 and out == "" and "budget" in err

@@ -512,6 +512,21 @@ def test_time_budget_bounds_the_clique_partition():
     assert time.monotonic() - began < 0.5 + 1.0
 
 
+def test_time_budget_bounds_the_clique_bound_scans():
+    # The star K_{1,8191}, covers {0, 1, 2} to {0, 3, 4} under 1-TJ: the
+    # enumeration of independent 8,189-sets scans the 8,191 cliques of the
+    # partition at each DFS node still three or more tokens short, and
+    # reading the clock once per 4,096 charged nodes let it run 2.6 s under
+    # a 0.5 s budget on a 2-core Xeon VM.
+    n = 8192
+    g = new_graph(n, [(0, v) for v in range(1, n)])
+    inst = ReconfigInstance(g, VC, frozenset({0, 1, 2}), frozenset({0, 3, 4}), Rule(RuleKind.KTJ, 1))
+    began = time.monotonic()
+    with pytest.raises(ResourceBudgetError):
+        solve_exact(inst, budget=Budget(max_seconds=0.5))
+    assert time.monotonic() - began < 0.5 + 0.5
+
+
 def test_time_budget_bounds_the_enumeration_on_the_largest_star():
     # The star K_{1,65534} with one leaf, 1, extended by the vertex 65535:
     # as large as an instance file may be (io_formats.MAX_VERTICES),

@@ -514,32 +514,37 @@ def test_xp_matches_exact_solver(n, seed):
         assert xp_vcr_solve(g, s, t, mu) == want
 
 
-def _k33_plus_cycle(c):
-    """K_{3,3} + C_c with s = one side + the even cycle vertices and t = the
-    other side + the odd ones: every cover of size 3 + c/2 holds a whole
-    side of K_{3,3}, so s and t are joined only if k >= 3."""
-    n = 6 + c
-    edges = [(i, 3 + j) for i in range(3) for j in range(3)]
-    edges += [(6 + i, 6 + (i + 1) % c) for i in range(c)]
-    s = frozenset({0, 1, 2}) | frozenset(range(6, n, 2))
-    t = frozenset({3, 4, 5}) | frozenset(range(7, n, 2))
+def _kaa_plus_cycle(a, c):
+    """K_{a,a} + C_c with s = one side + the even cycle vertices and t = the
+    other side + the odd ones: every cover of size a + c/2 holds a whole
+    side of K_{a,a}, so s and t are joined only if k >= a."""
+    n = 2 * a + c
+    edges = [(i, a + j) for i in range(a) for j in range(a)]
+    edges += [(2 * a + i, 2 * a + (i + 1) % c) for i in range(c)]
+    s = frozenset(range(a)) | frozenset(range(2 * a, n, 2))
+    t = frozenset(range(a, 2 * a)) | frozenset(range(2 * a + 1, n, 2))
     return new_graph(n, edges), s, t
 
 
 def test_xp_time_budget():
-    # K_{3,3} + C16 with mu = 10: a NO instance, so the query labels all
-    # C(22, 10) = 646,646 nodes, which takes about 7 s without a budget.
-    g, s, t = _k33_plus_cycle(16)
+    # C40 with s = evens + {1}, t = odds + {0} and mu = 5: a YES whose
+    # anchors share no cover. The tries between the cliques of s and t
+    # make 396,322 decisions before one joins them, about 3.3 s without a
+    # budget.
+    n = 40
+    g = new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    s = frozenset(range(0, n, 2)) | {1}
+    t = frozenset(range(1, n, 2)) | {0}
     began = time.monotonic()
     with pytest.raises(ResourceBudgetError):
-        xp_vcr_solve(g, s, t, 10, Budget(max_seconds=0.3))
+        xp_vcr_solve(g, s, t, 5, Budget(max_seconds=0.3))
     assert time.monotonic() - began < 0.3 + 1.0
 
 
 def test_labellings_die_with_their_graph():
     # What a query learns lives on its graph: no module keeps the graph, or
     # the labelling, alive once the caller lets go of it.
-    g, s, t = _k33_plus_cycle(4)
+    g, s, t = _kaa_plus_cycle(3, 4)
     assert not xp_vcr_solve(g, s, t, 4)
     assert g.xp_labellings[5, 4].complete
     alive = weakref.ref(g)
@@ -549,15 +554,94 @@ def test_labellings_die_with_their_graph():
 
 
 def test_coverable_pass_memoizes_nothing():
-    # A NO runs the coverable pass over all C(16, 7) = 11,440 nodes of
-    # K_{3,3} + C10 with mu = 7. Each single node is decided once, so the
-    # query memo keeps only unions of two nodes; storing the pass's
-    # decisions took a traced peak of about 1.2 MB.
-    g, s, t = _k33_plus_cycle(10)
+    # K_{8,8} with covers of size 9 and mu = 7, from one side plus a vertex
+    # to the other plus a vertex: a NO, since k = 2 tokens cannot switch
+    # sides, and every vertex pair lies in such a cover, so the coverable
+    # pass decides all C(16, 7) = 11,440 nodes. Each single node is decided
+    # once, so the query memo keeps only unions of two nodes; storing the
+    # pass's decisions took a traced peak of about 1.2 MB.
+    g = new_graph(16, [(i, 8 + j) for i in range(8) for j in range(8)])
     tracemalloc.start()
     try:
-        assert not xp_vcr_solve(g, s, t, 7)
+        assert not xp_vcr_solve(g, set(range(9)), set(range(8, 16)) | {0}, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert not g.xp_labellings[9, 7].apart
     assert peak < 250_000
+
+
+def test_a_no_decides_the_pairs_before_the_nodes(monkeypatch):
+    # K_{3,3} + C16 with mu = 10: only the 44 size-10 subsets of the four
+    # covers of size 11 are coverable. Deciding all C(22, 10) = 646,646
+    # nodes made 646,650 decisions; the 231 vertex pairs, less those inside
+    # s or t, refute every other node without a decision.
+    g, s, t = _kaa_plus_cycle(3, 16)
+    calls = _counting_decisions(monkeypatch)
+    assert not _cold(g, s, t, 10)
+    assert len(g.xp_labellings[11, 10].coverable) == 44
+    assert len(calls) < 300
+
+
+def _relabelled(rng, g, s, t):
+    order = list(range(g.vertex_count))
+    rng.shuffle(order)
+    edges = [(order[u], order[v]) for u, v in g.edges()]
+    return new_graph(g.vertex_count, edges), {order[v] for v in s}, {order[v] for v in t}
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_pair_walk_lists_the_nodes_of_the_plain_pass(seed, biclique):
+    # Every cover size and mu on graphs of at most 10 vertices, K_{a,a} +
+    # C_c (whose minimum covers leave pairs in no cover) among them: the
+    # coverable pass lists the nodes that deciding all C(n, mu) of them in
+    # lexicographic order keeps, and every union that grow skips by the
+    # masks in apart is one the decider refuses.
+    rng = random.Random(seed)
+    if biclique:
+        a = rng.randint(1, 3)
+        g, s, t = _relabelled(rng, *_kaa_plus_cycle(a, rng.choice(range(4, 11 - 2 * a, 2))))
+        least = len(s)
+    else:
+        g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.8))
+        least = None
+    n = g.vertex_count
+    for size in range(1, n + 1):
+        covers = brute_feasible(g, VC, size)
+        if not covers:
+            continue
+        smask, tmask = set_to_mask(rng.choice(covers)), set_to_mask(rng.choice(covers))
+        for mu in range(1, size):
+            decide = xp._decider(g, smask, tmask, mu)
+            state = xp._Labelling()
+            state.meet(smask, xp._lowest_bits(smask, mu), mu)
+            state.meet(tmask, xp._lowest_bits(tmask, mu), mu)
+            got = state.nodes(g, mu, decide, xp._BudgetClock.begin(None))
+            nodes = (set_to_mask(x) for x in itertools.combinations(range(n), mu))
+            assert got == [x for x in nodes if decide(x)], (g, size, mu)
+            for u in got:
+                far = state.apart.get(u, 0)
+                assert not any(decide(u | v) for v in got if v & far), (g, size, mu, u)
+            if size == least and comb(n, 2) < comb(n, mu):
+                assert state.apart, (g, size, mu)
+
+
+def test_an_interrupted_pass_leaves_nothing_set():
+    # K_{3,3} + C4 with mu = 4: the pass decides the pairs, finds some in no
+    # cover and walks. Cut at each clock read of the cold NO, the labelling
+    # holds either no pass at all or the whole of it, and answers again.
+    g, s, t = _kaa_plus_cycle(3, 4)
+    reads: list = []
+    with _patched_clock(reads):
+        assert not _cold(g, s, t, 4)
+    state = g.xp_labellings[5, 4]
+    whole = (state.coverable, state.apart)
+    assert state.apart
+    for cut_at in range(1, len(reads) + 1):
+        g.xp_labellings.clear()
+        with _patched_clock([], cut_at), pytest.raises(ResourceBudgetError):
+            xp_vcr_solve(g, s, t, 4)
+        state = g.xp_labellings[5, 4]
+        assert (state.coverable, state.apart) in ((None, {}), whole), cut_at
+        assert not xp_vcr_solve(g, s, t, 4)
