@@ -104,10 +104,10 @@ def sweep_graph(g, rng):
                 checks += 1
                 if got != (labels[i] == labels[j]):
                     mismatches += 1
-                # A labelling's pass runs once, in one query, and sets apart
+                # A labelling's pass runs once, in one query, and sets bad
                 # only when it found a pair in no cover.
                 state = g.xp_labellings.get((size, mu))
-                if state is not None and state.apart:
+                if state is not None and state.bad:
                     walked.add((size, mu))
     return checks, mismatches, len(walked)
 

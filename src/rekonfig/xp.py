@@ -21,8 +21,9 @@ component. Coverability is closed under subsets, so when there are fewer
 vertex pairs than size-mu subsets, the pass that lists the coverable nodes
 first decides every pair: a node holding a pair that no cover contains is
 not coverable, and a union holding one is no edge, so neither is decided
-(the nogoods of constraint learning, Dechter, AI 1990). What a query learns, the coverable nodes, a union-find over the
-nodes known to be connected, the input covers seen so far and whether the
+(the nogoods of constraint learning, Dechter, AI 1990). What a query
+learns, the coverable nodes and those pairs, a union-find over the nodes
+known to be connected, the input covers seen so far and whether the
 labelling is complete, is a fact about the compressed graph of (G, |S|, mu).
 So it is kept on the graph itself, in Graph.xp_labellings under (|S|, mu),
 for later queries, lives exactly as long as the graph, and is never wrong
@@ -335,27 +336,27 @@ class _Labelling:
     coverable lists, in lexicographic order, the size-mu node masks that some
     cover of that size contains; any edge X-Y needs a cover containing
     X union Y, so the other nodes are isolated. It stays None until a pass
-    over all C(n, mu) nodes has finished. apart maps each coverable node to
+    over all C(n, mu) nodes has finished. bad holds per vertex the mask of
     the vertices that no cover holds together with it, when that pass found
-    a vertex pair in no cover, and is empty otherwise; it is set with
-    coverable. parent is a union-find with path
-    halving (Tarjan, JACM 1975) over nodes known to be connected: a union
-    follows a decided edge, so classes only ever grow inside components.
-    complete is set once every component has been labelled; find then
-    answers every query. covers maps each input cover seen so far to a node
-    inside it, until the labelling is complete. The size-mu subsets of one
-    cover form a clique, so two covers that share mu vertices have their
-    cliques in one component: a query whose cover shares mu vertices with a
-    seen one joins that cover's class without a decision. Each field is
-    written only when the knowledge it records holds, so a query that its
-    budget aborts leaves a state that later queries can build on.
+    such a pair, and is empty otherwise; it is set with coverable. parent is
+    a union-find with path halving (Tarjan, JACM 1975) over nodes known to
+    be connected: a union follows a decided edge, so classes only ever grow
+    inside components. complete is set once every component has been
+    labelled; find then answers every query. covers maps each input cover
+    seen so far to a node inside it, until the labelling is complete. The
+    size-mu subsets of one cover form a clique, so two covers that share mu
+    vertices have their cliques in one component: a query whose cover
+    shares mu vertices with a seen one joins that cover's class without a
+    decision. Each field is written only when the knowledge it records
+    holds, so a query that its budget aborts leaves a state that later
+    queries can build on.
     """
 
-    __slots__ = ("coverable", "apart", "parent", "complete", "covers")
+    __slots__ = ("coverable", "bad", "parent", "complete", "covers")
 
     def __init__(self) -> None:
         self.coverable: list[int] | None = None
-        self.apart: dict[int, int] = {}
+        self.bad: list[int] = []
         self.parent: dict[int, int] = {}
         self.complete = False
         self.covers: dict[int, int] = {}
@@ -390,45 +391,34 @@ class _Labelling:
         read once per pair decided and once per node or walk step.
 
         When there are fewer vertex pairs than nodes, the pass first
-        decides every pair that no seen input cover holds. If some pair
-        lies in no cover, only the nodes that hold no such pair can be
-        coverable: an include-first walk over ascending vertices visits
-        exactly those, in lexicographic order, pruning a branch once its
-        candidates run short, and records in apart the vertices each
-        coverable node shares no cover with. Otherwise every node is
-        decided in lexicographic order."""
+        decides every pair that no seen input cover holds, and records in
+        bad the pairs that lie in no cover. Only the nodes that hold no such
+        pair can be coverable: an include-first walk over ascending
+        vertices decides exactly those, in lexicographic order, pruning a
+        branch once its candidates run short."""
         if self.coverable is None:
             n = g.vertex_count
             if comb(n, mu) > clock.budget.max_states:
                 raise ResourceBudgetError(
                     f"C({n},{mu}) nodes exceed the state budget {clock.budget.max_states}"
                 )
-            bad = _nogoods(g, self.covers, decide, clock) if comb(n, 2) < comb(n, mu) else []
+            bad = _nogoods(g, self.covers, decide, clock) if comb(n, 2) < comb(n, mu) else [0] * n
             found = []
-            apart = {}
-            if any(bad):
-                # (chosen, vertices apart from it, candidates, still to pick)
-                stack = [(0, 0, g.full_mask, mu)]
-                while stack:
+            stack = [(0, g.full_mask, mu)]  # (chosen, candidates, still to pick)
+            while stack:
+                x, candidates, need = stack.pop()
+                if need == 1:  # each candidate completes a node
+                    for v in iter_bits(candidates):
+                        clock.check_time()
+                        if decide(x | 1 << v):
+                            found.append(x | 1 << v)
+                elif candidates.bit_count() >= need:
                     clock.check_time()
-                    x, far, candidates, need = stack.pop()
-                    if not need:
-                        if decide(x):
-                            found.append(x)
-                            apart[x] = far
-                    elif candidates.bit_count() >= need:
-                        low = candidates & -candidates
-                        rest = candidates ^ low
-                        stack.append((x, far, rest, need))  # without low, after
-                        b = bad[low.bit_length() - 1]
-                        stack.append((x | low, far | b, rest & ~b, need - 1))
-            else:
-                for c in combinations(_bits(g.full_mask), mu):
-                    clock.check_time()
-                    x = sum(c)  # the bits are disjoint, so the sum is their union
-                    if decide(x):
-                        found.append(x)
-            self.apart = apart
+                    low = candidates & -candidates
+                    rest = candidates ^ low
+                    stack.append((x, rest, need))  # without low, after
+                    stack.append((x | low, rest & ~bad[low.bit_length() - 1], need - 1))
+            self.bad = bad if any(bad) else []
             self.coverable = found
         return self.coverable
 
@@ -443,16 +433,18 @@ class _Labelling:
     ) -> list[int] | None:
         """BFS that joins into root's class every pending node reachable
         from the nodes in queue, testing each popped node only against the
-        nodes not yet discovered, and deciding no union that holds a vertex
-        the popped node is apart from; the clock is read once per pop. Returns
-        the pending nodes left undiscovered, or None, with target joined,
-        as soon as a discovered node is in target's class or has an edge to
-        target."""
-        apart = self.apart
+        nodes not yet discovered, and deciding no union that holds a pair in
+        bad; the clock is read once per pop. Returns the pending nodes left
+        undiscovered, or None, with target joined, as soon as a discovered
+        node is in target's class or has an edge to target."""
+        bad = self.bad
         while queue:
             clock.check_time()
             u = queue.popleft()
-            far = apart.get(u, 0)
+            far = 0  # the vertices that no cover holds together with u
+            if bad:
+                for w in iter_bits(u):
+                    far |= bad[w]
             undiscovered = []
             for v in pending:
                 if not v & far and decide(u | v):
@@ -508,10 +500,12 @@ class _Labelling:
             return True
         # Any edge between the cliques of the covers joins x and y. Try the
         # pairs whose unions are smallest, both sides holding their overlap, at
-        # most C(n, mu) of them, before the coverable pass. They cost a NO
-        # nothing: its BFS pops every node of x's component against every
-        # node of y's, so it decides each such union anyway, from the memo.
+        # most C(n, mu) of them, before the coverable pass. Each such union
+        # has 2 mu - |smask & tmask| vertices; when that exceeds the cover
+        # size no cover holds one, so none is tried.
         limit = min(comb(g.vertex_count, mu), clock.budget.max_states)
+        if 2 * mu - (smask & tmask).bit_count() > smask.bit_count():
+            limit = 0
         for z in islice(_cross_unions(smask, tmask, mu), limit):
             clock.check_time()
             if decide(z):

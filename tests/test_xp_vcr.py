@@ -567,7 +567,7 @@ def test_coverable_pass_memoizes_nothing():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not g.xp_labellings[9, 7].apart
+    assert not g.xp_labellings[9, 7].bad
     assert peak < 250_000
 
 
@@ -596,8 +596,9 @@ def test_pair_walk_lists_the_nodes_of_the_plain_pass(seed, biclique):
     # Every cover size and mu on graphs of at most 10 vertices, K_{a,a} +
     # C_c (whose minimum covers leave pairs in no cover) among them: the
     # coverable pass lists the nodes that deciding all C(n, mu) of them in
-    # lexicographic order keeps, and every union that grow skips by the
-    # masks in apart is one the decider refuses.
+    # lexicographic order keeps, every union that the masks in bad let grow
+    # skip is one the decider refuses, and labelling the coverable nodes
+    # joins the ends of every edge among them.
     rng = random.Random(seed)
     if biclique:
         a = rng.randint(1, 3)
@@ -620,11 +621,18 @@ def test_pair_walk_lists_the_nodes_of_the_plain_pass(seed, biclique):
             got = state.nodes(g, mu, decide, xp._BudgetClock.begin(None))
             nodes = (set_to_mask(x) for x in itertools.combinations(range(n), mu))
             assert got == [x for x in nodes if decide(x)], (g, size, mu)
+            bad = state.bad or [0] * n
             for u in got:
-                far = state.apart.get(u, 0)
+                far = 0
+                for w in range(n):
+                    if u >> w & 1:
+                        far |= bad[w]
                 assert not any(decide(u | v) for v in got if v & far), (g, size, mu, u)
+            state.label_all(list(got), decide, xp._BudgetClock.begin(None))
+            for u, v in itertools.combinations(got, 2):
+                assert not decide(u | v) or state.find(u) == state.find(v), (g, size, mu)
             if size == least and comb(n, 2) < comb(n, mu):
-                assert state.apart, (g, size, mu)
+                assert state.bad, (g, size, mu)
 
 
 def test_an_interrupted_pass_leaves_nothing_set():
@@ -636,12 +644,12 @@ def test_an_interrupted_pass_leaves_nothing_set():
     with _patched_clock(reads):
         assert not _cold(g, s, t, 4)
     state = g.xp_labellings[5, 4]
-    whole = (state.coverable, state.apart)
-    assert state.apart
+    whole = (state.coverable, state.bad)
+    assert state.bad
     for cut_at in range(1, len(reads) + 1):
         g.xp_labellings.clear()
         with _patched_clock([], cut_at), pytest.raises(ResourceBudgetError):
             xp_vcr_solve(g, s, t, 4)
         state = g.xp_labellings[5, 4]
-        assert (state.coverable, state.apart) in ((None, {}), whole), cut_at
+        assert (state.coverable, state.bad) in ((None, []), whole), cut_at
         assert not xp_vcr_solve(g, s, t, 4)
