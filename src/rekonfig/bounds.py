@@ -5,7 +5,6 @@ three-move shortcut sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -20,10 +19,10 @@ from .graph import (
     mask_to_set,
     set_to_mask,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LengthBound:
+class LengthBound(Record):
     """Upper bound on the length of a shortest k-TJ sequence, k = set_size - mu.
 
     Every second set of a shortest sequence pairwise intersects in fewer than

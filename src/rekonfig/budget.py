@@ -10,16 +10,15 @@ one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .errors import PreconditionError, ResourceBudgetError
+from .record import Record
 
 DEFAULT_MAX_STATES = 5_000_000
 DEFAULT_MAX_SECONDS = 60.0
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     max_states: int = DEFAULT_MAX_STATES
     max_seconds: float = DEFAULT_MAX_SECONDS
 
@@ -29,11 +28,16 @@ class Budget:
             raise PreconditionError(f"budget limits must be numbers, not NaN: {self}")
 
 
-@dataclass
 class _BudgetClock:
-    budget: Budget
-    start: float
-    counted: int = 0
+    """States charged so far against `budget`, and the clock reading at
+    `start`. The one mutable value type, so a plain slotted class."""
+
+    __slots__ = ("budget", "start", "counted")
+
+    def __init__(self, budget: Budget, start: float, counted: int = 0):
+        self.budget = budget
+        self.start = start
+        self.counted = counted
 
     @classmethod
     def begin(cls, budget: Budget | None) -> "_BudgetClock":

@@ -26,7 +26,6 @@ ResourceBudgetError so callers can distinguish "no" from "too big".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, inf
 from typing import Callable, Iterable, Iterator
@@ -52,17 +51,16 @@ from .graph import (
 )
 # Unused here: the benchmark's tracer test reads exact.has_perfect_matching_between.
 from .matching import has_perfect_matching_between  # noqa: F401
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     reachable: bool
     shortest: ReconfigSequence | None
     explored_states: int
 
 
-@dataclass(frozen=True)
-class TarResult:
+class TarResult(Record):
     """Outcome of a TAR value computation.
 
     value is val_max (independent sets: largest achievable minimum

@@ -1,23 +1,23 @@
 """Core graph types, feasibility predicates and reconfiguration adjacency.
 
 Vertices are 0-based integers internally (file formats are 1-based, see
-io_formats). The fields of every type never change after construction, and
-every operation here is a pure function. The one mutable part is
-Graph.xp_labellings: xp_vcr_solve keeps there what it has learnt about the
-graph, facts that hold for this graph only. Like any cache it is written by
-queries, so a graph expects one XP query at a time; everything else can be
-shared freely across threads.
+io_formats). Every value type is a frozen record (record.py): its fields
+never change after construction, and every operation here is a pure
+function. The one mutable part is Graph.xp_labellings: xp_vcr_solve keeps
+there what it has learnt about the graph, facts that hold for this graph
+only. Like any cache it is written by queries, so a graph expects one XP
+query at a time; everything else can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import GraphConstructionError, PreconditionError, SizeMismatchError
+from .record import Record
 
 if TYPE_CHECKING:
     from .xp import _Labelling
@@ -25,8 +25,7 @@ if TYPE_CHECKING:
 VertexSet = frozenset[int]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph with sorted adjacency lists.
 
     Invariants: no self-loops, no duplicate edges, adjacency is symmetric,
@@ -124,8 +123,20 @@ def set_to_mask(x: Iterable[int]) -> int:
     return m
 
 
+# Maps the digits b"0" and b"1" to the bytes 0 and 1, false and true.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def mask_to_set(m: int) -> VertexSet:
-    return frozenset(iter_bits(m))
+    """The vertices of a mask. Each step of iter_bits costs O(width), so a
+    mask with many bits is read in one scan of its binary digits, lowest
+    first; a sparse mask walks its bits, since the scan costs O(width)
+    however few they are."""
+    bits = m.bit_count()
+    if bits < 6 or bits * 8 < m.bit_length():
+        return frozenset(iter_bits(m))
+    digits = bin(m)[:1:-1].encode().translate(_DIGIT_BYTES)
+    return frozenset(itertools.compress(itertools.count(), digits))
 
 
 def iter_bits(m: int) -> Iterator[int]:
@@ -188,8 +199,7 @@ class RuleKind(Enum):
     KTS = "kts"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """Reconfiguration rule: jump or slide up to k tokens per step."""
 
     kind: RuleKind
@@ -206,8 +216,7 @@ def is_feasible(g: Graph, kind: FeasibilityKind, x: Iterable[int]) -> bool:
     return is_vertex_cover(g, x)
 
 
-@dataclass(frozen=True)
-class ReconfigInstance:
+class ReconfigInstance(Record):
     """A reconfiguration question: transform start into target under rule."""
 
     graph: Graph
@@ -233,8 +242,7 @@ class ReconfigInstance:
         return set_to_mask(self.start), set_to_mask(self.target)
 
 
-@dataclass(frozen=True)
-class ReconfigSequence:
+class ReconfigSequence(Record):
     """Ordered list of vertex sets; the certificate format for all solvers."""
 
     steps: tuple[VertexSet, ...]
@@ -259,8 +267,7 @@ class ReconfigSequence:
         return len(self.steps) - 1
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     accepted: bool
     index: int | None = None
     reason: str | None = None

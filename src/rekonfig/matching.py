@@ -20,18 +20,17 @@ bipartition and never enter a matching or a König cover.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .graph import Graph, VertexSet, check_vertex_set, set_to_mask
+from .record import Record
 
 Matching = frozenset[tuple[int, int]]
 
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(Record):
     """Two disjoint vertex sides. bipartition_of returns a 2-coloring, in
     which every edge joins left to right; the matching routines accept any
     two disjoint sides and use only the edges between them."""

@@ -7,7 +7,6 @@ these, never against the compilers themselves.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, TypeVar
@@ -16,6 +15,7 @@ from .budget import Budget, _BudgetClock
 from .errors import PreconditionError, ResourceBudgetError
 from .graph import Graph
 from .matching import Matching
+from .record import Record
 
 T = TypeVar("T")
 
@@ -33,8 +33,7 @@ def _reading(items: Iterable[T], clock: _BudgetClock) -> Iterator[T]:
         yield item
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """CNF over variables 1..variable_count; clauses are literal tuples where
     literal +v is the variable and -v its negation. Duplicate literals inside
     a clause are allowed and counted positionally (E3 means three literal
@@ -71,8 +70,7 @@ class CnfFormula:
         return len(self.clauses)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     values: tuple[bool, ...]  # values[i] is the value of variable i+1
 
     @property
@@ -129,8 +127,7 @@ class NclVertexKind(Enum):
     OR = "or"
 
 
-@dataclass(frozen=True)
-class NclMachine:
+class NclMachine(Record):
     """AND/OR constraint graph: weighted degree-3 machine whose edges carry
     weight 1 or 2. A vertex with incident weights {1,1,2} is an AND vertex,
     one with {2,2,2} an OR vertex; anything else is rejected."""
@@ -185,8 +182,7 @@ class NclMachine:
         return [i for i, (a, b, _) in enumerate(self.edges) if v in (a, b)]
 
 
-@dataclass(frozen=True)
-class NclConfig:
+class NclConfig(Record):
     """Edge orientation, stored as the head vertex per machine edge."""
 
     heads: tuple[int, ...]
@@ -258,7 +254,7 @@ def ncl_reachable(
         for nxt in _ncl_neighbors(m, cur):
             if nxt.heads in seen:
                 continue
-            if nxt == ct:
+            if nxt.heads == ct.heads:
                 return True
             seen.add(nxt.heads)
             queue.append(nxt)

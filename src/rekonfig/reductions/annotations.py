@@ -4,8 +4,9 @@ gadget-local invariants without re-deriving which vertex came from where.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from ..record import Record
 
 
 class GadgetTag(Enum):
@@ -19,8 +20,7 @@ class GadgetTag(Enum):
     PAD = "pad"
 
 
-@dataclass(frozen=True)
-class GadgetAnnotation:
+class GadgetAnnotation(Record):
     """tags[v] is the role of vertex v; provenance[v] is a tuple naming the
     variable/clause/machine-element/crossing it came from.
 

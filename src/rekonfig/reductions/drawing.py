@@ -17,12 +17,12 @@ exactly one token, so all crossings are good.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import PreconditionError
 from ..graph import ReconfigInstance
 from ..oracles import CnfFormula
+from ..record import Record
 from .annotations import GadgetAnnotation, GadgetTag
 from .isr_from_sat import inte3sat_to_isr
 
@@ -33,8 +33,7 @@ _VAR_TAGS = (GadgetTag.TRUE_VERTEX, GadgetTag.FALSE_VERTEX)
 _CORNER_TAGS = (GadgetTag.POSITIVE_VERTEX, GadgetTag.NEGATIVE_VERTEX)
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """Proper interior intersection of the polylines of two distinct edges.
 
     edge_a < edge_b canonically; the point is exact."""
@@ -44,8 +43,7 @@ class Crossing:
     point: Point
 
 
-@dataclass(frozen=True)
-class Drawing:
+class Drawing(Record):
     rows: int
     cols: int
     coords: tuple[tuple[int, int], ...]  # vertex -> (col, row)

@@ -34,7 +34,6 @@ route the earlier query took.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .budget import Budget, _BudgetClock
 from .errors import PreconditionError, ResourceBudgetError
@@ -50,6 +49,7 @@ from .graph import (
 )
 # bipartition_of is unused here; the benchmark's tracer test reads xp.bipartition_of.
 from .matching import Bipartition, _hopcroft_karp, bipartition_of, konig_min_vertex_cover
+from .record import Record
 
 from collections import deque
 from collections.abc import Callable, Iterable
@@ -57,8 +57,7 @@ from itertools import combinations, islice
 from math import comb
 
 
-@dataclass(frozen=True)
-class CliqueCompressedGraph:
+class CliqueCompressedGraph(Record):
     """Explicit node/edge lists of the compressed reconfiguration graph.
 
     nodes holds every size-mu subset in lexicographic order; edges holds

@@ -372,7 +372,11 @@ def _fresh(probe: str, *argv: str, cwd=None) -> str:
 
 # The front end and the core layers; every other rekonfig module is one
 # that a command runs.
-_FRONT_END = {"rekonfig", "cli", "budget", "errors", "graph", "io_formats", "matching"}
+_FRONT_END = {"rekonfig", "cli", "budget", "errors", "graph", "io_formats", "matching", "record"}
+
+# Standard-library modules that no command needs: `dataclasses` loads
+# `inspect`, `ast` and `dis`, several milliseconds of every process.
+_NOT_LOADED = {"dataclasses", "inspect"}
 
 
 def _command_modules(stdout: str) -> set[str]:
@@ -384,6 +388,7 @@ def test_cli_import_loads_no_command_modules():
     loaded = _fresh("import sys, rekonfig.cli; print(*sys.modules)")
     assert "rekonfig.cli" in loaded.split()
     assert _command_modules(loaded) == set()
+    assert _NOT_LOADED.isdisjoint(loaded.split())
 
 
 # Each command, its exit code, and the command modules its process loads:
@@ -423,6 +428,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, modul
     *_, last = _fresh(probe, *argv, cwd=tmp_path).splitlines()
     assert int(last.split()[0]) == code
     assert _command_modules(last) == modules
+    assert _NOT_LOADED.isdisjoint(last.split())
 
 
 def test_reductions_export_no_submodule():
