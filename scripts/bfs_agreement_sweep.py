@@ -35,9 +35,9 @@ and NO, against the labels.
 A last row, 4-TS, checks fixed graphs whose start and target are no move
 only because three vertices of the target share two tokens: Hall's
 condition fails on a 3-subset (hall_graphs). The random rows did not catch
-a move generator that skips that check (exact._hall); here such a generator
-answers YES on every graph it decides. Each of these graphs is checked on
-that pair and on sampled pairs, as above.
+a move generator that skips the matching test of a k-TS move; here such a
+generator answers YES on every graph it decides. Each of these graphs is
+checked on that pair and on sampled pairs, as above.
 
 Prints one row per rule and k with how many solves took each route of the
 whole search, how many took the split and how many pairs were checked

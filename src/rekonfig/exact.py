@@ -49,8 +49,9 @@ from .graph import (
     mask_to_set,
     set_to_mask,
 )
-# Unused here: the benchmark's tracer test reads exact.has_perfect_matching_between.
-from .matching import has_perfect_matching_between  # noqa: F401
+# has_perfect_matching_between is unused here: the benchmark's tracer test
+# reads exact.has_perfect_matching_between.
+from .matching import _hopcroft_karp, has_perfect_matching_between  # noqa: F401
 from .record import Record
 
 
@@ -385,7 +386,7 @@ def _moves(
     the conflicts ∪c(E), at most j of them, plus j - |∪c(E)| further tokens.
     Under k-TS every dropped token slides to E, so A - B is exactly ∪c(E),
     which must have j tokens and a perfect matching to E; non-empty
-    conflicts give Hall's condition for j <= 2, and _hall checks it for
+    conflicts give one for j <= 2, and _hopcroft_karp looks for it for
     j >= 3. Groups grow depth-first in candidate order and skip a candidate
     next to a member. A group with more than min(k, t) conflicts is cut,
     since every group that contains it has them too; one with more than j
@@ -397,11 +398,10 @@ def _moves(
     out: list[int] = []
 
     def grow(
-        rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int,
-        members: tuple[int, ...],
+        rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int
     ) -> None:
         # moved is (A + the group so far) ^ flip; rest holds the candidates
-        # after the group's last member; members holds their conflicts.
+        # after the group's last member.
         for i, (u, c) in enumerate(rest):
             bit = 1 << u
             if banned & bit:
@@ -416,28 +416,16 @@ def _moves(
                     free = [1 << v for v in iter_bits(a & ~joined)]
                     drops = free if count == j - 1 else map(sum, combinations(free, j - count))
                     out.extend([b ^ d for d in drops if b ^ d not in visited])
-                elif b not in visited and (j < 3 or not slide or _hall(members + (c,))):
+                elif b not in visited and (
+                    j < 3 or not slide
+                    or len(_hopcroft_karp(nbr, (moved ^ flip ^ a) | bit, joined)) == j
+                ):
                     out.append(b)
             if j < cap:
-                grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u], members + (c,))
+                grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u])
 
-    grow(candidates, 1, a ^ flip, 0, 0, ())
+    grow(candidates, 1, a ^ flip, 0, 0)
     return out
-
-
-def _hall(conflicts: tuple[int, ...]) -> bool:
-    """Hall's condition for matching each vertex of a group, given by its
-    conflicts, to a distinct token of them, checked on the subsets of 2 to
-    j - 1 vertices (single vertices and the whole group pass by
-    construction)."""
-    for r in range(2, len(conflicts)):
-        for sub in combinations(conflicts, r):
-            union = 0
-            for c in sub:
-                union |= c
-            if union.bit_count() < r:
-                return False
-    return True
 
 
 def _move_estimate(inst: ReconfigInstance, within: int) -> int:

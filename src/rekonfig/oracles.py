@@ -2,6 +2,11 @@
 satisfiability (plain and mixed), constraint-logic machine reachability, and
 perfect matching reconfiguration. Compiled instances are validated against
 these, never against the compilers themselves.
+
+The caller's `Budget` (the default one when None) is their only limit, as
+for the solvers: every configuration or matching they store is charged as
+a state, and their loops read its clock. An input too large for the budget
+raises ResourceBudgetError; any other is decided, whatever its size.
 """
 
 from __future__ import annotations
@@ -12,16 +17,12 @@ from functools import cached_property
 from typing import Iterable, Iterator, TypeVar
 
 from .budget import Budget, _BudgetClock
-from .errors import PreconditionError, ResourceBudgetError
+from .errors import PreconditionError
 from .graph import Graph
 from .matching import Matching
 from .record import Record
 
 T = TypeVar("T")
-
-SAT_VARIABLE_BUDGET = 24
-NCL_EDGE_BUDGET = 20
-PMR_VERTEX_BUDGET = 16
 
 
 def _reading(items: Iterable[T], clock: _BudgetClock) -> Iterator[T]:
@@ -100,8 +101,6 @@ def sat_decide(
     assignments.
     """
     n = phi.variable_count
-    if n > SAT_VARIABLE_BUDGET:
-        raise ResourceBudgetError(f"{n} variables exceed the SAT budget {SAT_VARIABLE_BUDGET}")
     pos = []
     neg = []
     for c in phi.clauses:
@@ -203,18 +202,18 @@ def config_is_valid(m: NclMachine, cfg: NclConfig) -> bool:
 def ncl_valid_configs(m: NclMachine) -> list[NclConfig]:
     """All valid configurations, in the deterministic order induced by
     orientation bit patterns (bit i set = edge i points to its larger
-    endpoint)."""
-    if m.edge_count > NCL_EDGE_BUDGET:
-        raise ResourceBudgetError(
-            f"{m.edge_count} edges exceed the NCL budget {NCL_EDGE_BUDGET}"
-        )
+    endpoint). The default Budget applies: each valid configuration is
+    charged as a state, and its clock is read before every 4096th
+    orientation."""
+    clock = _BudgetClock.begin(None)
     out = []
-    for bits in range(1 << m.edge_count):
+    for bits in _reading(range(1 << m.edge_count), clock):
         heads = tuple(
             (v if (bits >> i) & 1 else u) for i, (u, v, _) in enumerate(m.edges)
         )
         cfg = NclConfig(heads)
         if config_is_valid(m, cfg):
+            clock.charge()
             out.append(cfg)
     return out
 
@@ -234,15 +233,12 @@ def ncl_reachable(
     m: NclMachine, cs: NclConfig, ct: NclConfig, budget: Budget | None = None
 ) -> bool:
     """BFS over valid configurations under single-edge reversal. The
-    budget's time limit (the default Budget's when None) is checked once
-    per configuration taken from the queue."""
+    budget (the default one when None) is charged a state for each
+    configuration the BFS stores, and its time limit is checked once per
+    configuration taken from the queue."""
     for name, c in (("source", cs), ("target", ct)):
         if not config_is_valid(m, c):
             raise PreconditionError(f"{name} configuration is invalid")
-    if m.edge_count > NCL_EDGE_BUDGET:
-        raise ResourceBudgetError(
-            f"{m.edge_count} edges exceed the NCL budget {NCL_EDGE_BUDGET}"
-        )
     if cs == ct:
         return True
     clock = _BudgetClock.begin(budget)
@@ -256,6 +252,7 @@ def ncl_reachable(
                 continue
             if nxt.heads == ct.heads:
                 return True
+            clock.charge()
             seen.add(nxt.heads)
             queue.append(nxt)
     return False
@@ -280,17 +277,14 @@ def is_perfect_matching(g: Graph, m: Matching) -> bool:
 def enumerate_perfect_matchings(g: Graph) -> list[Matching]:
     """All perfect matchings by backtracking on the lowest-id uncovered
     vertex, partners tried in ascending order. Odd vertex count gives the
-    empty list (not an error). The default Budget's time limit applies."""
+    empty list (not an error). The default Budget applies."""
     return _perfect_matchings(g, _BudgetClock.begin(None))
 
 
 def _perfect_matchings(g: Graph, clock: _BudgetClock) -> list[Matching]:
-    """enumerate_perfect_matchings on the caller's clock, read before every
-    4096th partial matching tried, the first one included."""
-    if g.vertex_count > PMR_VERTEX_BUDGET:
-        raise ResourceBudgetError(
-            f"{g.vertex_count} vertices exceed the PMR budget {PMR_VERTEX_BUDGET}"
-        )
+    """enumerate_perfect_matchings on the caller's clock, charged a state
+    for each matching found and read before every 4096th partial matching
+    tried, the first one included."""
     if g.vertex_count % 2 == 1:
         return []
     out: list[Matching] = []
@@ -305,6 +299,7 @@ def _perfect_matchings(g: Graph, clock: _BudgetClock) -> list[Matching]:
             clock.check_time()
         tried += 1
         if covered == full:
+            clock.charge()
             out.append(frozenset(chosen))
             return
         free = (~covered) & full
@@ -325,14 +320,14 @@ def _perfect_matchings(g: Graph, clock: _BudgetClock) -> list[Matching]:
 def pmr_reachable(g: Graph, ms: Matching, mt: Matching, budget: Budget | None = None) -> bool:
     """BFS over perfect matchings where adjacency is the flip operation:
     symmetric difference of exactly four edges (necessarily a 4-cycle). The
-    budget's time limit (the default Budget's when None) covers the
-    enumeration and the BFS, and is checked once per 4096 matchings either
-    of them walks."""
+    budget (the default one when None) is charged a state for each perfect
+    matching enumerated; its time limit covers the enumeration and the BFS,
+    and is checked once per 4096 matchings either of them walks."""
+    # The enumerated matchings write each edge low-to-high; so must the ends.
+    ms, mt = (frozenset((min(u, v), max(u, v)) for u, v in m) for m in (ms, mt))
     for name, m in (("start", ms), ("target", mt)):
-        if not is_perfect_matching(g, frozenset(m)):
+        if not is_perfect_matching(g, m):
             raise PreconditionError(f"{name} matching is not a perfect matching of the graph")
-    ms = frozenset(ms)
-    mt = frozenset(mt)
     if ms == mt:
         return True
     clock = _BudgetClock.begin(budget)

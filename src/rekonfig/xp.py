@@ -183,10 +183,8 @@ def clique_edge_oracle(
     s_p = set_to_mask(ss) & rest
     t_p = set_to_mask(st) & rest
     for name, cover in (("s", s_p), ("t", t_p)):
-        uncovered = rest & ~cover
-        for v in iter_bits(uncovered):
-            if nbr[v] & uncovered:
-                raise PreconditionError(f"{name} does not cover G - (x union y)")
+        if not _independent_mask(nbr, rest & ~cover):
+            raise PreconditionError(f"{name} does not cover G - (x union y)")
     a = _accepting_guess(nbr, rest, t_prime, s_p, t_p)
     if a is None:
         return fail

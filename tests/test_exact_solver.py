@@ -845,7 +845,7 @@ def test_search_from_both_ends_matches_full_level_reference(n, seed, kind, rule_
 @settings(max_examples=300, deadline=None)
 def test_search_from_both_ends_matches_state_scan(n, seed, kind, rule_kind):
     # k ranges up to |S|, so k-TS cases slide three or more tokens at once
-    # and go through the Hall check.
+    # and go through the matching test.
     inst = _random_instance(n, seed, kind, rule_kind)
     if inst is None:
         return
@@ -864,13 +864,15 @@ def test_slides_need_hall_condition():
         # three tokens, but 3 and 4 compete for token 0, so {0, 1, 2} ->
         # {3, 4, 5} is a 3-TJ move and no 3-TS move; under 3-TS the target is
         # unreachable. From the start the k-TS cut drops the prefix {3, 4};
-        # the search from the target end is what reaches _hall, where
-        # c(1) = c(2) = {5} breaks the condition on a pair.
+        # the search from the target end is what reaches the matching test,
+        # where c(1) = c(2) = {5} leave the group {0, 1, 2} no perfect
+        # matching onto its conflicts {3, 4, 5}.
         (6, [(0, 3), (0, 4), (1, 5), (2, 5)], 0b000111, 0b111000, 3),
         # c(4) = {2, 3} and c(5) = c(6) = c(7) = {0, 1}: every prefix of
         # {4, 5, 6, 7} keeps enough conflicts and every pair meets Hall's
-        # condition, so only the 3-subset {5, 6, 7}, which shares the two
-        # tokens 0 and 1, shows that {0, 1, 2, 3} -> {4, 5, 6, 7} is no 4-TS move.
+        # condition, so only the matching test on the whole group, where
+        # {5, 6, 7} share the two tokens 0 and 1, shows that
+        # {0, 1, 2, 3} -> {4, 5, 6, 7} is no 4-TS move.
         (8, [(4, 2), (4, 3)] + [(v, u) for v in (5, 6, 7) for u in (0, 1)], 0b1111, 0b11110000, 4),
     ]
     for n, edges, start, target, k in cases:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rekonfig.errors import PreconditionError, ResourceBudgetError
-from rekonfig.exact import Budget
+from rekonfig.exact import Budget, solve_exact
 from rekonfig.graph import new_graph
 from rekonfig.oracles import (
     CnfFormula,
@@ -21,6 +21,7 @@ from rekonfig.oracles import (
     pmr_reachable,
     sat_decide,
 )
+from rekonfig.reductions import pmr_to_isr
 
 from conftest import random_bipartite
 
@@ -59,10 +60,12 @@ def test_sat_contradiction_absent():
     assert sat_decide(phi, SatMode.ANY) is None
 
 
-def test_sat_budget():
+def test_sat_has_no_variable_cap():
+    # 25 variables, one clause: the second assignment tried satisfies it.
     phi = CnfFormula(25, ((1, 2),))
-    with pytest.raises(ResourceBudgetError):
-        sat_decide(phi)
+    witness = sat_decide(phi)
+    assert witness is not None and witness.satisfies(phi)
+    assert witness.values == (True,) + (False,) * 24
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -196,6 +199,55 @@ def test_pmr_examples(c4):
     assert pmr_reachable(c4, pms[0], pms[0])
     with pytest.raises(PreconditionError):
         pmr_reachable(c4, frozenset({(0, 1)}), pms[0])
+
+
+def test_pmr_ends_written_high_to_low(c4):
+    # The ends are compared with the enumerated matchings, whose edges are
+    # written low-to-high, whatever order the caller wrote them in.
+    start = frozenset({(0, 1), (2, 3)})
+    for target in (frozenset({(2, 1), (3, 0)}), frozenset({(1, 0), (3, 2)})):
+        assert pmr_reachable(c4, start, target)
+        assert pmr_reachable(c4, target, start)
+        assert solve_exact(pmr_to_isr(c4, start, target)).reachable
+
+
+def grid_4x5_pmr():
+    """The 4 x 5 grid (vertex 5r + c), 95 perfect matchings: from horizontal
+    dominoes in columns 0-3 with column 4 vertical, to all vertical ones."""
+    rows, cols = 4, 5
+    edges = [(cols * r + c, cols * r + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(cols * r + c, cols * (r + 1) + c) for r in range(rows - 1) for c in range(cols)]
+    start = {(cols * r + c, cols * r + c + 1) for r in range(rows) for c in (0, 2)}
+    start |= {(cols * r + 4, cols * (r + 1) + 4) for r in (0, 2)}
+    target = {(cols * r + c, cols * (r + 1) + c) for r in (0, 2) for c in range(cols)}
+    return new_graph(rows * cols, edges), frozenset(start), frozenset(target)
+
+
+def test_pmr_grid_above_the_old_vertex_cap():
+    g, start, target = grid_4x5_pmr()
+    assert len(enumerate_perfect_matchings(g)) == 95
+    assert pmr_reachable(g, start, target)
+    assert solve_exact(pmr_to_isr(g, start, target)).reachable
+
+
+def _stored_state_calls():
+    m = k4_machine()
+    configs = ncl_valid_configs(m)
+    g, start, target = grid_4x5_pmr()
+    # (call, states it stores): the NCL BFS stores 20 configurations before
+    # it meets the target, and the PMR oracle the grid's 95 matchings.
+    return {
+        "ncl": (lambda budget: ncl_reachable(m, configs[0], configs[-1], budget), 20),
+        "pmr": (lambda budget: pmr_reachable(g, start, target, budget), 95),
+    }
+
+
+@pytest.mark.parametrize("name", ["ncl", "pmr"])
+def test_oracles_charge_each_stored_state(name):
+    call, stored = _stored_state_calls()[name]
+    with pytest.raises(ResourceBudgetError, match="state budget"):
+        call(Budget(max_states=stored - 1))
+    assert call(Budget(max_states=stored)) == call(None)
 
 
 def _oracle_calls():

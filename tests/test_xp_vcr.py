@@ -45,10 +45,12 @@ def test_oracle_c4_examples(c4):
 
 def test_oracle_rejects_a_non_cover_of_the_remainder(c4):
     # Z = {2}: s = {1} misses the edge 3-0 of C4 - Z, t = {0, 2} covers it.
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="s does not cover G - "):
         clique_edge_oracle(c4, {2}, {2}, 2, {1}, T24)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="t does not cover G - "):
         clique_edge_oracle(c4, {2}, {2}, 2, S13, {1})
+    # Z = {3}: s = {1} covers C4 - Z, the path 0-1-2, though not C4 itself.
+    assert clique_edge_oracle(c4, {3}, {3}, 2, {1}, T24)
 
 
 def test_oracle_brute_force_agreement():
