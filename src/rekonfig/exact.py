@@ -243,12 +243,17 @@ def _first_independent(g: Graph, size: int, clock: _BudgetClock, within: int) ->
     return chosen | candidates & -candidates
 
 
-def _set_sort_key(mask: int) -> str:
-    """Sort key for vertex sets: the mask in binary with vertex 0 first. In
-    descending order of the key, the least vertex where two sets differ
+# Reverses the bits of each byte, so vertex 8i is the top bit of byte i.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _set_sort_key(mask: int) -> bytes:
+    """Sort key for vertex sets: the mask's bytes, lowest first, each with
+    its bits reversed, so vertex 0 is the first bit, at one bit per vertex.
+    In descending order of the key, the least vertex where two sets differ
     decides, and the set that holds it comes first; for sets of one size
     that is the lexicographic order of their sorted vertex lists."""
-    return bin(mask)[:1:-1]
+    return mask.to_bytes((mask.bit_length() + 7) // 8, "little").translate(_BIT_REVERSED)
 
 
 def _family(

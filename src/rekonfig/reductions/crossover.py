@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..budget import Budget
+from ..budget import Budget, _BudgetClock
 from ..errors import NonGoodCrossingError, PreconditionError
 from ..graph import (
+    FeasibilityKind,
     ReconfigInstance,
     Rule,
     RuleKind,
@@ -86,9 +87,12 @@ def _check_good(
     inst: ReconfigInstance,
     annotation: GadgetAnnotation,
     crossing: Crossing,
-    budget: Budget | None,
-    feasible_cache: dict,
+    clock: _BudgetClock,
 ) -> None:
+    """Raise NonGoodCrossingError unless each feasible set of |start| takes
+    exactly one endpoint of each crossed edge: probe for an independent set
+    of |start| avoiding both, or for covers for the complement, of
+    n - |start|, of a cover that takes both."""
     structural = True
     for e in (crossing.edge_a, crossing.edge_b):
         tags = [annotation.tags[v] for v in e]
@@ -99,21 +103,18 @@ def _check_good(
             structural = False  # not a single variable's cycle edge
     if structural:
         return  # variable-cycle edges are always good: even cycle, alternating tokens
-    if "masks" not in feasible_cache:
-        from ..exact import feasible_masks  # the only use of the solver in `reduce`
+    from ..exact import _first_independent  # the only use of the solver in `reduce`
 
-        feasible_cache["masks"] = feasible_masks(
-            inst.graph, inst.kind, len(inst.start), budget
-        )
+    g = inst.graph
+    cover = inst.kind is FeasibilityKind.VERTEX_COVER
+    size = g.vertex_count - len(inst.start) if cover else len(inst.start)
     for e in (crossing.edge_a, crossing.edge_b):
-        em = set_to_mask(e)
-        for m in feasible_cache["masks"]:
-            if (m & em).bit_count() != 1:
-                raise NonGoodCrossingError(
-                    f"crossing of {crossing.edge_a} and {crossing.edge_b} is not good: "
-                    f"a maximum-size feasible set takes {(m & em).bit_count()} "
-                    f"endpoints of edge {e}"
-                )
+        if _first_independent(g, size, clock, g.full_mask & ~set_to_mask(e)) is not None:
+            raise NonGoodCrossingError(
+                f"crossing of {crossing.edge_a} and {crossing.edge_b} is not good: "
+                f"a maximum-size feasible set takes {2 if cover else 0} "
+                f"endpoints of edge {e}"
+            )
 
 
 def planarize(
@@ -126,10 +127,10 @@ def planarize(
 
     Requires the mu = 1 rule shape (k-TJ with k = |start| - 1) and good
     crossings. Goodness is known structurally for variable-cycle edges;
-    any other crossed edge is verified against every maximum-size feasible
-    set, which must take exactly one of its endpoints (NonGoodCrossingError
-    otherwise). An instance whose drawing has no crossing is returned
-    unchanged.
+    for any other crossed edge, every feasible set of |start| must take
+    exactly one of its endpoints, which one probe per edge decides
+    (NonGoodCrossingError otherwise). An instance whose drawing has no
+    crossing is returned unchanged.
     """
     if drawing.polylines.keys() != set(inst.graph.edges()):
         raise PreconditionError("drawing does not cover exactly the instance edges")
@@ -140,9 +141,9 @@ def planarize(
             "planarization expects the mu = 1 core rule (k-TJ, k = |start| - 1)"
         )
 
-    feas_cache: dict = {}
+    clock = _BudgetClock.begin(budget)
     for c in drawing.crossings:
-        _check_good(inst, annotation, c, budget, feas_cache)
+        _check_good(inst, annotation, c, clock)
     for c in drawing.crossings:
         for e in (c.edge_a, c.edge_b):
             if _endpoint_in(e, inst.start) is None or _endpoint_in(e, inst.target) is None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 
 from .budget import Budget, _BudgetClock
-from .errors import PreconditionError, ResourceBudgetError
+from .errors import PreconditionError
 from .graph import (
     Graph,
     VertexSet,
@@ -73,19 +73,10 @@ class CliqueCompressedGraph(Record):
         return {x: i for i, x in enumerate(self.nodes)}
 
     def component_labels(self) -> tuple[int, ...]:
-        parent = list(range(len(self.nodes)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        labels = _Labelling()
         for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-        return tuple(find(i) for i in range(len(self.nodes)))
+            labels.union(i, j)
+        return tuple(labels.find(i) for i in range(len(self.nodes)))
 
 
 def _subsets_of_mask(mask: int):
@@ -215,10 +206,11 @@ def build_clique_compressed_graph(
     xp_vcr_solve labels components without listing edges (_Labelling); this
     explicit build is the reference the tests check that labelling against.
 
-    Oracle answers are memoized per union Z, since the edge question only
-    depends on Z; distinct node pairs with equal unions share one decision.
-    budget.max_states caps the number of nodes, C(n, mu); budget.max_seconds
-    is checked once per row of the pair loop.
+    Each pair of nodes is decided by the query decider of xp_vcr_solve on
+    its union Z, since the edge question only depends on Z; distinct node
+    pairs with equal unions share one memoized decision. Every node, edge
+    and memoized union is charged to budget.max_states as it is stored;
+    budget.max_seconds is checked once per row of the pair loop.
     """
     ss = check_vertex_set(g, s)
     st = check_vertex_set(g, t)
@@ -232,39 +224,36 @@ def build_clique_compressed_graph(
             f"need 0 <= mu <= |s| and k = |s| - mu >= 1, got mu={mu}, |s|={len(ss)}"
         )
     clock = _BudgetClock.begin(budget)
-    if comb(g.vertex_count, mu) > clock.budget.max_states:
-        raise ResourceBudgetError(
-            f"C({g.vertex_count},{mu}) nodes exceed the state budget {clock.budget.max_states}"
-        )
-    nodes = tuple(frozenset(c) for c in combinations(range(g.vertex_count), mu))
+    nodes = []
+    for c in combinations(range(g.vertex_count), mu):
+        clock.charge()
+        nodes.append(frozenset(c))
     node_masks = [set_to_mask(x) for x in nodes]
-    cover_size = len(ss)
-    z_memo: dict[int, bool] = {}
+    decide = _decider(g, set_to_mask(ss), set_to_mask(st), mu, clock)
     edges = set()
     for i in range(len(nodes)):
         clock.check_time()
         for j in range(i + 1, len(nodes)):
-            z = node_masks[i] | node_masks[j]
-            hit = z_memo.get(z)
-            if hit is None:
-                hit = clique_edge_oracle(g, nodes[i], nodes[j], cover_size, ss, st)
-                z_memo[z] = hit
-            if hit:
+            if decide(node_masks[i] | node_masks[j]):
+                clock.charge()
                 edges.add((i, j))
-    return CliqueCompressedGraph(mu, cover_size, nodes, frozenset(edges))
+    return CliqueCompressedGraph(mu, len(ss), tuple(nodes), frozenset(edges))
 
 
-def _decider(g: Graph, smask: int, tmask: int, mu: int) -> Callable[[int], bool]:
-    """The per-query decision "some cover of size |smask| contains Z",
-    memoized on the unions Z of more than mu vertices. smask and tmask are
-    the input covers as vertex masks. Each Z is decided by _accepting_guess
-    on masks, the same core clique_edge_oracle uses: xp_vcr_solve has
-    checked both covers once, and covers of G also cover G - Z, so no call
+def _decider(
+    g: Graph, smask: int, tmask: int, mu: int, clock: _BudgetClock
+) -> Callable[[int], bool]:
+    """The decision "some cover of size |smask| contains Z" of one query
+    or one build_clique_compressed_graph call, memoized on the unions Z of
+    more than mu vertices and charged to clock once per union stored.
+    smask and tmask are the input covers as vertex masks, which the caller
+    has checked. Each Z is decided by _accepting_guess on masks, the same
+    core clique_edge_oracle uses; covers of G also cover G - Z, so no call
     re-validates them. The answer does not depend on the covers, only the
     route to it does. A single node, of mu vertices, and a vertex pair are
     asked only by the coverable pass, once each, so their decisions are not
     stored: the memo holds unions of two distinct nodes, not an entry per
-    node of the C(n, mu) the pass visits."""
+    node the pass visits."""
     nbr = g.neighbor_masks
     full = g.full_mask
     cover_size = smask.bit_count()
@@ -280,6 +269,7 @@ def _decider(g: Graph, smask: int, tmask: int, mu: int) -> Callable[[int], bool]
                 _accepting_guess(nbr, rest, t_prime, smask & rest, tmask & rest) is not None
             )
             if size > mu:
+                clock.charge()
                 z_memo[z] = hit
         return hit
 
@@ -384,7 +374,7 @@ class _Labelling:
         self, g: Graph, mu: int, decide: Callable[[int], bool], clock: _BudgetClock
     ) -> list[int]:
         """The coverable nodes, from one pass that is run on first need.
-        budget.max_states caps the C(n, mu) nodes it may visit; the clock is
+        Each coverable node is charged to clock as it is found; the clock is
         read once per pair decided and once per node or walk step.
 
         When there are fewer vertex pairs than nodes, the pass first
@@ -395,10 +385,6 @@ class _Labelling:
         branch once its candidates run short."""
         if self.coverable is None:
             n = g.vertex_count
-            if comb(n, mu) > clock.budget.max_states:
-                raise ResourceBudgetError(
-                    f"C({n},{mu}) nodes exceed the state budget {clock.budget.max_states}"
-                )
             bad = _nogoods(g, self.covers, decide, clock) if comb(n, 2) < comb(n, mu) else [0] * n
             found = []
             stack = [(0, g.full_mask, mu)]  # (chosen, candidates, still to pick)
@@ -408,6 +394,7 @@ class _Labelling:
                     for v in iter_bits(candidates):
                         clock.check_time()
                         if decide(x | 1 << v):
+                            clock.charge()
                             found.append(x | 1 << v)
                 elif candidates.bit_count() >= need:
                     clock.check_time()
@@ -481,7 +468,10 @@ class _Labelling:
         once it meets y, and only when x's component runs out without
         meeting y, the full labelling.
         The budget clock starts after the lookups that answer without a
-        decision, and is read once per clique pair tried."""
+        decision, and is read once per clique pair tried. It is charged once
+        per union the query memoizes and once per coverable node the pass
+        finds. Beyond x, y and the two covers, the union-find and the
+        pending lists hold only nodes so charged."""
         if self.find(x) == self.find(y):
             return True
         if self.complete:
@@ -491,7 +481,7 @@ class _Labelling:
         if self.find(x) == self.find(y):
             return True
         clock = _BudgetClock.begin(budget)
-        decide = _decider(g, smask, tmask, mu)
+        decide = _decider(g, smask, tmask, mu, clock)
         if decide(x | y):
             self.union(x, y)
             return True
@@ -500,7 +490,7 @@ class _Labelling:
         # most C(n, mu) of them, before the coverable pass. Each such union
         # has 2 mu - |smask & tmask| vertices; when that exceeds the cover
         # size no cover holds one, so none is tried.
-        limit = min(comb(g.vertex_count, mu), clock.budget.max_states)
+        limit = comb(g.vertex_count, mu)
         if 2 * mu - (smask & tmask).bit_count() > smask.bit_count():
             limit = 0
         for z in islice(_cross_unions(smask, tmask, mu), limit):

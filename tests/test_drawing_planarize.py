@@ -137,3 +137,34 @@ def test_planarize_rejects_non_good_crossing():
     d = Drawing(5, 5, coords, polylines, crossings)
     with pytest.raises(NonGoodCrossingError):
         planarize(inst, d, ann)
+
+
+def test_planarize_accepts_a_good_non_structural_crossing():
+    # two disjoint edges: every independent 2-set takes one endpoint of
+    # each, so the probes find no fault and the crossing is replaced by a
+    # gadget that keeps the verdict
+    g = new_graph(4, [(0, 1), (2, 3)])
+    inst = ReconfigInstance(
+        g,
+        FeasibilityKind.INDEPENDENT_SET,
+        frozenset({0, 2}),
+        frozenset({1, 3}),
+        Rule(RuleKind.KTJ, 1),
+    )
+    from rekonfig.reductions import GadgetAnnotation
+
+    ann = GadgetAnnotation(
+        (GadgetTag.INTERNAL,) * 4, tuple(("hand", i) for i in range(4))
+    )
+    coords = ((1, 1), (3, 3), (1, 3), (3, 1))
+    polylines = {
+        (0, 1): ((1, 1), (3, 3)),
+        (2, 3): ((1, 3), (3, 1)),
+    }
+    crossings = tuple(find_crossings(polylines, coords))
+    assert len(crossings) == 1
+    out, _ = planarize(inst, Drawing(4, 4, coords, polylines, crossings), ann)
+    assert out.graph.vertex_count == 12 and len(out.start) == 5
+    want = solve_exact(inst).reachable
+    assert want
+    assert solve_exact(out).reachable == want

@@ -158,9 +158,10 @@ def _assert_roots_match_reference(g):
         for mu in range(1, size):
             # A fresh labelling completed as a NO query completes it.
             state = xp._Labelling()
-            decide = xp._decider(g, set_to_mask(s), set_to_mask(t), mu)
-            nodes = state.nodes(g, mu, decide, xp._BudgetClock.begin(None))
-            state.label_all(nodes, decide, xp._BudgetClock.begin(None))
+            clock = xp._BudgetClock.begin(None)
+            decide = xp._decider(g, set_to_mask(s), set_to_mask(t), mu, clock)
+            nodes = state.nodes(g, mu, decide, clock)
+            state.label_all(nodes, decide, clock)
             roots = {v: state.find(v) for v in nodes}
             cg = build_clique_compressed_graph(g, s, t, mu)
             labels = cg.component_labels()
@@ -476,11 +477,12 @@ def test_xp_precondition_errors(c4):
          (PreconditionError, "s is not a vertex cover")),
         (lambda g: build_clique_compressed_graph(g, S13, {0, 1, 2}, 1),
          (PreconditionError, "cover sizes differ")),
+        # the fourth of the C(4, 1) nodes stored passes the budget
         (lambda g: build_clique_compressed_graph(g, S13, T24, 1, Budget(max_states=3)),
-         (ResourceBudgetError, r"C\(4,1\) nodes exceed")),
-        # a NO, so the query reaches the coverable pass over all C(4, 1) nodes
+         (ResourceBudgetError, "state budget exceeded")),
+        # a NO: the anchor edge and the three other cross unions memoized
         (lambda g: xp_vcr_solve(g, S13, T24, 1, Budget(max_states=3)),
-         (ResourceBudgetError, r"C\(4,1\) nodes exceed")),
+         (ResourceBudgetError, "state budget exceeded")),
         (lambda g: xp_vcr_solve(g, S13, T24, -1), (PreconditionError, "mu must lie in")),
         (lambda g: xp_vcr_solve(g, S13, T24, 3), (PreconditionError, "mu must lie in")),
         (lambda g: xp_vcr_solve(g, S13, T24, 2), (PreconditionError, "must be >= 1")),
@@ -585,6 +587,55 @@ def test_a_no_decides_the_pairs_before_the_nodes(monkeypatch):
     assert len(calls) < 300
 
 
+@pytest.mark.parametrize("c, mu", [(40, 21), (40, 22), (60, 31)])
+def test_nodes_beyond_the_state_budget_are_decided(c, mu):
+    # K_{3,3} + C40 with mu = 21 has C(46, 21) = 6.9e12 nodes and K_{3,3} +
+    # C60 with mu = 31 has C(66, 31) = 6.4e18, far past the default state
+    # budget, yet the pairs in no cover leave a few dozen coverable nodes to
+    # store, and each answers NO in well under a second.
+    g, s, t = _kaa_plus_cycle(3, c)
+    assert comb(g.vertex_count, mu) > Budget().max_states
+    want = solve_exact(ReconfigInstance(g, VC, s, t, Rule(RuleKind.KTJ, len(s) - mu))).reachable
+    assert not want
+    assert xp_vcr_solve(g, s, t, mu) == want
+
+
+def _charged(call):
+    """call's result and the states charged to the clock it began."""
+    clocks = []
+    begin = xp._BudgetClock.begin
+
+    def noting(budget):
+        clocks.append(begin(budget))
+        return clocks[-1]
+
+    with patch.object(xp._BudgetClock, "begin", noting):
+        result = call()
+    assert len(clocks) == 1
+    return result, clocks[0].counted
+
+
+@pytest.mark.parametrize("build", [False, True], ids=["solve", "build"])
+def test_the_state_budget_bounds_what_is_stored(build):
+    # K_{3,3} + C4 with mu = 4, a cold NO: the query stores its memoized
+    # unions and the coverable nodes, the build its nodes, edges and
+    # unions. One state less than that is refused; exactly that answers as
+    # without a budget.
+    g, s, t = _kaa_plus_cycle(3, 4)
+
+    def call(budget=None):
+        g.xp_labellings.clear()
+        if build:
+            return build_clique_compressed_graph(g, s, t, 4, budget)
+        return xp_vcr_solve(g, s, t, 4, budget)
+
+    want, stored = _charged(call)
+    assert stored > 10
+    with pytest.raises(ResourceBudgetError, match="state budget exceeded"):
+        call(Budget(max_states=stored - 1))
+    assert call(Budget(max_states=stored)) == want
+
+
 def _relabelled(rng, g, s, t):
     order = list(range(g.vertex_count))
     rng.shuffle(order)
@@ -616,7 +667,7 @@ def test_pair_walk_lists_the_nodes_of_the_plain_pass(seed, biclique):
             continue
         smask, tmask = set_to_mask(rng.choice(covers)), set_to_mask(rng.choice(covers))
         for mu in range(1, size):
-            decide = xp._decider(g, smask, tmask, mu)
+            decide = xp._decider(g, smask, tmask, mu, xp._BudgetClock.begin(None))
             state = xp._Labelling()
             state.meet(smask, xp._lowest_bits(smask, mu), mu)
             state.meet(tmask, xp._lowest_bits(tmask, mu), mu)
