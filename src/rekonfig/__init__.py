@@ -53,26 +53,28 @@ _EXPORTS = {
     ),
     "matching": (
         "Bipartition",
-        "Matching",
         "bipartition_of",
         "has_perfect_matching_between",
         "konig_min_vertex_cover",
         "maximum_matching",
     ),
     "oracles": (
-        "Assignment",
-        "CnfFormula",
-        "NclConfig",
-        "NclMachine",
-        "NclVertexKind",
         "SatMode",
-        "config_is_valid",
         "enumerate_perfect_matchings",
-        "is_perfect_matching",
         "ncl_reachable",
         "ncl_valid_configs",
         "pmr_reachable",
         "sat_decide",
+    ),
+    "problems": (
+        "Assignment",
+        "CnfFormula",
+        "Matching",
+        "NclConfig",
+        "NclMachine",
+        "NclVertexKind",
+        "config_is_valid",
+        "is_perfect_matching",
     ),
     "xp": (
         "CliqueCompressedGraph",

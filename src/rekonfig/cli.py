@@ -6,18 +6,23 @@ reported with its traceback, so that no crash reads as a NO or a REJECT).
 The machine-readable verdict (`yes` or `no`) goes to stdout; diagnostics
 go to stderr. Budgets come from --budget-states/--budget-secs, falling
 back to REKONFIG_BUDGET_STATES and REKONFIG_BUDGET_SECS, then to the
-library defaults. Each command imports only the modules it runs: only
-`solve` loads the exact solver, `xp-vcr` the XP solver, `oracle` the
-oracles and `bound` the length bound, and `reduce` loads the one compiler it
-names (with the oracles' data types), and the solver only when `planarize`
-must check a crossed edge off the variable cycles against every feasible set.
+library defaults.
+
+Each process loads only what its command runs. The command line is read
+against one table (`_TABLE`), not by argparse, which, with the gettext and
+locale it loads, would cost every process milliseconds. Only `solve` loads the
+exact solver, and the matching core only under k-TS; `xp-vcr` loads the XP
+solver, `oracle` the oracles and `bound` the length bound. `reduce` loads
+the one compiler it names with the source-problem records, but no oracle
+and no matching core, and the solver only when `planarize` must check a
+crossed edge off the variable cycles against every feasible set.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import io_formats
 from .budget import Budget
@@ -129,6 +134,8 @@ def _cmd_reduce(args) -> int:
         inst, _ = reductions.inte3sat_to_isr(phi, mu=args.mu)
         _emit(io_formats.serialize_instance(inst), args.output)
     elif args.compiler == "planarize":
+        if args.mu < 1:  # int2isr's check, before the pads mu - 1 could go negative
+            raise PreconditionError(f"mu must be >= 1, got {args.mu}")
         phi = io_formats.parse_cnf(_read(args.input))
         inst, ann = reductions.inte3sat_to_isr(phi, mu=1)
         drawing = reductions.grid_draw(inst, ann)
@@ -143,7 +150,7 @@ def _cmd_reduce(args) -> int:
         g, ms, mt = io_formats.parse_pmr(_read(args.input))
         inst = reductions.pmr_to_isr(g, ms, mt, RuleKind(args.rule))
         _emit(io_formats.serialize_instance(inst), args.output)
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - the command table restricts choices
         raise PreconditionError(f"unknown compiler {args.compiler}")
     return EXIT_YES
 
@@ -179,65 +186,130 @@ def _cmd_bound(args) -> int:
     return EXIT_YES
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rekonfig",
-        description="independent-set / vertex-cover reconfiguration toolkit",
-    )
-    parser.add_argument("--budget-states", type=int, default=None)
-    parser.add_argument("--budget-secs", type=float, default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+_HELP = """\
+usage: rekonfig [--budget-states N] [--budget-secs S] COMMAND ...
+       rekonfig solve INSTANCE [--shortest] [--certificate PATH]
+       rekonfig xp-vcr INSTANCE [--mu M]
+       rekonfig verify INSTANCE --certificate PATH
+       rekonfig reduce {sat2int|int2isr|planarize|ncl2isr|pmr2isr} INPUT
+                       [-o OUT] [--mu M] [--k K] [--rule ktj|kts]
+       rekonfig oracle {sat|ncl|pmr} INPUT [--mode any|mixed]
+       rekonfig bound --n N --size S --mu MU
+"""
 
-    p = sub.add_parser("solve", help="exact BFS decision")
-    p.add_argument("instance")
-    p.add_argument("--shortest", action="store_true")
-    p.add_argument("--certificate", metavar="PATH")
-    p.set_defaults(func=_cmd_solve)
+# The command table that `_parse` reads a command line with, and that
+# `_HELP` spells out. Each command maps to its handler, its positionals as
+# (name, convert), and its options as spelling -> (name, convert, default,
+# required). convert is int, float or str, a tuple of the strings accepted,
+# or None for a flag, which is True when given. The global options come
+# before the command.
+_GLOBAL = {
+    "--budget-states": ("budget_states", int, None, False),
+    "--budget-secs": ("budget_secs", float, None, False),
+}
+_TABLE = {
+    "solve": (_cmd_solve, (("instance", str),), {
+        "--shortest": ("shortest", None, False, False),
+        "--certificate": ("certificate", str, None, False),
+    }),
+    "xp-vcr": (_cmd_xp_vcr, (("instance", str),), {"--mu": ("mu", int, None, False)}),
+    "verify": (_cmd_verify, (("instance", str),), {"--certificate": ("certificate", str, None, True)}),
+    "reduce": (_cmd_reduce, (("compiler", ("sat2int", "int2isr", "planarize", "ncl2isr", "pmr2isr")),
+                             ("input", str)), {
+        "-o": ("output", str, None, False),
+        "--mu": ("mu", int, 1, False),
+        "--k": ("k", int, 2, False),
+        "--rule": ("rule", ("ktj", "kts"), "ktj", False),
+    }),
+    "oracle": (_cmd_oracle, (("problem", ("sat", "ncl", "pmr")), ("input", str)), {
+        "--mode": ("mode", ("any", "mixed"), "any", False),
+    }),
+    "bound": (_cmd_bound, (), {
+        "--n": ("n", int, None, True),
+        "--size": ("size", int, None, True),
+        "--mu": ("mu", int, None, True),
+    }),
+}
 
-    p = sub.add_parser("xp-vcr", help="XP algorithm for VCR under k-TJ")
-    p.add_argument("instance")
-    p.add_argument("--mu", type=int, default=None)
-    p.set_defaults(func=_cmd_xp_vcr)
 
-    p = sub.add_parser("verify", help="check a certificate")
-    p.add_argument("instance")
-    p.add_argument("--certificate", metavar="PATH", required=True)
-    p.set_defaults(func=_cmd_verify)
+class _UsageError(Exception):
+    """A command line that the command table does not admit."""
 
-    p = sub.add_parser("reduce", help="run an instance compiler")
-    p.add_argument(
-        "compiler", choices=["sat2int", "int2isr", "planarize", "ncl2isr", "pmr2isr"]
-    )
-    p.add_argument("input")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--mu", type=int, default=1)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--rule", choices=["ktj", "kts"], default="ktj")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("oracle", help="brute-force source-problem decision")
-    p.add_argument("problem", choices=["sat", "ncl", "pmr"])
-    p.add_argument("input")
-    p.add_argument("--mode", choices=["any", "mixed"], default="any")
-    p.set_defaults(func=_cmd_oracle)
+def _convert(name: str, convert, word: str):
+    if isinstance(convert, tuple):
+        if word in convert:
+            return word
+        raise _UsageError(f"{name}: invalid choice {word!r} (choose from {', '.join(convert)})")
+    try:
+        return convert(word)
+    except ValueError:
+        raise _UsageError(f"{name}: invalid {convert.__name__} value {word!r}") from None
 
-    p = sub.add_parser("bound", help="shortest-sequence length bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--mu", type=int, required=True)
-    p.set_defaults(func=_cmd_bound)
 
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The command line as attributes named by the table, or None once -h or
+    --help has printed the usage text. Options are spelled in full, and a
+    value follows as the next word or after `=`. Raises _UsageError."""
+    command = None
+    options = _GLOBAL
+    words: list[str] = []
+    values: dict[str, object] = {}
+    rest = iter(argv)
+    for word in rest:
+        if word in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            return None
+        if not word.startswith("-"):
+            if command is not None:
+                words.append(word)
+            elif word in _TABLE:
+                command = word
+                options = _TABLE[word][2]
+            else:
+                raise _UsageError(f"unknown command {word!r} (choose from {', '.join(_TABLE)})")
+            continue
+        spelling, eq, value = word.partition("=")
+        if spelling not in options:
+            raise _UsageError(f"unrecognized option {spelling}")
+        name, convert = options[spelling][:2]
+        if convert is None:
+            if eq:
+                raise _UsageError(f"{spelling} takes no value")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise _UsageError(f"{spelling} needs a value")
+        values[name] = _convert(spelling, convert, value)
+    if command is None:
+        raise _UsageError("no command given")
+    _, positionals, options = _TABLE[command]
+    if len(words) < len(positionals):
+        raise _UsageError(f"missing {positionals[len(words)][0].upper()}")
+    if len(words) > len(positionals):
+        raise _UsageError(f"unexpected argument {words[len(positionals)]!r}")
+    for (name, convert), word in zip(positionals, words):
+        values[name] = _convert(name, convert, word)
+    for spelling, (name, _, default, required) in (_GLOBAL | options).items():
+        if name not in values:
+            if required:
+                raise _UsageError(f"missing {spelling}")
+            values[name] = default
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        sys.stderr.write(f"{_HELP}rekonfig: error: {exc}\n")
+        return EXIT_USAGE
+    if args is None:
+        return EXIT_YES
     try:
-        return args.func(args)
+        return _TABLE[args.command][0](args)
     except ResourceBudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

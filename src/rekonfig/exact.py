@@ -49,10 +49,19 @@ from .graph import (
     mask_to_set,
     set_to_mask,
 )
-# has_perfect_matching_between is unused here: the benchmark's tracer test
-# reads exact.has_perfect_matching_between.
-from .matching import _hopcroft_karp, has_perfect_matching_between  # noqa: F401
 from .record import Record
+
+
+def __getattr__(name: str):
+    # The benchmark's tracer test reads `exact.has_perfect_matching_between`,
+    # which this module does not call. It is resolved on read (PEP 562), so
+    # that loading the solver does not load the matching core; not cached
+    # here, the name always reads the current binding in `matching`.
+    if name == "has_perfect_matching_between":
+        from .matching import has_perfect_matching_between
+
+        return has_perfect_matching_between
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolveResult(Record):
@@ -369,10 +378,15 @@ def _move_generator(inst: ReconfigInstance, within: int) -> Neighbours:
     flip = within if inst.kind is FeasibilityKind.VERTEX_COVER else 0
     slide = inst.rule.kind is RuleKind.KTS
     vertices = _vertex_list(inst.graph, within)
+    # Only k-TS moves of three or more tokens test for a matching, so only
+    # they load the matching core.
+    match = None
+    if slide and k >= 3:
+        from .matching import _hopcroft_karp as match
 
     def neighbours(state: int, visited: dict[int, int | None]) -> list[int]:
         a = state ^ flip
-        new = _moves(a, _candidates(a, vertices, nbr, k, slide), nbr, k, slide, flip, visited)
+        new = _moves(a, _candidates(a, vertices, nbr, k, slide), nbr, k, slide, flip, visited, match)
         new.sort(key=_set_sort_key, reverse=True)
         return new
 
@@ -381,7 +395,7 @@ def _move_generator(inst: ReconfigInstance, within: int) -> Neighbours:
 
 def _moves(
     a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int, slide: bool,
-    flip: int, visited: dict[int, int | None],
+    flip: int, visited: dict[int, int | None], match: Callable[..., dict[int, int]] | None,
 ) -> list[int]:
     """The unvisited B ^ flip over the independent sets B with
     0 < |A - B| = |B - A| <= k, under k-TS (slide) only those where every
@@ -391,14 +405,15 @@ def _moves(
     the conflicts ∪c(E), at most j of them, plus j - |∪c(E)| further tokens.
     Under k-TS every dropped token slides to E, so A - B is exactly ∪c(E),
     which must have j tokens and a perfect matching to E; non-empty
-    conflicts give one for j <= 2, and _hopcroft_karp looks for it for
-    j >= 3. Groups grow depth-first in candidate order and skip a candidate
-    next to a member. A group with more than min(k, t) conflicts is cut,
-    since every group that contains it has them too; one with more than j
-    is not, since further members can raise j. Under k-TS a group with
-    fewer conflicts than members is cut too, since it breaks Hall's
-    condition inside every group that contains it. Each B comes from one
-    pair (E, A - B), so no B is made twice."""
+    conflicts give one for j <= 2, and match, the Hopcroft-Karp core, looks
+    for it for j >= 3 (k-TS with k >= 3 only; None otherwise). Groups grow
+    depth-first in candidate order and skip a candidate next to a member.
+    A group with more than min(k, t) conflicts is cut, since every group
+    that contains it has them too; one with more than j is not, since
+    further members can raise j. Under k-TS a group with fewer conflicts
+    than members is cut too, since it breaks Hall's condition inside every
+    group that contains it. Each B comes from one pair (E, A - B), so no B
+    is made twice."""
     cap = min(k, a.bit_count())
     out: list[int] = []
 
@@ -423,7 +438,7 @@ def _moves(
                     out.extend([b ^ d for d in drops if b ^ d not in visited])
                 elif b not in visited and (
                     j < 3 or not slide
-                    or len(_hopcroft_karp(nbr, (moved ^ flip ^ a) | bit, joined)) == j
+                    or len(match(nbr, (moved ^ flip ^ a) | bit, joined)) == j
                 ):
                     out.append(b)
             if j < cap:

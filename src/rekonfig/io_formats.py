@@ -51,9 +51,8 @@ from .graph import (
     new_graph,
 )
 
-if TYPE_CHECKING:  # annotations only; the parsers import the oracles' types when called
-    from .matching import Matching
-    from .oracles import CnfFormula, NclConfig, NclMachine
+if TYPE_CHECKING:  # annotations only; the parsers import the source problems when called
+    from .problems import CnfFormula, Matching, NclConfig, NclMachine
 
 # Largest vertex count a header may announce. Parsers check it before any
 # graph or per-vertex list is sized, so a one-line file cannot exhaust memory.
@@ -214,7 +213,7 @@ def serialize_certificate(seq: ReconfigSequence) -> str:
 
 
 def parse_cnf(text: str) -> CnfFormula:
-    from .oracles import CnfFormula
+    from .problems import CnfFormula
 
     nvars = nclauses = None
     clauses: list[tuple[int, ...]] = []
@@ -269,7 +268,7 @@ def serialize_cnf(phi: CnfFormula) -> str:
 
 
 def parse_ncl(text: str) -> tuple[NclMachine, NclConfig, NclConfig]:
-    from .oracles import NclConfig, NclMachine
+    from .problems import NclConfig, NclMachine
 
     n, _, edges, arcs_s, arcs_t = _read_parts(
         text, "p ncl <n> <m>", weighted=True, section="config", item="a"

@@ -20,12 +20,14 @@ bipartition and never enter a matching or a König cover.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
 from .graph import Graph, VertexSet, check_vertex_set, set_to_mask
 from .record import Record
 
-Matching = frozenset[tuple[int, int]]
+if TYPE_CHECKING:  # annotations only: the solvers that match load no source problem
+    from .problems import Matching
 
 _INF = float("inf")
 

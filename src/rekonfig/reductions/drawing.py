@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from ..errors import PreconditionError
 from ..graph import ReconfigInstance
-from ..oracles import CnfFormula
+from ..problems import CnfFormula
 from ..record import Record
 from .annotations import GadgetAnnotation, GadgetTag
 from .isr_from_sat import inte3sat_to_isr

@@ -23,7 +23,7 @@ from ..graph import (
     RuleKind,
     new_graph,
 )
-from ..oracles import CnfFormula
+from ..problems import CnfFormula
 from .annotations import GadgetAnnotation, GadgetTag
 
 

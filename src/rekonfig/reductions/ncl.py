@@ -23,7 +23,7 @@ from ..graph import (
     VertexSet,
     new_graph,
 )
-from ..oracles import NclConfig, NclMachine, NclVertexKind, config_is_valid
+from ..problems import NclConfig, NclMachine, NclVertexKind, config_is_valid
 from .annotations import GadgetAnnotation, GadgetTag
 
 

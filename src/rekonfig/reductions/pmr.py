@@ -18,8 +18,7 @@ from ..graph import (
     RuleKind,
     line_graph,
 )
-from ..matching import Matching
-from ..oracles import is_perfect_matching
+from ..problems import Matching, is_perfect_matching
 
 
 def pmr_to_isr(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..errors import PreconditionError
 from ..io_formats import MAX_VERTICES
-from ..oracles import Assignment, CnfFormula
+from ..problems import Assignment, CnfFormula
 
 
 def _all_const_assignment_satisfies(phi: CnfFormula, value: bool) -> bool:

@@ -185,6 +185,93 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2 and "input error" in err
 
 
+def test_option_values_after_equals_parse_as_the_next_word():
+    spaced = cli._parse(
+        ["--budget-secs", "5", "reduce", "int2isr", "in.cnf", "--mu", "2", "-o", "out", "--rule", "kts"]
+    )
+    joined = cli._parse(["--budget-secs=5", "reduce", "int2isr", "in.cnf", "--mu=2", "-o=out", "--rule=kts"])
+    mixed = cli._parse(["--budget-secs", "5", "reduce", "--rule", "kts", "-o", "out", "int2isr", "--mu", "2", "in.cnf"])
+    assert vars(spaced) == vars(joined) == vars(mixed) == {
+        "command": "reduce", "compiler": "int2isr", "input": "in.cnf", "output": "out", "mu": 2, "k": 2,
+        "rule": "kts", "budget_states": None, "budget_secs": 5.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus-command"], "unknown command 'bogus-command'"),
+        ([], "no command given"),
+        (["solve"], "missing INSTANCE"),
+        (["reduce", "int2isr"], "missing INPUT"),
+        (["verify", "in.isr"], "missing --certificate"),
+        (["bound", "--size", "3", "--mu", "1"], "missing --n"),
+        (["reduce", "int2isr", "--rule", "ktx", "in.cnf"], "--rule: invalid choice 'ktx'"),
+        (["reduce", "bogus", "in.cnf"], "compiler: invalid choice 'bogus'"),
+        (["xp-vcr", "--mu", "two", "in.isr"], "--mu: invalid int value 'two'"),
+        (["solve", "--no-such-option", "in.isr"], "unrecognized option --no-such-option"),
+        (["solve", "in.isr", "extra.isr"], "unexpected argument 'extra.isr'"),
+        (["--mu", "1", "solve", "in.isr"], "unrecognized option --mu"),
+        (["solve", "--shortest=yes", "in.isr"], "--shortest takes no value"),
+        (["solve", "in.isr", "--certificate"], "--certificate needs a value"),
+        # Options are spelled in full: argparse took `--cert` for `--certificate`.
+        (["verify", "--cert", "c", "in.isr"], "unrecognized option --cert"),
+    ],
+    ids=[
+        "unknown-command", "no-command", "missing-instance", "missing-input", "verify-without-certificate",
+        "bound-without-n", "bad-rule", "bad-compiler", "non-integer-mu", "unknown-option", "extra-positional",
+        "command-option-before-command", "flag-with-value", "option-without-value", "abbreviated-option",
+    ],
+)
+def test_usage_errors_exit_2_with_the_usage_text(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    # The usage text, then one error line.
+    assert err.startswith(f"{cli._HELP}rekonfig: error: {message}")
+    assert err.endswith("\n") and err.count("\n") == cli._HELP.count("\n") + 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "-h"], ["--budget-secs", "1", "reduce", "--help"]])
+def test_help_prints_the_usage_text(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out == cli._HELP
+    assert out.startswith("usage: rekonfig [--budget-states N] [--budget-secs S] COMMAND ...\n")
+
+
+def test_help_spells_out_the_command_table():
+    # Each command's part of the usage text names exactly its options, its
+    # choices and its positionals, and the first line the global options.
+    head, *parts = cli._HELP.split("\n       rekonfig ")
+    assert [p.split()[0] for p in parts] == list(cli._TABLE)
+    specs = [(head.split(), (), cli._GLOBAL)]
+    specs += [(p.split()[1:], *cli._TABLE[p.split()[0]][1:]) for p in parts]
+    for words, positionals, options in specs:
+        spelled = {w.strip("[]") for w in words if w.startswith(("-", "[-"))}
+        assert spelled == set(options)
+        for spelling, (_, convert, _, required) in options.items():
+            assert (spelling in words) == required
+            if isinstance(convert, tuple):
+                assert f"{spelling} {'|'.join(convert)}" in " ".join(words)
+        assert [w for w in words if w.isupper() or w.startswith("{")][: len(positionals)] == [
+            "{%s}" % "|".join(c) if isinstance(c, tuple) else name.upper() for name, c in positionals
+        ]
+
+
+def test_readme_usage_block_is_the_help_text(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and block == out
+
+
+@pytest.mark.parametrize("compiler", ["int2isr", "planarize"])
+def test_reduce_refuses_mu_below_one(capsys, compiler):
+    # planarize pads its mu = 1 instance with mu - 1 isolated vertices; at
+    # mu = 0 it failed on a negative pad count instead of on mu.
+    code, out, err = run(capsys, "reduce", compiler, "--mu", "0", str(FIXTURES / "fig_formula.cnf"))
+    assert code == 2 and out == "" and "mu must be >= 1, got 0" in err
+
+
 def test_budget_exit_code(capsys, tmp_path):
     big = tmp_path / "big.isr"
     n = 24
@@ -352,7 +439,7 @@ def test_unexpected_error_is_neither_a_verdict_nor_a_usage_error(capsys, monkeyp
     def crash(args):
         raise error("boom")
 
-    monkeypatch.setattr(cli, "_cmd_solve", crash)
+    monkeypatch.setitem(cli._TABLE, "solve", (crash, *cli._TABLE["solve"][1:]))
     code, out, err = run(capsys, "solve", str(FIXTURES / "c4_is_ktj2.isr"))
     assert code == cli.EXIT_INTERNAL == 4
     assert out == "" and "internal error" in err and "boom" in err
@@ -372,11 +459,12 @@ def _fresh(probe: str, *argv: str, cwd=None) -> str:
 
 # The front end and the core layers; every other rekonfig module is one
 # that a command runs.
-_FRONT_END = {"rekonfig", "cli", "budget", "errors", "graph", "io_formats", "matching", "record"}
+_FRONT_END = {"rekonfig", "cli", "budget", "errors", "graph", "io_formats", "record"}
 
 # Standard-library modules that no command needs: `dataclasses` loads
-# `inspect`, `ast` and `dis`, several milliseconds of every process.
-_NOT_LOADED = {"dataclasses", "inspect"}
+# `inspect`, `ast` and `dis`, and `argparse` loads `gettext`, which loads
+# `locale`, several milliseconds of every process.
+_NOT_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 def _command_modules(stdout: str) -> set[str]:
@@ -392,32 +480,37 @@ def test_cli_import_loads_no_command_modules():
 
 
 # Each command, its exit code, and the command modules its process loads:
-# only `solve` loads the exact solver, and each compiler loads only its own
-# reductions submodules (`reduce` also reads the oracles' data types).
+# only `solve` loads the exact solver, and the matching core only under
+# k-TS; each compiler loads only its own reductions submodules and the
+# source-problem records, and no oracle.
 _COMMANDS = [
     (["solve", "c4_is_ktj2.isr", "--certificate", "c4.cert"], 0, {"exact"}),
+    (["solve", "c4_is_kts2.isr"], 0, {"exact", "matching"}),
     (["verify", "c4_is_ktj2.isr", "--certificate", "c4.cert"], 0, set()),
-    (["xp-vcr", "c4_vc_ktj1.isr"], 1, {"xp"}),
-    (["oracle", "sat", "fig_formula.cnf"], 0, {"oracles"}),
-    (["oracle", "ncl", "k4.ncl"], 0, {"oracles"}),
-    (["oracle", "pmr", "c4.pmr"], 0, {"oracles"}),
+    (["xp-vcr", "c4_vc_ktj1.isr"], 1, {"xp", "matching"}),
+    (["oracle", "sat", "fig_formula.cnf"], 0, {"oracles", "problems"}),
+    (["oracle", "ncl", "k4.ncl"], 0, {"oracles", "problems"}),
+    (["oracle", "pmr", "c4.pmr"], 0, {"oracles", "problems"}),
     (["bound", "--n", "6", "--size", "3", "--mu", "1"], 0, {"bounds"}),
-    (["reduce", "sat2int", "forced_chain.cnf", "-o", "out"], 0, {"oracles", "reductions", "reductions.sat"}),
+    (["reduce", "sat2int", "forced_chain.cnf", "-o", "out"], 0, {"problems", "reductions", "reductions.sat"}),
     (["reduce", "int2isr", "fig_formula.cnf", "-o", "out"], 0,
-     {"oracles", "reductions", "reductions.isr_from_sat", "reductions.annotations"}),
+     {"problems", "reductions", "reductions.isr_from_sat", "reductions.annotations"}),
     (["reduce", "planarize", "fig_formula.cnf", "-o", "out"], 0,
-     {"oracles", "reductions", "reductions.isr_from_sat", "reductions.annotations", "reductions.drawing",
+     {"problems", "reductions", "reductions.isr_from_sat", "reductions.annotations", "reductions.drawing",
       "reductions.crossover"}),
     (["reduce", "ncl2isr", "k4.ncl", "-o", "out"], 0,
-     {"oracles", "reductions", "reductions.ncl", "reductions.annotations"}),
-    (["reduce", "pmr2isr", "c4.pmr", "-o", "out"], 0, {"oracles", "reductions", "reductions.pmr"}),
+     {"problems", "reductions", "reductions.ncl", "reductions.annotations"}),
+    (["reduce", "pmr2isr", "c4.pmr", "-o", "out"], 0, {"problems", "reductions", "reductions.pmr"}),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code, modules",
     _COMMANDS,
-    ids=[" ".join(argv[:2]) if argv[0] in ("oracle", "reduce") else argv[0] for argv, _, _ in _COMMANDS],
+    ids=[
+        " ".join(argv[:2]) if argv[0] in ("oracle", "reduce") else argv[0] + " kts" * ("kts" in argv[1])
+        for argv, _, _ in _COMMANDS
+    ],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, modules):
     for name in FIXTURES.iterdir():

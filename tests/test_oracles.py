@@ -12,7 +12,6 @@ from rekonfig.oracles import (
     CnfFormula,
     NclConfig,
     NclMachine,
-    NclVertexKind,
     SatMode,
     config_is_valid,
     enumerate_perfect_matchings,
@@ -21,6 +20,7 @@ from rekonfig.oracles import (
     pmr_reachable,
     sat_decide,
 )
+from rekonfig.problems import NclVertexKind
 from rekonfig.reductions import pmr_to_isr
 
 from conftest import random_bipartite
