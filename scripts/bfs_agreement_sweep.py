@@ -2,23 +2,32 @@
 """Sweep solve_exact against reachability classes on both of its paths.
 
 For every k in {1, 2, 3}, both kinds (independent sets, vertex covers) and
-both rules (k-TJ, k-TS), draws seeded graphs of two sorts:
+both rules (k-TJ, k-TS), draws seeded graphs of three sorts:
 
 * sparse: G(n, 0.04-0.12) on 10 to 14 vertices plus a disjoint K_{k+1,k+1}
   and two to six disjoint K2s. At the independence number every token is
   stuck in its part, and the K_{k+1,k+1} switches sides only by moving
   k + 1 tokens at once, so its two sides split the family into classes. The
-  K2s make the family large, and solve_exact generates moves.
+  K2s make the family large.
 * dense: G(n, 0.6-0.9) on 7 to 10 vertices, plus the same K_{k+1,k+1} for
   k >= 2, because families this small rarely split under 2-TJ or 3-TJ on
-  their own; solve_exact mostly scans them. Not at k = 1: there each
-  candidate of a maximum independent set leads to a different neighbour,
-  so a family doubled by a K_{2,2} always outnumbers twice the estimate.
+  their own. Not at k = 1.
+* chain, for the paper's regime k = t - mu: a path P_2r (4 <= r <= 9)
+  plus a K_q (2 <= q <= 6) whose vertices all see both ends of one path
+  edge, at its independence number t = r. Its family is small, while the
+  odd path vertices and the clique are all candidates, so under a large k
+  the move estimate is large: solve_exact scans where a sixteenth of it
+  pays for the count, and generates moves otherwise.
 
-For each graph, goes down from the independence number while the family of
-t-sets is small enough to label and splits into at least two classes, one
-of them with two or more sets, and keeps the last such t; a graph where
-even the independence number fails is redrawn. Then compares solve_exact on
+At k <= 3, sparse and dense graphs never scan: a sixteenth of their move
+estimate is below their vertex count, so solve_exact generates moves with
+no count. So each row of k in {1, 2, 3} holds sparse and dense graphs
+under k-TJ or k-TS and chain graphs under (t - k)-TJ or (t - k)-TS.
+
+For each sparse or dense graph, goes down from the independence number
+while the family of t-sets is small enough to label and splits into at
+least two classes, one of them with two or more sets, and keeps the last
+such t; a graph where even the independence number fails is redrawn. Then compares solve_exact on
 sampled start/target pairs, alternately from one class (YES) and from two
 classes (NO), with the reachability_classes labels, and checks every
 certificate with verify_sequence and its length against the BFS levels
@@ -30,21 +39,24 @@ solve_tar_minmax(g, s, t).value <= |S| + 1 for covers, must hold iff the
 two labels agree. Every graph with a K_{k+1,k+1} is a disjoint union, and
 where its tokens cannot leave their parts, solve_exact decides a pair part
 by part; each pair that takes that split is also checked on its own, YES
-and NO, against the labels.
+and NO, against the labels. A chain graph is labelled at t, and its pairs
+are sampled the same way, all from one class when there is only one, and
+kept only when the pair test does not settle them.
 
 A last row, 4-TS, checks fixed graphs whose start and target are no move
 only because three vertices of the target share two tokens: Hall's
 condition fails on a 3-subset (hall_graphs). The random rows did not catch
 a move generator that skips the matching test of a k-TS move; here such a
 generator answers YES on every graph it decides. Each of these graphs is
-checked on that pair and on sampled pairs, as above.
+checked on that pair and on sampled pairs, as above, and chain graphs
+under 4-TS join them.
 
 Prints one row per rule and k with how many solves took each route of the
 whole search, how many took the split and how many pairs were checked
 against TAR. A solve whose ends pass the rule's pair test is settled by it
-(pair); any other one generates moves or scans the family, by the same cap
-as the search. Exits non-zero on a mismatch, when a row has no generator or
-no scan solve, or when no row has a split solve.
+(pair); any other one generates moves or scans the family, by the same
+capped count as the search. Exits non-zero on a mismatch, when a row has
+no generator or no scan solve, or when no row has a split solve.
 
 Usage:
     python scripts/bfs_agreement_sweep.py [--graphs 10] [--pairs 10] [--seed 1]
@@ -101,6 +113,29 @@ def sweep_graph(rng, k, dense):
     return new_graph(n, edges)
 
 
+def chain_graph(rng):
+    """A chain graph, as described above."""
+    r, q = rng.randint(4, 9), rng.randint(2, 6)
+    a = rng.randrange(2 * r - 1)
+    edges = [(i, i + 1) for i in range(2 * r - 1)]
+    edges += [(2 * r + i, 2 * r + j) for i in range(q) for j in range(i + 1, q)]
+    edges += [(2 * r + i, v) for i in range(q) for v in (a, a + 1)]
+    return new_graph(2 * r + q, edges)
+
+
+def chain_labels(g, kind, rule_at):
+    """rule_at(t) at the independence number t and the labels of its
+    family, or None when it is no rule or the family is too large to
+    label."""
+    n = g.vertex_count
+    t = len(max_independent_set(g))
+    rule = rule_at(t)
+    size = t if kind is IS else n - t
+    if rule is None or len(feasible_masks(g, kind, size)) > MAX_FAMILY[rule.kind]:
+        return None
+    return rule, reachability_classes(g, kind, size, rule)
+
+
 def pick_tokens(g, kind, rule):
     """Labels of the feasible family for the smallest token count t of a run
     of split families that starts at the independence number: t goes down
@@ -151,27 +186,37 @@ def tar_connects(inst):
 
 
 def pairs(rng, labels, count):
-    """Start/target pairs, alternately from one class and from two."""
+    """Start/target pairs, alternately from one class and from two; all
+    from one class when there is only one."""
     classes = {}
     for s in sorted(labels, key=sorted):
         classes.setdefault(labels[s], []).append(s)
     shared = [c for c in classes.values() if len(c) > 1]
     groups = list(classes.values())
     for i in range(count):
-        if i % 2 == 0:
+        if i % 2 == 0 or len(groups) < 2:
             yield tuple(rng.sample(rng.choice(shared), 2))
         else:
             a, b = rng.sample(groups, 2)
             yield rng.choice(a), rng.choice(b)
 
 
-def route(inst, family_size):
+def route(inst):
     """The route of the whole search, asked as _search asks it: the pair
-    test of the ends, then the family against twice the move estimate."""
+    test of the ends; then no count, and the generator, when a sixteenth of
+    the move estimate is below the vertex count; otherwise the count, which
+    stops past twice the estimate in sets or past the sixteenth in DFS
+    nodes, and then generates, or else scans."""
     g, size = inst.graph, len(inst.start)
     if exact._rule_adjacency(g, inst.rule, size)(*inst.end_masks):
         return "pair"
-    return "generator" if family_size > 2 * exact._move_estimate(inst, g.full_mask) else "scan"
+    est = exact._move_estimate(inst, g.full_mask)
+    nodes = est // exact._COUNT_SHARE
+    if nodes < g.vertex_count:
+        return "generator"
+    clock = exact._BudgetClock.begin(None)
+    family = exact._family(g, inst.kind, size, clock, g.full_mask, 2 * est, nodes)
+    return "generator" if family is None else "scan"
 
 
 def check(inst, labels, row):
@@ -181,7 +226,7 @@ def check(inst, labels, row):
     res = solve_exact(inst, want_shortest=True)
     row["solves"] += 1
     row["yes"] += res.reachable
-    row[route(inst, len(labels))] += 1
+    row[route(inst)] += 1
     agree = res.reachable == (labels[s] == labels[target])
     by_parts = exact._split_verdict(inst, exact._BudgetClock.begin(None))
     if by_parts is not None:
@@ -208,8 +253,8 @@ def hall_graphs():
     only 0 and 1, and a token on one of them keeps 0 and 1 empty, so at most
     two tokens ever sit on them and the target is unreachable. A hub 8 next
     to 0 and 2 connects the graph, so the split cannot decide it by counts,
-    and its r leaves enlarge the family: r <= 1 is scanned and r >= 2 takes
-    the move generator, which must check Hall's condition itself."""
+    and its r leaves enlarge the family. Each takes the move generator,
+    which must check Hall's condition itself."""
     for r in range(4):
         edges = [(4, 2), (4, 3), (0, 8), (2, 8)] + [(v, u) for v in (5, 6, 7) for u in (0, 1)]
         yield new_graph(9 + r, edges + [(8, 9 + i) for i in range(r)])
@@ -229,6 +274,20 @@ def main():
         f"{'rule':<5} {'k':>2} {'solves':>7} {'yes':>5} {'pair':>5} {'generator':>10} {'scan':>5} "
         f"{'split':>6} {'tar':>5} {'mismatch':>9} {'secs':>6}"
     )
+
+    def chains(rule_at, row):
+        """Chain graphs of both kinds under rule_at(t), with their pairs
+        checked into the row."""
+        for kind, _ in itertools.product((IS, VC), range(args.graphs)):
+            g = chain_graph(rng)
+            picked = chain_labels(g, kind, rule_at)
+            if picked is None:
+                continue
+            rule, labels = picked
+            adjacent = exact._rule_adjacency(g, rule, len(next(iter(labels))))
+            far = [p for p in pairs(rng, labels, 4 * args.pairs) if not adjacent(*map(set_to_mask, p))]
+            for s, target in far[:args.pairs]:
+                check(ReconfigInstance(g, kind, s, target, rule), labels, row)
 
     def report(rule, t0, row):
         nonlocal failed, any_split
@@ -255,6 +314,7 @@ def main():
                     sys.exit(f"no graph with a split family in {MAX_DRAWS} draws")
                 for s, target in pairs(rng, labels, args.pairs):
                     check(ReconfigInstance(g, kind, s, target, rule), labels, row)
+            chains(lambda t, kind=rule_kind, mu=k: Rule(kind, t - mu) if t > mu else None, row)
             report(rule, t0, row)
     rule = Rule(RuleKind.KTS, 4)
     t0 = time.time()
@@ -267,6 +327,7 @@ def main():
         check(ReconfigInstance(g, kind, s, target, rule), labels, row)
         for s, target in pairs(rng, labels, args.pairs):
             check(ReconfigInstance(g, kind, s, target, rule), labels, row)
+    chains(lambda t: rule, row)
     report(rule, t0, row)
     failed |= not any_split
     print("agreement, every route and the split:", "FAIL" if failed else "OK")

@@ -52,6 +52,15 @@ class _BudgetClock:
         if self.counted % 4096 < states:  # the count crossed a multiple of 4096
             self.check_time()
 
+    def check_room(self, states: int) -> None:
+        """Read the clock, and raise now if charging `states` more would
+        exceed the state budget; for work that builds what it charges later."""
+        if self.counted + states > self.budget.max_states:
+            raise ResourceBudgetError(
+                f"state budget exceeded ({self.counted + states} > {self.budget.max_states})"
+            )
+        self.check_time()
+
     def check_time(self) -> None:
         """Read the clock now; for loops whose single steps are expensive."""
         if time.monotonic() - self.start > self.budget.max_seconds:

@@ -6,18 +6,22 @@ One independent-set search, an iterative include-first DFS with a clique
 bound, walks the sets of one size as blocks: a branch with one or two tokens
 left is counted with popcounts instead of being split. Two thin callers
 read the blocks. `_family` expands them into the feasible family, unless
-their counts pass a cap. The maximum independent set, the split's probes
-and the shortcut of `bounds.find_simple_sequence` read the first set off
-the first block.
+their counts pass a cap or the walk passes a limit on DFS nodes. The
+maximum independent set, the split's probes and the shortcut of
+`bounds.find_simple_sequence` read the first set off the first block.
 
 `solve_exact` decides a disconnected instance one component at a time when
 no move can change how many tokens a component holds; otherwise, and for
 every shortest certificate, it searches the whole instance from both ends.
 Every search asks the rule's pair test (graph._rule_adjacency) of its ends
-first, and counts the family only when they are not one move apart. The
-DFS and the search may be kept inside a vertex mask, which gives those of
-the induced subgraph in the parent's ids: a component is probed, settled
-by the pair test or searched without leaving the parent graph.
+first. When they are not one move apart, it counts the family to choose
+between scanning it and generating moves, but the count may cost at most
+a sixteenth of the candidate groups one expansion tries: when that share
+is below one pass over the vertices, or the count runs past it, moves are
+generated. The DFS and the search may be kept inside a vertex mask, which
+gives those of the induced subgraph in the parent's ids: a component is
+probed, settled by the pair test or searched without leaving the parent
+graph.
 
 Every solver here is deliberately exhaustive. Budgets cap the number of
 enumerated states and wall-clock seconds; exceeding one raises
@@ -26,7 +30,7 @@ ResourceBudgetError so callers can distinguish "no" from "too big".
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, inf
 from typing import Callable, Iterable, Iterator
 
@@ -143,7 +147,9 @@ _CHUNK_MASK = (1 << _CHUNK) - 1
 Block = tuple[int, int, int, int]
 
 
-def _independent_blocks(g: Graph, size: int, clock: _BudgetClock, within: int) -> Iterator[Block]:
+def _independent_blocks(
+    g: Graph, size: int, clock: _BudgetClock, within: int, stop: float = inf
+) -> Iterator[Block]:
     """The independent sets of exactly `size` inside the vertex mask `within`
     as blocks, in lexicographic order of the underlying vertex tuples
     (include-first DFS over ascending ids gives exactly that order); empty
@@ -159,7 +165,8 @@ def _independent_blocks(g: Graph, size: int, clock: _BudgetClock, within: int) -
     one token short, its candidates; two short, each candidate's later
     non-neighbours among them, with the clock read once per 4096
     candidates. Counting charges no set: a caller charges the sets it
-    builds."""
+    builds. The walk ends early, as if exhausted, once the clock has
+    counted more than `stop`."""
     if size == 0:
         clock.charge()
         yield 1, 0, 0, 0
@@ -171,6 +178,8 @@ def _independent_blocks(g: Graph, size: int, clock: _BudgetClock, within: int) -
     while stack:
         candidates, chosen, remaining = stack.pop()
         clock.charge()
+        if clock.counted > stop:
+            return
         if remaining > 2:
             if candidates.bit_count() < remaining:
                 continue
@@ -267,27 +276,31 @@ def _set_sort_key(mask: int) -> bytes:
 
 def _family(
     g: Graph, kind: FeasibilityKind, size: int, clock: _BudgetClock, within: int,
-    cap: float = inf,
+    cap: float = inf, nodes: float = inf,
 ) -> list[int] | None:
     """The feasible sets of exactly `size` inside the vertex mask `within`,
-    lexicographically ordered, or None when they outnumber `cap`. The block
-    counts are added up as the blocks come, and the walk stops once they
-    pass cap, with no set built or charged; otherwise the walked blocks are
-    expanded, so the family is walked once. Vertex covers come through the
-    complement identity: x is a cover of the subgraph that `within` induces
-    iff `within` minus x is independent, and complementing sets of one size
-    reverses their lexicographic order."""
+    lexicographically ordered, or None when they outnumber `cap` or walking
+    them charges more than `nodes` DFS nodes. The block counts are added up
+    as the blocks come, and the walk stops once they pass cap or the nodes
+    charged pass `nodes`, with no set built or charged; otherwise the walked
+    blocks are expanded, so the family is walked once. Vertex covers come
+    through the complement identity: x is a cover of the subgraph that
+    `within` induces iff `within` minus x is independent, and complementing
+    sets of one size reverses their lexicographic order."""
     n = within.bit_count()
     if not (0 <= size <= n):
         raise PreconditionError(f"size {size} out of range for {n} vertices")
     cover = kind is FeasibilityKind.VERTEX_COVER
     walked: list[Block] = []
     total = 0
-    for block in _independent_blocks(g, n - size if cover else size, clock, within):
+    stop = clock.counted + nodes
+    for block in _independent_blocks(g, n - size if cover else size, clock, within, stop):
         total += block[0]
         if total > cap:
             return None
         walked.append(block)
+    if clock.counted > stop:
+        return None
     masks = _block_sets(walked, g.neighbor_masks, clock)
     return [within ^ m for m in reversed(masks)] if cover else masks
 
@@ -365,13 +378,14 @@ def _candidates(
     return out
 
 
-def _move_generator(inst: ReconfigInstance, within: int) -> Neighbours:
+def _move_generator(inst: ReconfigInstance, within: int, clock: _BudgetClock) -> Neighbours:
     """Neighbour source that generates a state's k-TJ or k-TS moves in
     `within`. Works on independent sets; a vertex cover is handled through its
     complement in `within`, which keeps |A △ B| and the k-TS matching (the
     removed and added vertices swap roles). Moves pivot on additions: only the
     _candidates of a state may enter it. One builder, _moves, serves both
-    rules; it flips each move back and drops the visited ones as it makes them.
+    rules; it flips each move back and drops the visited ones as it makes
+    them, and it answers to `clock` while it builds.
     """
     nbr = inst.graph.neighbor_masks
     k = inst.rule.k
@@ -386,9 +400,10 @@ def _move_generator(inst: ReconfigInstance, within: int) -> Neighbours:
 
     def neighbours(state: int, visited: dict[int, int | None]) -> list[int]:
         a = state ^ flip
-        new = _moves(a, _candidates(a, vertices, nbr, k, slide), nbr, k, slide, flip, visited, match)
-        new.sort(key=_set_sort_key, reverse=True)
-        return new
+        new = _moves(
+            a, _candidates(a, vertices, nbr, k, slide), nbr, k, slide, flip, visited, match, clock
+        )
+        return _best_first(new, clock)
 
     return neighbours
 
@@ -396,6 +411,7 @@ def _move_generator(inst: ReconfigInstance, within: int) -> Neighbours:
 def _moves(
     a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int, slide: bool,
     flip: int, visited: dict[int, int | None], match: Callable[..., dict[int, int]] | None,
+    clock: _BudgetClock,
 ) -> list[int]:
     """The unvisited B ^ flip over the independent sets B with
     0 < |A - B| = |B - A| <= k, under k-TS (slide) only those where every
@@ -413,16 +429,29 @@ def _moves(
     further members can raise j. Under k-TS a group with fewer conflicts
     than members is cut too, since it breaks Hall's condition inside every
     group that contains it. Each B comes from one pair (E, A - B), so no B
-    is made twice."""
+    is made twice.
+
+    Nothing is charged here: the search charges each move it stores. But
+    the clock is read once per 4096 groups tried or moves made and once
+    when the list is done, and the expansion stops with ResourceBudgetError
+    as soon as its list holds more moves than the state budget has left,
+    which storing them would exceed anyway.
+    """
     cap = min(k, a.bit_count())
     out: list[int] = []
+    work = 0  # groups tried and moves made since the clock was last read
 
     def grow(
         rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int
     ) -> None:
         # moved is (A + the group so far) ^ flip; rest holds the candidates
         # after the group's last member.
+        nonlocal work
         for i, (u, c) in enumerate(rest):
+            work += 1
+            if work >= _CHUNK:
+                work = 0
+                clock.check_room(len(out))
             bit = 1 << u
             if banned & bit:
                 continue
@@ -434,8 +463,14 @@ def _moves(
                 b = moved ^ bit ^ joined
                 if count < j:  # k-TJ only: j - count free tokens leave too
                     free = [1 << v for v in iter_bits(a & ~joined)]
-                    drops = free if count == j - 1 else map(sum, combinations(free, j - count))
-                    out.extend([b ^ d for d in drops if b ^ d not in visited])
+                    if count == j - 1:
+                        out.extend([b ^ d for d in free if b ^ d not in visited])
+                        work += len(free)
+                    else:
+                        drops = map(sum, combinations(free, j - count))
+                        while part := list(islice(drops, _CHUNK)):
+                            out.extend([b ^ d for d in part if b ^ d not in visited])
+                            clock.check_room(len(out))
                 elif b not in visited and (
                     j < 3 or not slide
                     or len(match(nbr, (moved ^ flip ^ a) | bit, joined)) == j
@@ -445,7 +480,23 @@ def _moves(
                 grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u])
 
     grow(candidates, 1, a ^ flip, 0, 0)
+    clock.check_room(len(out))
     return out
+
+
+def _best_first(moves: list[int], clock: _BudgetClock) -> list[int]:
+    """The moves in descending order of _set_sort_key. The keys of a list
+    longer than 4096 are made in parts of 4096, with the clock read before
+    each part, so only the comparisons run between two reads."""
+    if len(moves) <= _CHUNK:
+        moves.sort(key=_set_sort_key, reverse=True)
+        return moves
+    keys: list[bytes] = []
+    for i in range(0, len(moves), _CHUNK):
+        clock.check_time()
+        keys += map(_set_sort_key, moves[i:i + _CHUNK])
+    order = sorted(range(len(moves)), key=keys.__getitem__, reverse=True)
+    return [moves[i] for i in order]
 
 
 def _move_estimate(inst: ReconfigInstance, within: int) -> int:
@@ -677,6 +728,11 @@ def solve_exact(
     return _search(inst, inst.graph.full_mask, clock, want_shortest)
 
 
+# The count that picks _search's route may charge at most est // _COUNT_SHARE
+# DFS nodes, where est is the move estimate of one expansion.
+_COUNT_SHARE = 16
+
+
 def _search(
     inst: ReconfigInstance, within: int, clock: _BudgetClock, want_shortest: bool
 ) -> SolveResult:
@@ -685,24 +741,38 @@ def _search(
     of a set inside `within` stays there, so this is the search of the
     subgraph that `within` induces, in the parent's ids. Ends that pass the
     rule's pair test are one move apart: YES with [S, T], the certificate
-    the BFS would return, and nothing counted or expanded. Otherwise the
-    feasible sets are counted block by block, only until they outnumber
-    twice the per-state move estimate (_family). If they do, moves are
-    generated and no set of the family is built; otherwise the complete
-    small family is built from the counted blocks and scanned. Either way
-    the BFS runs from both ends, and one budget clock covers counting and
-    search."""
+    the BFS would return, and nothing counted or expanded.
+
+    Otherwise the route is chosen by a count of the feasible sets whose
+    cost is capped at B = est // 16, where est is the move estimate, the
+    candidate groups one expansion tries: deciding may cost at most a
+    sixteenth of the expansion it might save. When B is below the number
+    of vertices in `within`, not even the count's clique cover, one pass
+    over them, fits, so nothing is counted and moves are generated.
+    Otherwise the sets are counted block by block (_family), and the count
+    stops once they outnumber 2 * est or once it has charged more than B
+    DFS nodes; then moves are generated and no set of the family is built.
+    A count that stops at neither builds the complete small family from
+    the counted blocks and scans it. Both sources list the same
+    neighbours, so the route may change the time and `explored_states`
+    (the BFS weighs a remaining meet test against `cost`), never the
+    answer or the certificate.
+    Either way the BFS runs from both ends, and one budget clock covers
+    counting and search."""
     source, target = (end & within for end in inst.end_masks)
     size = source.bit_count()
     adjacent = _rule_adjacency(inst.graph, inst.rule, size)
     if adjacent(source, target):
         seq = ReconfigSequence((mask_to_set(source), mask_to_set(target))) if want_shortest else None
         return SolveResult(True, seq, 0)
-    cap = 2 * _move_estimate(inst, within)
-    states = _family(inst.graph, inst.kind, size, clock, within, cap)
+    est = _move_estimate(inst, within)
+    nodes = est // _COUNT_SHARE
+    states = None
+    if nodes >= within.bit_count():
+        states = _family(inst.graph, inst.kind, size, clock, within, 2 * est, nodes)
     # cost: adjacency tests that one expansion is worth, for _bfs_both_ends
     if states is None:
-        neighbours, cost = _move_generator(inst, within), cap // 2
+        neighbours, cost = _move_generator(inst, within, clock), est
     else:
         neighbours, cost = _state_scan(states, adjacent, clock), len(states)
     return _search_both_ends(source, target, neighbours, adjacent, cost, clock, want_shortest)

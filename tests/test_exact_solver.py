@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +35,13 @@ from rekonfig.graph import (
     set_to_mask,
     verify_sequence,
 )
+from rekonfig.io_formats import parse_instance
 
 from conftest import brute_feasible, brute_tar, random_graph
 
 IS = FeasibilityKind.INDEPENDENT_SET
 VC = FeasibilityKind.VERTEX_COVER
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _feasible_sets(g, kind, size):
@@ -184,19 +187,29 @@ def test_budget_rejects_nan(limits):
         Budget(**limits)
 
 
+def _grid_instance(rule: Rule) -> ReconfigInstance:
+    """The 6 x 6 grid, row-major ids from 0, from S = {0, 2, 4, 13, 15, 17,
+    24, 26, 28} to S + 1."""
+    edges = [(v, v + 1) for v in range(36) if v % 6 < 5] + [(v, v + 6) for v in range(30)]
+    start = frozenset({0, 2, 4, 13, 15, 17, 24, 26, 28})
+    return ReconfigInstance(new_graph(36, edges), IS, start, frozenset(v + 1 for v in start), rule)
+
+
 def test_solve_exact_one_clock_for_enumeration_and_search():
-    # P10, independent 3-sets under 1-TJ: the family is counted only up to
-    # twice the move estimate, then the search runs on the same clock. A
-    # budget equal to the counted prefix leaves nothing for the search, and
-    # the budget that pays for both has no charge to spare.
-    g = new_graph(10, [(i, i + 1) for i in range(9)])
-    inst = ReconfigInstance(
-        g, IS, frozenset({0, 2, 4}), frozenset({5, 7, 9}), Rule(RuleKind.KTJ, 1)
-    )
+    # The 6 x 6 grid under 4-TS: the move estimate is 12,950 groups, so the
+    # count may charge 809 DFS nodes, and it stops there, then the search
+    # runs on the same clock. A budget equal to the counted prefix leaves
+    # nothing for the search, and the budget that pays for both has no
+    # charge to spare.
+    inst = _grid_instance(Rule(RuleKind.KTS, 4))
+    g = inst.graph
+    est = exact._move_estimate(inst, g.full_mask)
+    nodes = est // exact._COUNT_SHARE
+    assert nodes >= g.vertex_count
     clock = exact._BudgetClock.begin(None)
-    cap = 2 * exact._move_estimate(inst, g.full_mask)
-    assert exact._family(g, IS, 3, clock, g.full_mask, cap) is None
+    assert exact._family(g, IS, 9, clock, g.full_mask, 2 * est, nodes) is None
     prefix = clock.counted
+    assert prefix == nodes + 1
     assert _both_ends(inst, clock=clock).explored_states > 0
     total = clock.counted
     assert prefix < total
@@ -204,6 +217,19 @@ def test_solve_exact_one_clock_for_enumeration_and_search():
         with pytest.raises(ResourceBudgetError):
             solve_exact(inst, budget=Budget(max_states=short))
     assert solve_exact(inst, budget=Budget(max_states=total)).reachable
+
+
+def test_large_k_slides_on_the_grid_count_a_sixteenth_of_an_expansion():
+    # The 6 x 6 grid under 8-TS is two slides deep, but its move estimate,
+    # 1,271,625 groups, exceeded the family, so the count walked all of it:
+    # 1,967,810 charges. A count capped at a sixteenth of the estimate
+    # leaves the whole solve within 300,000. The CLI fixture is this
+    # instance.
+    inst = _grid_instance(Rule(RuleKind.KTS, 8))
+    assert parse_instance((FIXTURES / "grid66_is_kts8.isr").read_text()) == inst
+    res = solve_exact(inst, want_shortest=True, budget=Budget(max_states=300_000))
+    assert res.reachable and res.shortest.length == 2
+    assert verify_sequence(inst, res.shortest).accepted
 
 
 def _frozen_gadget_instance(hub: bool) -> ReconfigInstance:
@@ -239,6 +265,30 @@ def test_solve_exact_time_budget_bounds_each_expansion():
     with pytest.raises(ResourceBudgetError):
         solve_exact(inst, budget=Budget(max_seconds=0.5))
     assert time.monotonic() - began < 0.5 + 1.0
+
+
+def test_one_expansion_answers_to_the_budget(monkeypatch):
+    # 26 isolated vertices, from {0, ..., 12} to {13, ..., 25} under 5-TJ:
+    # the start's first expansion makes 2,255,643 moves, which were built
+    # and sorted with no clock read and charged only when stored, so a
+    # 0.2 s budget ran out after 1.5 s and a 100,000-state budget after
+    # 1.3 s, both with a 241 MB peak. Now the clock is read while the list
+    # grows, and a list longer than the states left stops the expansion
+    # before it is sorted.
+    g = new_graph(26, [])
+    inst = ReconfigInstance(
+        g, IS, frozenset(range(13)), frozenset(range(13, 26)), Rule(RuleKind.KTJ, 5)
+    )
+    began = time.monotonic()
+    with pytest.raises(ResourceBudgetError, match="time budget"):
+        solve_exact(inst, budget=Budget(max_seconds=0.2))
+    assert time.monotonic() - began < 0.2 + 0.5
+    keyed = []
+    real_key = exact._set_sort_key
+    monkeypatch.setattr(exact, "_set_sort_key", lambda mask: keyed.append(mask) or real_key(mask))
+    with pytest.raises(ResourceBudgetError, match="state budget"):
+        solve_exact(inst, budget=Budget(max_states=100_000))
+    assert keyed == []
 
 
 def test_solve_exact_splits_the_frozen_gadget_into_components():
@@ -513,17 +563,16 @@ def test_time_budget_bounds_the_clique_partition():
 
 
 def test_time_budget_bounds_the_clique_bound_scans():
-    # The star K_{1,8191}, covers {0, 1, 2} to {0, 3, 4} under 1-TJ: the
-    # enumeration of independent 8,189-sets scans the 8,191 cliques of the
-    # partition at each DFS node still three or more tokens short, and
-    # reading the clock once per 4,096 charged nodes let it run 2.6 s under
-    # a 0.5 s budget on a 2-core Xeon VM.
+    # The star K_{1,8191}, vertex covers of size 3: the enumeration of
+    # independent 8,189-sets scans the 8,191 cliques of the partition at
+    # each DFS node still three or more tokens short, and reading the clock
+    # once per 4,096 charged nodes let it run 2.6 s under a 0.5 s budget on
+    # a 2-core Xeon VM.
     n = 8192
     g = new_graph(n, [(0, v) for v in range(1, n)])
-    inst = ReconfigInstance(g, VC, frozenset({0, 1, 2}), frozenset({0, 3, 4}), Rule(RuleKind.KTJ, 1))
     began = time.monotonic()
-    with pytest.raises(ResourceBudgetError):
-        solve_exact(inst, budget=Budget(max_seconds=0.5))
+    with pytest.raises(ResourceBudgetError, match="time budget"):
+        feasible_masks(g, VC, 3, Budget(max_seconds=0.5))
     assert time.monotonic() - began < 0.5 + 0.5
 
 
@@ -649,8 +698,9 @@ def _random_instance(n, seed, kind, rule_kind) -> ReconfigInstance | None:
 )
 @settings(max_examples=150, deadline=None)
 def test_block_counts_decide_the_source_and_give_the_first_sets(n, seed, kind, rule_kind):
-    # _search keeps the family iff it holds at most twice the move estimate,
-    # and the callers that want one set get the family's first.
+    # _family keeps the family iff it holds at most `cap` sets and walking
+    # it charges at most `nodes` DFS nodes, and the callers that want one
+    # set get the family's first.
     inst = _random_instance(n, seed, kind, rule_kind)
     if inst is None:
         return
@@ -660,6 +710,13 @@ def test_block_counts_decide_the_source_and_give_the_first_sets(n, seed, kind, r
     for limit in (cap, 0, len(family) - 1, len(family)):
         within = exact._family(g, kind, size, exact._BudgetClock.begin(None), g.full_mask, limit)
         assert within == (None if len(family) > limit else family)
+    walk = exact._BudgetClock.begin(None)
+    list(exact._independent_blocks(g, n - size if kind is VC else size, walk, g.full_mask))
+    for nodes in (0, walk.counted - 1, walk.counted, cap // exact._COUNT_SHARE):
+        clock = exact._BudgetClock.begin(None)
+        within = exact._family(g, kind, size, clock, g.full_mask, nodes=nodes)
+        assert within == (None if walk.counted > nodes else family)
+        assert within is not None or clock.counted == min(walk.counted, nodes + 1)
     clock = exact._BudgetClock.begin(None)
     for t in range(n + 2):
         sets = feasible_masks(g, IS, t) if t <= n else []
@@ -684,6 +741,11 @@ def test_cover_families_within_a_mask_are_the_sorted_complements(n, seed):
         assert exact._family(g, VC, size, clock, within) == want
 
 
+def _generator(inst, clock=None):
+    """The move generator of the whole instance, on `clock` or a fresh one."""
+    return exact._move_generator(inst, inst.graph.full_mask, clock or exact._BudgetClock.begin(None))
+
+
 def _sources(inst):
     size = len(inst.start)
     states = feasible_masks(inst.graph, inst.kind, size)
@@ -691,7 +753,7 @@ def _sources(inst):
         "scan": exact._state_scan(
             states, exact._rule_adjacency(inst.graph, inst.rule, size), exact._BudgetClock.begin(None)
         ),
-        "moves": exact._move_generator(inst, inst.graph.full_mask),
+        "moves": _generator(inst),
     }
 
 
@@ -756,12 +818,12 @@ def test_move_generator_matches_state_scan(n, seed, kind, rule_kind):
 def _both_ends(inst, neighbours=None, clock=None) -> SolveResult:
     """Search from both ends, pricing an expansion at the move estimate as
     solve_exact does on its generator path, whichever the neighbour source."""
-    full = inst.graph.full_mask
-    neighbours = neighbours or exact._move_generator(inst, full)
+    clock = clock or exact._BudgetClock.begin(None)
+    neighbours = neighbours or _generator(inst, clock)
     adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
     return exact._search_both_ends(
         set_to_mask(inst.start), set_to_mask(inst.target), neighbours, adjacent,
-        exact._move_estimate(inst, full), clock or exact._BudgetClock.begin(None), want_shortest=True,
+        exact._move_estimate(inst, inst.graph.full_mask), clock, want_shortest=True,
     )
 
 
@@ -881,7 +943,7 @@ def test_slides_need_hall_condition():
             inst = ReconfigInstance(
                 g, IS, mask_to_set(start), mask_to_set(target), Rule(rule_kind, k)
             )
-            assert (target in exact._move_generator(inst, g.full_mask)(start, {})) == reachable
+            assert (target in _generator(inst)(start, {})) == reachable
             assert _both_ends(inst).reachable == solve_exact(inst).reachable == reachable
 
 
@@ -893,7 +955,7 @@ def test_group_cut_counts_conflicts_against_min_k_t():
         inst = ReconfigInstance(
             new_graph(4, edges), IS, frozenset({0, 2}), frozenset({1, 3}), Rule(rule_kind, 2)
         )
-        assert 0b1010 in exact._move_generator(inst, inst.graph.full_mask)(0b0101, {})
+        assert 0b1010 in _generator(inst)(0b0101, {})
 
 
 @given(
@@ -919,7 +981,7 @@ def test_move_generator_lists_unvisited_neighbours_once_in_order(n, seed, kind, 
     visited = {m: None for m in family if rng.random() < 0.3}
     adjacent = exact._rule_adjacency(g, rule, size)
     scan = exact._state_scan(family, adjacent, exact._BudgetClock.begin(None))(state, {state: None})
-    got = exact._move_generator(inst, g.full_mask)(state, visited)
+    got = _generator(inst)(state, visited)
     assert got == [b for b in scan if b not in visited]
     assert len(set(got)) == len(got)
     assert got == sorted(got, key=exact._set_sort_key, reverse=True)
@@ -936,12 +998,13 @@ def _prism_instance() -> ReconfigInstance:
 
 
 def test_generator_path_counts_only_part_of_the_family():
-    # The generator path stops counting the family at twice the move
-    # estimate, so the charges of one full enumeration pay for the whole
-    # solve, search included.
-    inst = _prism_instance()
+    # On the 6 x 6 grid under 4-TS the count stops after a sixteenth of the
+    # move estimate in DFS nodes, far short of the family, so the charges of
+    # one full enumeration pay for the whole solve, search included.
+    inst = _grid_instance(Rule(RuleKind.KTS, 4))
     clock = exact._BudgetClock.begin(None)
-    exact._family(inst.graph, IS, 4, clock, inst.graph.full_mask)
+    exact._family(inst.graph, IS, 9, clock, inst.graph.full_mask)
+    assert clock.counted > exact._move_estimate(inst, inst.graph.full_mask) // exact._COUNT_SHARE
     res = solve_exact(inst, want_shortest=True, budget=Budget(max_states=clock.counted))
     assert res.reachable and verify_sequence(inst, res.shortest).accepted
 
@@ -950,17 +1013,17 @@ def test_search_from_both_ends_charges_every_stored_state():
     inst = _prism_instance()
     source, target = set_to_mask(inst.start), set_to_mask(inst.target)
     adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
-    full = inst.graph.full_mask
-    moves, cost = exact._move_generator(inst, full), exact._move_estimate(inst, full)
+    cost = exact._move_estimate(inst, inst.graph.full_mask)
     clock = exact._BudgetClock.begin(None)
-    meet, from_source, from_target, _ = exact._bfs_both_ends(source, target, moves, adjacent, cost, clock)
+    meet, from_source, from_target, _ = exact._bfs_both_ends(
+        source, target, _generator(inst, clock), adjacent, cost, clock
+    )
     stored = len(from_source) + len(from_target)
     assert meet is not None and len(from_source) > 1 and len(from_target) > 1
     assert clock.counted == stored
+    short = exact._BudgetClock.begin(Budget(max_states=stored - 1))
     with pytest.raises(ResourceBudgetError):
-        exact._bfs_both_ends(
-            source, target, moves, adjacent, cost, exact._BudgetClock.begin(Budget(max_states=stored - 1))
-        )
+        exact._bfs_both_ends(source, target, _generator(inst, short), adjacent, cost, short)
 
 
 def test_meeting_level_expands_where_the_better_states_outnumber_its_cost():
@@ -977,16 +1040,16 @@ def test_meeting_level_expands_where_the_better_states_outnumber_its_cost():
         tests[a] = tests.get(a, 0) + 1
         return rule_adjacency(a, b)
 
-    full = inst.graph.full_mask
-    moves, cost = exact._move_generator(inst, full), exact._move_estimate(inst, full)
+    moves, cost = _generator(inst), exact._move_estimate(inst, inst.graph.full_mask)
     expanded, ref_expanded = _against_full_level(inst, moves, adjacent, cost)
     assert expanded <= ref_expanded
     assert max(tests.values(), default=0) <= cost
 
 
 def _picked_source(monkeypatch, inst) -> list[str]:
+    """The family count, if any, and the neighbour source of a solve."""
     picked: list[str] = []
-    for name in ("_move_generator", "_state_scan"):
+    for name in ("_family", "_move_generator", "_state_scan"):
 
         def spy(*args, _real=getattr(exact, name), _name=name):
             picked.append(_name)
@@ -1000,8 +1063,9 @@ def _picked_source(monkeypatch, inst) -> list[str]:
 
 def test_solve_exact_generates_moves_on_sparse_k1(monkeypatch):
     # Prism C10 x K2 (cubic, 20 vertices): 13 of the 16 vertices outside
-    # {0, 2, 4, 6} have at most one conflict, and 2 * 13 groups per state is
-    # far below the 1,520 independent 4-sets.
+    # {0, 2, 4, 6} have at most one conflict, so 13 groups per state, and a
+    # sixteenth of that is below the 20 vertices a count would walk: no
+    # count at all.
     assert _picked_source(monkeypatch, _prism_instance()) == ["_move_generator"]
 
 
@@ -1010,9 +1074,8 @@ def test_solve_exact_generates_moves_on_planted_cubic_k2(monkeypatch):
     # T = 6..11 matched by S_i - T_i, each of them joined to two of the
     # vertices 12..19, which get three such edges each: a cubic graph. All
     # 14 vertices outside S have at most two conflicts, so 14 + 91 = 105
-    # candidate groups, and 2 * 105 is far below the 1,600 independent
-    # 6-sets. Counting the 14 outside vertices against all 6 tokens,
-    # 84 + 15 * 91 = 1,449 moves, would scan.
+    # candidate groups, and 105 // 16 = 6 is below the 20 vertices: the
+    # 1,600 independent 6-sets are not counted.
     edges = [(i, 6 + i) for i in range(6)]
     edges += [(u, 12 + u % 8) for u in range(12)] + [(u, 12 + (u + 4) % 8) for u in range(12)]
     inst = ReconfigInstance(
@@ -1021,11 +1084,20 @@ def test_solve_exact_generates_moves_on_planted_cubic_k2(monkeypatch):
     assert _picked_source(monkeypatch, inst) == ["_move_generator"]
 
 
+def test_solve_exact_generates_moves_after_a_capped_count(monkeypatch):
+    # The 6 x 6 grid under 8-TS: the count may charge 79,476 DFS nodes, a
+    # sixteenth of the 1,271,625 groups, and stops there, short of the
+    # family, which it walked whole before.
+    assert _picked_source(monkeypatch, _grid_instance(Rule(RuleKind.KTS, 8))) == [
+        "_family", "_move_generator"
+    ]
+
+
 def test_solve_exact_estimates_without_enumerating_groups(monkeypatch):
     # Path P40 plus a K10 whose vertices all see 0 and 1, independent 20-sets
     # under 19-TJ: 221 sets, and 30 candidates at each end give about 10^9
-    # groups of up to 19, so the family is scanned. The estimate must count
-    # them, not list them.
+    # groups of up to 19, so the family is counted in full and scanned. The
+    # estimate must count the groups, not list them.
     edges = [(i, i + 1) for i in range(39)]
     edges += [(40 + i, 40 + j) for i in range(10) for j in range(i + 1, 10)]
     edges += [(40 + i, v) for i in range(10) for v in (0, 1)]
@@ -1034,23 +1106,39 @@ def test_solve_exact_estimates_without_enumerating_groups(monkeypatch):
         Rule(RuleKind.KTJ, 19),
     )
     began = time.monotonic()
-    assert _picked_source(monkeypatch, inst) == ["_state_scan"]
+    assert _picked_source(monkeypatch, inst) == ["_family", "_state_scan"]
     assert time.monotonic() - began < 2.0
 
 
-def test_solve_exact_scans_on_dense_k2(monkeypatch):
+def test_solve_exact_generates_moves_on_dense_k2(monkeypatch):
     # Complement of the square of C9, each vertex adjacent to the four at
     # cyclic distance 3 or 4: only the 9 runs {i, i + 1, i + 2} are
-    # independent 3-sets, fewer than twice the 4 + 6 = 10 candidate groups
-    # of {0, 1, 2}, whose candidates 3, 4, 7 and 8 have at most two
-    # conflicts. {0, 1, 2} and {4, 5, 6} share no vertex, so they are no
-    # 2-TJ move, and {2, 3, 4} lies between them.
+    # independent 3-sets, and {0, 1, 2} has 4 + 6 = 10 candidate groups
+    # (its candidates 3, 4, 7 and 8 have at most two conflicts). A count
+    # of the 9 sets would cost more than the 10 groups are worth, so moves
+    # are generated. {0, 1, 2} and {4, 5, 6} share no vertex, so they are
+    # no 2-TJ move, and {2, 3, 4} lies between them.
     n = 9
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if min(v - u, n - v + u) > 2]
     inst = ReconfigInstance(
         new_graph(n, edges), IS, frozenset({0, 1, 2}), frozenset({4, 5, 6}), Rule(RuleKind.KTJ, 2)
     )
-    assert _picked_source(monkeypatch, inst) == ["_state_scan"]
+    assert _picked_source(monkeypatch, inst) == ["_move_generator"]
+
+
+def test_solve_exact_scans_a_small_dense_family(monkeypatch):
+    # G(40, 0.7) from seed 174, independent 4-sets under 3-TJ, from the
+    # first to the last of its 37: the ends have 5,488 candidate groups, so
+    # the count may charge 343 DFS nodes, and the family takes fewer.
+    rng = random.Random(174)
+    g = random_graph(rng, 40, 0.7)
+    family = feasible_masks(g, IS, 4)
+    inst = ReconfigInstance(
+        g, IS, mask_to_set(family[0]), mask_to_set(family[-1]), Rule(RuleKind.KTJ, 3)
+    )
+    assert len(family) == 37
+    assert exact._move_estimate(inst, g.full_mask) // exact._COUNT_SHARE >= g.vertex_count
+    assert _picked_source(monkeypatch, inst) == ["_family", "_state_scan"]
 
 
 @given(

@@ -20,7 +20,9 @@ from rekonfig.graph import (
     is_independent_set,
     is_vertex_cover,
     line_graph,
+    mask_to_set,
     new_graph,
+    set_to_mask,
     verify_sequence,
 )
 
@@ -234,3 +236,24 @@ def test_rule_algebra(case):
     if ts:
         assert adjacent_kts(g, a, b, k + 1)
     assert adjacent_ktj(a, b, 1) == (len(a ^ b) <= 2)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(min_value=0, max_value=65535), max_size=80),
+        st.integers(min_value=1, max_value=65535).flatmap(
+            lambda top: st.lists(st.integers(min_value=0, max_value=top), min_size=64, max_size=300)
+        ),
+        st.integers(min_value=64, max_value=4000).map(lambda size: list(range(0, 2 * size, 2))),
+    ),
+    st.sampled_from([list, frozenset, tuple]),
+)
+@settings(max_examples=300, deadline=None)
+def test_set_to_mask_is_the_sum_of_distinct_bits(ids, container):
+    # Wide sets are written as binary digits, narrow ones bit by bit; both
+    # give the sum of the distinct ids' bits, duplicates and the empty set
+    # included.
+    x = container(ids)
+    mask = set_to_mask(x)
+    assert mask == sum(1 << v for v in set(ids))
+    assert mask_to_set(mask) == frozenset(ids)
