@@ -203,19 +203,12 @@ def pairs(rng, labels, count):
 
 def route(inst):
     """The route of the whole search, asked as _search asks it: the pair
-    test of the ends; then no count, and the generator, when a sixteenth of
-    the move estimate is below the vertex count; otherwise the count, which
-    stops past twice the estimate in sets or past the sixteenth in DFS
-    nodes, and then generates, or else scans."""
-    g, size = inst.graph, len(inst.start)
-    if exact._rule_adjacency(g, inst.rule, size)(*inst.end_masks):
+    test of the ends, then _route_family, which answers the family to scan
+    or None to generate moves."""
+    g = inst.graph
+    if exact._rule_adjacency(g, inst.rule, len(inst.start))(*inst.end_masks):
         return "pair"
-    est = exact._move_estimate(inst, g.full_mask)
-    nodes = est // exact._COUNT_SHARE
-    if nodes < g.vertex_count:
-        return "generator"
-    clock = exact._BudgetClock.begin(None)
-    family = exact._family(g, inst.kind, size, clock, g.full_mask, 2 * est, nodes)
+    family, _ = exact._route_family(inst, g.full_mask, exact._BudgetClock.begin(None))
     return "generator" if family is None else "scan"
 
 

@@ -403,7 +403,8 @@ def _move_generator(inst: ReconfigInstance, within: int, clock: _BudgetClock) ->
         new = _moves(
             a, _candidates(a, vertices, nbr, k, slide), nbr, k, slide, flip, visited, match, clock
         )
-        return _best_first(new, clock)
+        new.sort(key=_set_sort_key, reverse=True)
+        return new
 
     return neighbours
 
@@ -482,21 +483,6 @@ def _moves(
     grow(candidates, 1, a ^ flip, 0, 0)
     clock.check_room(len(out))
     return out
-
-
-def _best_first(moves: list[int], clock: _BudgetClock) -> list[int]:
-    """The moves in descending order of _set_sort_key. The keys of a list
-    longer than 4096 are made in parts of 4096, with the clock read before
-    each part, so only the comparisons run between two reads."""
-    if len(moves) <= _CHUNK:
-        moves.sort(key=_set_sort_key, reverse=True)
-        return moves
-    keys: list[bytes] = []
-    for i in range(0, len(moves), _CHUNK):
-        clock.check_time()
-        keys += map(_set_sort_key, moves[i:i + _CHUNK])
-    order = sorted(range(len(moves)), key=keys.__getitem__, reverse=True)
-    return [moves[i] for i in order]
 
 
 def _move_estimate(inst: ReconfigInstance, within: int) -> int:
@@ -733,6 +719,22 @@ def solve_exact(
 _COUNT_SHARE = 16
 
 
+def _route_family(
+    inst: ReconfigInstance, within: int, clock: _BudgetClock
+) -> tuple[list[int] | None, int]:
+    """_search's route inside `within`, and the move estimate est of one
+    expansion: the feasible family to scan, or None to generate moves.
+    Nothing is counted when est // _COUNT_SHARE is below the number of
+    vertices in `within`; otherwise _family counts with the caps 2 * est
+    sets and est // _COUNT_SHARE DFS nodes, on `clock`."""
+    est = _move_estimate(inst, within)
+    nodes = est // _COUNT_SHARE
+    if nodes < within.bit_count():
+        return None, est
+    size = (inst.end_masks[0] & within).bit_count()
+    return _family(inst.graph, inst.kind, size, clock, within, 2 * est, nodes), est
+
+
 def _search(
     inst: ReconfigInstance, within: int, clock: _BudgetClock, want_shortest: bool
 ) -> SolveResult:
@@ -765,11 +767,7 @@ def _search(
     if adjacent(source, target):
         seq = ReconfigSequence((mask_to_set(source), mask_to_set(target))) if want_shortest else None
         return SolveResult(True, seq, 0)
-    est = _move_estimate(inst, within)
-    nodes = est // _COUNT_SHARE
-    states = None
-    if nodes >= within.bit_count():
-        states = _family(inst.graph, inst.kind, size, clock, within, 2 * est, nodes)
+    states, est = _route_family(inst, within, clock)
     # cost: adjacency tests that one expansion is worth, for _bfs_both_ends
     if states is None:
         neighbours, cost = _move_generator(inst, within, clock), est

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import GraphConstructionError, PreconditionError, SizeMismatchError
 from .record import Record
@@ -116,12 +116,14 @@ def new_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(vertex_count, tuple(tuple(sorted(s)) for s in nbrs))
 
 
-def set_to_mask(x: Collection[int]) -> int:
-    """The mask of the vertices in x. Each `m |= 1 << v` copies the mask so
-    far, so building a wide mask bit by bit costs O(size * width); a set of
-    64 or more vertices that fills at least an eighth of its width is
-    written instead as one row of binary digits, highest vertex first, and
-    read by int(..., 2) in O(size + width)."""
+def set_to_mask(x: Iterable[int]) -> int:
+    """The mask of the vertices in x, any iterable of ids. Each
+    `m |= 1 << v` copies the mask so far, so building a wide mask bit by bit
+    costs O(size * width); a set of 64 or more vertices that fills at least
+    an eighth of its width is written instead as one row of binary digits,
+    highest vertex first, and read by int(..., 2) in O(size + width)."""
+    if not isinstance(x, (set, frozenset, list, tuple)):
+        x = list(x)  # read twice below, so a generator is read once here
     size = len(x)
     if size >= 64 and (top := max(x)) < 8 * size:
         digits = bytearray(b"0") * (top + 1)

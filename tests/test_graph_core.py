@@ -57,12 +57,15 @@ def test_independent_set_examples(c4):
     assert is_independent_set(c4, {0, 2})
     assert not is_independent_set(c4, {0, 1})
     assert is_independent_set(c4, set())
+    assert is_independent_set(c4, (v for v in (0, 2)))
+    assert not is_independent_set(c4, (v for v in (0, 1)))
 
 
 def test_vertex_cover_examples(c4):
     assert is_vertex_cover(c4, {0, 2})
     assert not is_vertex_cover(c4, {0, 1})  # edge (2,3) uncovered
     assert is_vertex_cover(new_graph(3, []), set())
+    assert is_vertex_cover(c4, iter([1, 3]))
 
 
 def test_adjacent_ktj_examples(c4):
@@ -246,13 +249,13 @@ def test_rule_algebra(case):
         ),
         st.integers(min_value=64, max_value=4000).map(lambda size: list(range(0, 2 * size, 2))),
     ),
-    st.sampled_from([list, frozenset, tuple]),
+    st.sampled_from([list, frozenset, tuple, iter]),
 )
 @settings(max_examples=300, deadline=None)
 def test_set_to_mask_is_the_sum_of_distinct_bits(ids, container):
     # Wide sets are written as binary digits, narrow ones bit by bit; both
-    # give the sum of the distinct ids' bits, duplicates and the empty set
-    # included.
+    # give the sum of the distinct ids' bits, duplicates, the empty set and
+    # one-pass iterators included.
     x = container(ids)
     mask = set_to_mask(x)
     assert mask == sum(1 << v for v in set(ids))
