@@ -122,9 +122,11 @@ def set_to_mask(x: Iterable[int]) -> int:
     costs O(size * width); a set of 64 or more vertices that fills at least
     an eighth of its width is written instead as one row of binary digits,
     highest vertex first, and read by int(..., 2) in O(size + width)."""
-    if not isinstance(x, (set, frozenset, list, tuple)):
-        x = list(x)  # read twice below, so a generator is read once here
-    size = len(x)
+    try:
+        size = len(x)
+    except TypeError:  # a generator: read it once here, since x is read twice
+        x = list(x)
+        size = len(x)
     if size >= 64 and (top := max(x)) < 8 * size:
         digits = bytearray(b"0") * (top + 1)
         for v in x:
