@@ -83,19 +83,29 @@ _EXPORTS = {
         "xp_vcr_solve",
     ),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
 
 
-def __getattr__(name: str):
-    # Not cached here: the name always reads the current binding in its module.
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __name__), name)
+def _lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]) -> None:
+    """Set a package's `__all__`, `_MODULE_OF` and PEP 562 hooks, given its
+    globals and its exported names per submodule; this package and
+    `reductions` share it."""
+    package = namespace["__name__"]
+    module_of = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        # Not cached here: the name always reads the current binding in its module.
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(import_module(f".{module}", package), name)
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(module_of))
+
+    namespace.update(
+        _MODULE_OF=module_of, __all__=sorted(module_of), __getattr__=__getattr__, __dir__=__dir__
+    )
 
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+_lazy_exports(globals(), _EXPORTS)

@@ -11,13 +11,14 @@ from math import comb
 from .budget import Budget, _BudgetClock
 from .errors import PreconditionError
 from .graph import (
+    FeasibilityKind,
     Graph,
     ReconfigSequence,
-    check_vertex_set,
     closed_neighborhood,
-    is_independent_set,
+    is_feasible,
     mask_to_set,
     set_to_mask,
+    vertex_mask,
 )
 from .record import Record
 
@@ -70,10 +71,9 @@ def find_simple_sequence(
     """
     from .exact import _first_independent  # the length bound needs no solver
 
-    si = check_vertex_set(g, i)
-    sj = check_vertex_set(g, j)
-    for name, s in (("i", si), ("j", sj)):
-        if not is_independent_set(g, s):
+    si, sj = frozenset(i), frozenset(j)
+    for name, m in (("i", vertex_mask(g, si)), ("j", vertex_mask(g, sj))):
+        if not is_feasible(g, FeasibilityKind.INDEPENDENT_SET, m):
             raise PreconditionError(f"{name} is not an independent set")
     if len(si) != len(sj):
         raise PreconditionError(f"set sizes differ: {len(si)} vs {len(sj)}")

@@ -45,13 +45,12 @@ from .graph import (
     RuleKind,
     VertexSet,
     _rule_adjacency,
-    check_vertex_set,
     complement_set,
-    is_independent_set,
-    is_vertex_cover,
+    is_feasible,
     iter_bits,
     mask_to_set,
     set_to_mask,
+    vertex_mask,
 )
 from .record import Record
 
@@ -856,16 +855,14 @@ def solve_tar_maxmin(
     always connects (through the empty set), so the descent terminates; the
     witness is a shortest walk at the final theta.
     """
-    si = check_vertex_set(g, i)
-    sj = check_vertex_set(g, j)
-    for name, s in (("i", si), ("j", sj)):
-        if not is_independent_set(g, s):
+    im, jm = vertex_mask(g, i), vertex_mask(g, j)
+    for name, m in (("i", im), ("j", jm)):
+        if not is_feasible(g, FeasibilityKind.INDEPENDENT_SET, m):
             raise PreconditionError(f"{name} is not an independent set")
     clock = _BudgetClock.begin(budget)
-    if si == sj:
-        return TarResult(len(si), ReconfigSequence((si,)))
-    im, jm = set_to_mask(si), set_to_mask(sj)
-    for theta in range(min(len(si), len(sj)), -1, -1):
+    if im == jm:
+        return TarResult(im.bit_count(), ReconfigSequence((mask_to_set(im),)))
+    for theta in range(min(im.bit_count(), jm.bit_count()), -1, -1):
         res = _search_both_ends(
             im, jm, _tar_moves(g, theta), lambda a, b: (a ^ b).bit_count() == 1,
             g.vertex_count, clock, want_shortest=True,
@@ -885,11 +882,11 @@ def solve_tar_minmax(
     the complements: val_min(s, t) = n - val_max(V - s, V - t), and the
     complemented witness realizes it.
     """
-    ss = check_vertex_set(g, s)
-    st = check_vertex_set(g, t)
-    for name, x in (("s", ss), ("t", st)):
-        if not is_vertex_cover(g, x):
+    sm, tm = vertex_mask(g, s), vertex_mask(g, t)
+    for name, m in (("s", sm), ("t", tm)):
+        if not is_feasible(g, FeasibilityKind.VERTEX_COVER, m):
             raise PreconditionError(f"{name} is not a vertex cover")
-    dual = solve_tar_maxmin(g, complement_set(g, ss), complement_set(g, st), budget)
+    full = g.full_mask
+    dual = solve_tar_maxmin(g, mask_to_set(full & ~sm), mask_to_set(full & ~tm), budget)
     witness = ReconfigSequence(tuple(complement_set(g, x) for x in dual.witness))
     return TarResult(g.vertex_count - dual.value, witness)

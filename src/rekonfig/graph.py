@@ -1,12 +1,17 @@
 """Core graph types, feasibility predicates and reconfiguration adjacency.
 
 Vertices are 0-based integers internally (file formats are 1-based, see
-io_formats). Every value type is a frozen record (record.py): its fields
-never change after construction, and every operation here is a pure
-function. The one mutable part is Graph.xp_labellings: xp_vcr_solve keeps
-there what it has learnt about the graph, facts that hold for this graph
-only. Like any cache it is written by queries, so a graph expects one XP
-query at a time; everything else can be shared freely across threads.
+io_formats). Every public function reads caller-supplied ids with
+vertex_mask into a vertex mask (bit v set iff v is in the set): any
+iterable, a generator read once, a repeated id counted once, and
+PreconditionError for an id outside [0, n). set_to_mask is its unchecked
+core, for ids the library builds itself. Every value type is a frozen
+record (record.py): its fields never change after construction, and every
+operation here is a pure function. The one mutable part is
+Graph.xp_labellings: xp_vcr_solve keeps there what it has learnt about the
+graph, facts that hold for this graph only. Like any cache it is written
+by queries, so a graph expects one XP query at a time; everything else can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -161,12 +166,25 @@ def iter_bits(m: int) -> Iterator[int]:
         m ^= low
 
 
-def check_vertex_set(g: Graph, x: Iterable[int]) -> VertexSet:
-    xs = frozenset(x)
-    for v in xs:
-        if not (0 <= v < g.vertex_count):
-            raise PreconditionError(f"vertex {v} out of range for {g.vertex_count} vertices")
-    return xs
+def vertex_mask(g: Graph, x: Iterable[int]) -> int:
+    """The mask of the ids in x, any iterable read once; PreconditionError
+    names the first id outside [0, n). 64 or more ids in range, by their min
+    and max, go to set_to_mask, linear in their number; fewer, or any id out
+    of range, are checked one by one as the mask is built."""
+    n = g.vertex_count
+    try:
+        size = len(x)
+    except TypeError:  # a generator: read it once, as the wide path reads x again
+        x = list(x)
+        size = len(x)
+    if size >= 64 and min(x) >= 0 and max(x) < n:
+        return set_to_mask(x)
+    m = 0
+    for v in x:
+        if not (0 <= v < n):
+            raise PreconditionError(f"vertex {v} out of range for {n} vertices")
+        m |= 1 << v
+    return m
 
 
 def _independent_mask(masks: tuple[int, ...], xm: int) -> bool:
@@ -182,22 +200,22 @@ def _independent_mask(masks: tuple[int, ...], xm: int) -> bool:
 
 def is_independent_set(g: Graph, x: Iterable[int]) -> bool:
     """True iff no edge of g has both endpoints in x."""
-    return _independent_mask(g.neighbor_masks, set_to_mask(x))
+    return _independent_mask(g.neighbor_masks, vertex_mask(g, x))
 
 
 def is_vertex_cover(g: Graph, x: Iterable[int]) -> bool:
     """True iff every edge of g has at least one endpoint in x."""
     # x covers all edges iff V \ x is independent.
-    return _independent_mask(g.neighbor_masks, g.full_mask & ~set_to_mask(x))
+    return _independent_mask(g.neighbor_masks, g.full_mask & ~vertex_mask(g, x))
 
 
 def complement_set(g: Graph, x: Iterable[int]) -> VertexSet:
-    return frozenset(range(g.vertex_count)) - frozenset(x)
+    return mask_to_set(g.full_mask & ~vertex_mask(g, x))
 
 
 def closed_neighborhood(g: Graph, x: Iterable[int]) -> VertexSet:
     """N[x]: x together with every vertex adjacent to x."""
-    xm = set_to_mask(x)
+    xm = vertex_mask(g, x)
     m = xm
     for v in iter_bits(xm):
         m |= g.neighbor_masks[v]
@@ -225,14 +243,19 @@ class Rule(Record):
             raise PreconditionError(f"rule requires k >= 1, got {self.k}")
 
 
-def is_feasible(g: Graph, kind: FeasibilityKind, x: Iterable[int]) -> bool:
-    if kind is FeasibilityKind.INDEPENDENT_SET:
-        return is_independent_set(g, x)
-    return is_vertex_cover(g, x)
+def is_feasible(g: Graph, kind: FeasibilityKind, mask: int) -> bool:
+    """True iff the vertex mask is an independent set or a vertex cover of
+    g, as kind says; a cover is a mask whose complement is independent."""
+    if kind is FeasibilityKind.VERTEX_COVER:
+        mask = g.full_mask & ~mask
+    return _independent_mask(g.neighbor_masks, mask)
 
 
 class ReconfigInstance(Record):
-    """A reconfiguration question: transform start into target under rule."""
+    """A reconfiguration question: transform start into target under rule.
+
+    Each end is read once, into a frozenset and its vertex mask; end_masks
+    holds the two masks, set at construction, for the solvers."""
 
     graph: Graph
     kind: FeasibilityKind
@@ -241,20 +264,16 @@ class ReconfigInstance(Record):
     rule: Rule
 
     def __post_init__(self):
-        object.__setattr__(self, "start", check_vertex_set(self.graph, self.start))
-        object.__setattr__(self, "target", check_vertex_set(self.graph, self.target))
-        if len(self.start) != len(self.target):
-            raise SizeMismatchError(
-                f"start has {len(self.start)} vertices, target has {len(self.target)}"
-            )
-        for name, s in (("start", self.start), ("target", self.target)):
-            if not is_feasible(self.graph, self.kind, s):
+        start, target = frozenset(self.start), frozenset(self.target)
+        ends = vertex_mask(self.graph, start), vertex_mask(self.graph, target)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "end_masks", ends)
+        if len(start) != len(target):
+            raise SizeMismatchError(f"start has {len(start)} vertices, target has {len(target)}")
+        for name, m in zip(("start", "target"), ends):
+            if not is_feasible(self.graph, self.kind, m):
                 raise PreconditionError(f"{name} set is not feasible for {self.kind.value}")
-
-    @cached_property
-    def end_masks(self) -> tuple[int, int]:
-        """start and target as vertex masks; building one costs O(n) per vertex."""
-        return set_to_mask(self.start), set_to_mask(self.target)
 
 
 class ReconfigSequence(Record):
@@ -304,13 +323,10 @@ def adjacent_ktj(a: Iterable[int], b: Iterable[int], k: int) -> bool:
 def adjacent_kts(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> bool:
     """k-token-sliding adjacency: k-TJ plus a perfect matching, along edges of
     g, between the removed vertices (a minus b) and the added ones (b minus a)."""
-    sa, sb = frozenset(a), frozenset(b)
-    if not adjacent_ktj(sa, sb, k):
+    am, bm = vertex_mask(g, a), vertex_mask(g, b)
+    if not adjacent_ktj(iter_bits(am), iter_bits(bm), k):  # also checks the sizes and k
         return False
-    # At most k vertices move, so the pair test of the moved vertices alone,
-    # with no token shared, is the test of a and b.
-    gone, added = (set_to_mask(check_vertex_set(g, x)) for x in (sa - sb, sb - sa))
-    return _rule_adjacency(g, Rule(RuleKind.KTS, k), gone.bit_count())(gone, added)
+    return _rule_adjacency(g, Rule(RuleKind.KTS, k), am.bit_count())(am, bm)
 
 
 def _rule_adjacency(g: Graph, rule: Rule, size: int) -> Callable[[int, int], bool]:
@@ -350,15 +366,15 @@ def verify_sequence(inst: ReconfigInstance, seq: ReconfigSequence) -> Verdict:
         return Verdict(False, 0, "first step differs from the start set")
     if steps[-1] != inst.target:
         return Verdict(False, len(steps) - 1, "last step differs from the target set")
-    cover = inst.kind is FeasibilityKind.VERTEX_COVER
     masks = []
     for i, s in enumerate(steps):
-        if any(not (0 <= v < g.vertex_count) for v in s):
+        try:
+            m = vertex_mask(g, s)
+        except PreconditionError:
             return Verdict(False, i, "step contains an out-of-range vertex")
         if len(s) != size:
             return Verdict(False, i, f"step has size {len(s)}, expected {size}")
-        m = set_to_mask(s)
-        if not _independent_mask(g.neighbor_masks, g.full_mask & ~m if cover else m):
+        if not is_feasible(g, inst.kind, m):
             return Verdict(False, i, f"step is not a feasible {inst.kind.value} set")
         masks.append(m)
     adjacent = _rule_adjacency(g, inst.rule, size)

@@ -23,7 +23,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
-from .graph import Graph, VertexSet, check_vertex_set, set_to_mask
+from .graph import Graph, VertexSet, iter_bits, mask_to_set, set_to_mask, vertex_mask
 from .record import Record
 
 if TYPE_CHECKING:  # annotations only: the solvers that match load no source problem
@@ -179,9 +179,8 @@ def maximum_matching(g: Graph, bp: Bipartition) -> Matching:
 
     Returns edges as (u, v) pairs with u on the left side.
     """
-    return frozenset(
-        _hopcroft_karp(g.neighbor_masks, set_to_mask(bp.left), set_to_mask(bp.right)).items()
-    )
+    left, right = vertex_mask(g, bp.left), vertex_mask(g, bp.right)
+    return frozenset(_hopcroft_karp(g.neighbor_masks, left, right).items())
 
 
 def konig_min_vertex_cover(g: Graph, bp: Bipartition) -> VertexSet:
@@ -192,15 +191,12 @@ def konig_min_vertex_cover(g: Graph, bp: Bipartition) -> VertexSet:
     vertices along those edges only: cover = (left not reached) union
     (right reached).
     """
-    matching = maximum_matching(g, bp)
-    right_mask = set_to_mask(bp.right)
-    match_of: dict[int, int] = {}
-    for u, v in matching:
-        match_of[u] = v
-        match_of[v] = u
+    left, right_mask = vertex_mask(g, bp.left), vertex_mask(g, bp.right)
+    match_of = _hopcroft_karp(g.neighbor_masks, left, right_mask)
+    match_of.update({v: u for u, v in match_of.items()})
     reached: set[int] = set()
     queue: deque[int] = deque()
-    for u in sorted(bp.left):
+    for u in iter_bits(left):
         if u not in match_of:
             reached.add(u)
             queue.append(u)
@@ -214,10 +210,10 @@ def konig_min_vertex_cover(g: Graph, bp: Bipartition) -> VertexSet:
             if w is not None and w not in reached:
                 reached.add(w)
                 queue.append(w)
-    cover = (bp.left - reached) | (bp.right & reached)
     # Left vertices never reached include matched-but-unreachable ones only;
     # isolated left vertices are unmatched hence reached, so never covered.
-    return frozenset(cover)
+    reached_mask = set_to_mask(reached)
+    return mask_to_set(left & ~reached_mask | right_mask & reached_mask)
 
 
 def has_perfect_matching_between(g: Graph, a, b) -> bool:
@@ -227,12 +223,12 @@ def has_perfect_matching_between(g: Graph, a, b) -> bool:
     False whenever |a| != |b|; vacuously true for two empty sets.
     PreconditionError when a and b share a vertex.
     """
-    sa = check_vertex_set(g, a)
-    sb = check_vertex_set(g, b)
-    if sa & sb:
-        raise PreconditionError(f"sides overlap in {sorted(sa & sb)}")
-    if len(sa) != len(sb):
+    am, bm = vertex_mask(g, a), vertex_mask(g, b)
+    if am & bm:
+        raise PreconditionError(f"sides overlap in {list(iter_bits(am & bm))}")
+    size = am.bit_count()
+    if size != bm.bit_count():
         return False
-    if not sa:
+    if not size:
         return True
-    return len(_hopcroft_karp(g.neighbor_masks, set_to_mask(sa), set_to_mask(sb))) == len(sa)
+    return len(_hopcroft_karp(g.neighbor_masks, am, bm)) == size

@@ -6,7 +6,7 @@ others. No submodule shares its name with a function it exports: once such a
 submodule were loaded, the package attribute would be the module.
 """
 
-from importlib import import_module
+from .. import _lazy_exports
 
 _EXPORTS = {
     "annotations": ("GadgetAnnotation", "GadgetTag"),
@@ -18,18 +18,4 @@ _EXPORTS = {
     "pmr": ("pmr_to_isr",),
     "sat": ("e3sat_to_inte3sat", "replace_long_clause"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_MODULE_OF)
-
-
-def __getattr__(name: str):
-    # Not cached here: the name always reads the current binding in its module.
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+_lazy_exports(globals(), _EXPORTS)

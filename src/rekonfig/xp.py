@@ -38,14 +38,15 @@ from __future__ import annotations
 from .budget import Budget, _BudgetClock
 from .errors import PreconditionError
 from .graph import (
+    FeasibilityKind,
     Graph,
     VertexSet,
     _independent_mask,
-    check_vertex_set,
-    is_vertex_cover,
+    is_feasible,
     iter_bits,
     mask_to_set,
     set_to_mask,
+    vertex_mask,
 )
 # bipartition_of is unused here; the benchmark's tracer test reads xp.bipartition_of.
 from .matching import Bipartition, _hopcroft_karp, bipartition_of, konig_min_vertex_cover
@@ -68,9 +69,6 @@ class CliqueCompressedGraph(Record):
     cover_size: int
     nodes: tuple[VertexSet, ...]
     edges: frozenset[tuple[int, int]]
-
-    def node_index(self) -> dict[VertexSet, int]:
-        return {x: i for i, x in enumerate(self.nodes)}
 
     def component_labels(self) -> tuple[int, ...]:
         labels = _Labelling()
@@ -153,14 +151,11 @@ def clique_edge_oracle(
     (padded with lowest-id leftover vertices), returned alongside the
     decision.
     """
-    sx = check_vertex_set(g, x)
-    sy = check_vertex_set(g, y)
-    ss = check_vertex_set(g, s)
-    st = check_vertex_set(g, t)
-    if len(sx) != len(sy):
-        raise PreconditionError(f"subset sizes differ: {len(sx)} vs {len(sy)}")
+    xm, ym, sm, tm = (vertex_mask(g, v) for v in (x, y, s, t))
+    if xm.bit_count() != ym.bit_count():
+        raise PreconditionError(f"subset sizes differ: {xm.bit_count()} vs {ym.bit_count()}")
     nbr = g.neighbor_masks
-    z = set_to_mask(sx) | set_to_mask(sy)
+    z = xm | ym
     zsize = z.bit_count()
     fail = (False, None) if return_witness else False
 
@@ -171,8 +166,8 @@ def clique_edge_oracle(
     if t_prime > rest.bit_count():
         return fail  # not enough vertices left to pad to the exact size
 
-    s_p = set_to_mask(ss) & rest
-    t_p = set_to_mask(st) & rest
+    s_p = sm & rest
+    t_p = tm & rest
     for name, cover in (("s", s_p), ("t", t_p)):
         if not _independent_mask(nbr, rest & ~cover):
             raise PreconditionError(f"{name} does not cover G - (x union y)")
@@ -194,7 +189,7 @@ def clique_edge_oracle(
             break
         w |= 1 << v
     witness = mask_to_set(w)
-    assert len(witness) == cover_size and is_vertex_cover(g, witness)
+    assert len(witness) == cover_size and is_feasible(g, FeasibilityKind.VERTEX_COVER, w)
     return True, witness
 
 
@@ -212,16 +207,16 @@ def build_clique_compressed_graph(
     and memoized union is charged to budget.max_states as it is stored;
     budget.max_seconds is checked once per row of the pair loop.
     """
-    ss = check_vertex_set(g, s)
-    st = check_vertex_set(g, t)
-    for name, c in (("s", ss), ("t", st)):
-        if not is_vertex_cover(g, c):
+    sm, tm = vertex_mask(g, s), vertex_mask(g, t)
+    for name, m in (("s", sm), ("t", tm)):
+        if not is_feasible(g, FeasibilityKind.VERTEX_COVER, m):
             raise PreconditionError(f"{name} is not a vertex cover")
-    if len(ss) != len(st):
-        raise PreconditionError(f"cover sizes differ: {len(ss)} vs {len(st)}")
-    if not (0 <= mu <= len(ss)) or len(ss) - mu < 1:
+    size = sm.bit_count()
+    if size != tm.bit_count():
+        raise PreconditionError(f"cover sizes differ: {size} vs {tm.bit_count()}")
+    if not (0 <= mu <= size) or size - mu < 1:
         raise PreconditionError(
-            f"need 0 <= mu <= |s| and k = |s| - mu >= 1, got mu={mu}, |s|={len(ss)}"
+            f"need 0 <= mu <= |s| and k = |s| - mu >= 1, got mu={mu}, |s|={size}"
         )
     clock = _BudgetClock.begin(budget)
     nodes = []
@@ -229,7 +224,7 @@ def build_clique_compressed_graph(
         clock.charge()
         nodes.append(frozenset(c))
     node_masks = [set_to_mask(x) for x in nodes]
-    decide = _decider(g, set_to_mask(ss), set_to_mask(st), mu, clock)
+    decide = _decider(g, sm, tm, mu, clock)
     edges = set()
     for i in range(len(nodes)):
         clock.check_time()
@@ -237,7 +232,7 @@ def build_clique_compressed_graph(
             if decide(node_masks[i] | node_masks[j]):
                 clock.charge()
                 edges.add((i, j))
-    return CliqueCompressedGraph(mu, len(ss), tuple(nodes), frozenset(edges))
+    return CliqueCompressedGraph(mu, size, tuple(nodes), frozenset(edges))
 
 
 def _decider(
@@ -510,18 +505,6 @@ class _Labelling:
         return False
 
 
-def _vertex_mask(g: Graph, x) -> int:
-    """The vertex mask of x, read in one pass that range-checks each vertex
-    as check_vertex_set does; a repeated vertex counts once."""
-    n = g.vertex_count
-    m = 0
-    for v in x:
-        if not (0 <= v < n):
-            raise PreconditionError(f"vertex {v} out of range for {n} vertices")
-        m |= 1 << v
-    return m
-
-
 def _lowest_bits(mask: int, count: int) -> int:
     """The count lowest vertices of mask, as a mask."""
     out = 0
@@ -548,11 +531,9 @@ def xp_vcr_solve(g: Graph, s, t, mu: int, budget: Budget | None = None) -> bool:
     depends only on (g, |s|, mu), and s and t merely steer the decisions,
     so one labelling serves every cover pair of a size.
     """
-    smask = _vertex_mask(g, s)
-    tmask = _vertex_mask(g, t)
-    nbr, full = g.neighbor_masks, g.full_mask
+    smask, tmask = vertex_mask(g, s), vertex_mask(g, t)
     for name, m in (("s", smask), ("t", tmask)):
-        if not _independent_mask(nbr, full & ~m):  # V - m independent iff m covers
+        if not is_feasible(g, FeasibilityKind.VERTEX_COVER, m):
             raise PreconditionError(f"{name} is not a vertex cover")
     size = smask.bit_count()
     if size != tmask.bit_count():

@@ -194,7 +194,7 @@ def test_criterion_02_clique_node_equivalence():
                     ),
                 )
                 cg = build_clique_compressed_graph(g, sets[0], sets[1], mu)
-                node_of = cg.node_index()
+                node_of = {x: i for i, x in enumerate(cg.nodes)}
                 clique_labels = cg.component_labels()
                 anchor = {}
                 for i, s in enumerate(sets):

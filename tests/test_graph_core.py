@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rekonfig.bounds import find_simple_sequence
 from rekonfig.errors import GraphConstructionError, PreconditionError, SizeMismatchError
+from rekonfig.exact import solve_tar_maxmin, solve_tar_minmax
 from rekonfig.graph import (
     FeasibilityKind,
     ReconfigInstance,
@@ -14,7 +16,6 @@ from rekonfig.graph import (
     Verdict,
     adjacent_ktj,
     adjacent_kts,
-    check_vertex_set,
     closed_neighborhood,
     complement_set,
     is_independent_set,
@@ -24,7 +25,15 @@ from rekonfig.graph import (
     new_graph,
     set_to_mask,
     verify_sequence,
+    vertex_mask,
 )
+from rekonfig.matching import (
+    Bipartition,
+    has_perfect_matching_between,
+    konig_min_vertex_cover,
+    maximum_matching,
+)
+from rekonfig.xp import build_clique_compressed_graph, clique_edge_oracle, xp_vcr_solve
 
 from conftest import random_graph
 
@@ -144,13 +153,89 @@ def test_verify_mutations_reject(c4):
 @pytest.mark.parametrize("vertex", [-1, 4])
 def test_out_of_range_vertices_are_refused(c4, vertex):
     with pytest.raises(PreconditionError, match=f"vertex {vertex} out of range"):
-        check_vertex_set(c4, {0, vertex})
+        vertex_mask(c4, {0, vertex})
     inst = ReconfigInstance(
         c4, FeasibilityKind.INDEPENDENT_SET, frozenset({0}), frozenset({2}),
         Rule(RuleKind.KTJ, 1),
     )
     bad = ReconfigSequence((frozenset({0}), frozenset({vertex}), frozenset({2})))
     assert verify_sequence(inst, bad) == Verdict(False, 1, "step contains an out-of-range vertex")
+
+
+C6 = new_graph(6, [(v, (v + 1) % 6) for v in range(6)])
+ODD = frozenset({1, 3, 5})
+
+# Every public function that takes vertex ids, as (call(g, x), x): x goes to
+# its first vertex set, and its other arguments make x valid on C6, where
+# the vertex sets are read before anything else is checked.
+ENTRY_POINTS = {
+    "is_independent_set": (lambda g, x: is_independent_set(g, x), [0, 2, 0]),
+    "is_vertex_cover": (lambda g, x: is_vertex_cover(g, x), [0, 2, 4, 2]),
+    "closed_neighborhood": (lambda g, x: closed_neighborhood(g, x), [0, 3, 0]),
+    "complement_set": (lambda g, x: complement_set(g, x), [0, 3, 3]),
+    "maximum_matching": (lambda g, x: maximum_matching(g, Bipartition(x, ODD)), [0, 2, 4, 0]),
+    "konig_min_vertex_cover": (lambda g, x: konig_min_vertex_cover(g, Bipartition(x, ODD)), [0, 4, 0]),
+    "ReconfigInstance": (
+        lambda g, x: ReconfigInstance(g, FeasibilityKind.INDEPENDENT_SET, x, ODD, Rule(RuleKind.KTJ, 1)),
+        [0, 2, 4, 0],
+    ),
+    "adjacent_kts": (lambda g, x: adjacent_kts(g, x, ODD, 3), [0, 2, 4, 4]),
+    "has_perfect_matching_between": (lambda g, x: has_perfect_matching_between(g, x, ODD), [0, 2, 4, 2]),
+    "clique_edge_oracle": (
+        lambda g, x: clique_edge_oracle(g, x, {1}, 4, {0, 1, 2, 4}, {1, 3, 4, 5}, return_witness=True),
+        [0, 0],
+    ),
+    "build_clique_compressed_graph": (lambda g, x: build_clique_compressed_graph(g, x, ODD, 1), [0, 2, 4, 0]),
+    "xp_vcr_solve": (lambda g, x: xp_vcr_solve(g, x, ODD, 2), [0, 2, 4, 0]),
+    "solve_tar_maxmin": (lambda g, x: solve_tar_maxmin(g, x, ODD), [0, 2, 4, 2]),
+    "solve_tar_minmax": (lambda g, x: solve_tar_minmax(g, x, ODD), [0, 2, 4, 4]),
+    "find_simple_sequence": (lambda g, x: find_simple_sequence(g, x, ODD, 1), [0, 2, 4, 0]),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("ids", [3, 70], ids=["below 64", "from 64"])
+@pytest.mark.parametrize("side", ["low", "high"])
+def test_every_entry_point_refuses_out_of_range_ids(name, ids, side):
+    # On both sides of vertex_mask's 64-id switch, the first out-of-range
+    # id raises PreconditionError before any other check, never IndexError
+    # or a wrong answer.
+    call, _ = ENTRY_POINTS[name]
+    n = 80
+    g = new_graph(n, [(v, (v + 1) % n) for v in range(n)])
+    bad = -1 if side == "low" else n
+    with pytest.raises(PreconditionError, match=f"^vertex {bad} out of range for {n} vertices$"):
+        call(g, [0, bad, *range(2, ids)])
+
+
+@pytest.mark.parametrize("ids", [3, 70], ids=["below 64", "from 64"])
+def test_the_reader_names_the_first_bad_id(ids):
+    g = new_graph(80, [])
+    for x, first in (([0, 81, -1], 81), ([0, -1, 81], -1)):
+        with pytest.raises(PreconditionError, match=f"^vertex {first} out of range for 80 vertices$"):
+            vertex_mask(g, iter([*x, *range(2, ids)]))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_reads_a_generator_as_its_set(name):
+    # A one-pass generator with a repeated id gives the frozenset's answer.
+    call, x = ENTRY_POINTS[name]
+    assert len(set(x)) < len(x)
+    want = call(new_graph(6, C6.edges()), frozenset(x))
+    assert call(new_graph(6, C6.edges()), (v for v in x)) == want
+
+
+@given(
+    st.integers(min_value=1, max_value=300).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=200))
+    ),
+    st.sampled_from([list, frozenset, tuple, iter]),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_reader_is_set_to_mask_on_ids_in_range(case, container):
+    n, ids = case
+    g = new_graph(n, [])
+    assert vertex_mask(g, container(ids)) == set_to_mask(ids)
 
 
 def test_closed_neighborhood(c4):
