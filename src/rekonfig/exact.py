@@ -18,9 +18,15 @@ first. When they are not one move apart, it counts the family to choose
 between scanning it and generating moves, but the count may cost at most
 a sixteenth of the candidate groups one expansion tries: when that share
 is below one pass over the vertices, or the count runs past it, moves are
-generated. The DFS and the search may be kept inside a vertex mask, which
-gives those of the induced subgraph in the parent's ids: a component is
-probed, settled by the pair test or searched without leaving the parent
+generated. The search then tries the sequences of L = max(⌈|S △ T| / 2k⌉,
+2) moves first, a lower bound on the length, since one move changes at most
+2k vertices and the pair test refuted one move: one pass of the two-ended
+BFS stores only states that can lie on such a sequence. A meet is a
+shortest sequence; a pass that runs out of states having pruned none was
+the plain search and answers NO; otherwise the plain two-ended BFS runs on
+the same clock. The DFS and the search may be kept inside a vertex mask,
+which gives those of the induced subgraph in the parent's ids: a component
+is probed, settled by the pair test or searched without leaving the parent
 graph.
 
 Every solver here is deliberately exhaustive. Budgets cap the number of
@@ -335,9 +341,29 @@ def min_vertex_cover(g: Graph, budget: Budget | None = None) -> VertexSet:
     return frozenset(range(g.vertex_count)) - max_independent_set(g, budget)
 
 
-# A neighbour source maps (state, visited states) to the unvisited states
-# adjacent to it, best first: in descending order of _set_sort_key.
-Neighbours = Callable[[int, dict[int, int | None]], list[int]]
+class _Fence:
+    """A bound on the states one side of a search may store: b is kept only
+    if |b △ far| <= room. `dropped` records whether it ever left one out."""
+
+    __slots__ = ("far", "room", "dropped")
+
+    def __init__(self, far: int):
+        self.far = far
+        self.room = 0
+        self.dropped = False
+
+    def keep(self, states: list[int]) -> list[int]:
+        far, room = self.far, self.room
+        kept = [b for b in states if (b ^ far).bit_count() <= room]
+        if len(kept) < len(states):
+            self.dropped = True
+        return kept
+
+
+# A neighbour source maps (state, visited states, fence or None) to the
+# unvisited states adjacent to it that the fence keeps, best first: in
+# descending order of _set_sort_key.
+Neighbours = Callable[[int, dict[int, int | None], _Fence | None], list[int]]
 
 
 def _state_scan(
@@ -350,13 +376,15 @@ def _state_scan(
     of its own, so both sides of a search can share it."""
     parts = [states[i:i + _CHUNK] for i in range(0, len(states), _CHUNK)]
 
-    def neighbours(a: int, visited: dict[int, int | None]) -> list[int]:
+    def neighbours(
+        a: int, visited: dict[int, int | None], fence: _Fence | None = None
+    ) -> list[int]:
         out: list[int] = []
         for i, part in enumerate(parts):
             if i:
                 clock.check_time()
             out += [b for b in part if b not in visited and adjacent(a, b)]
-        return out
+        return out if fence is None else fence.keep(out)
 
     return neighbours
 
@@ -383,8 +411,9 @@ def _move_generator(inst: ReconfigInstance, within: int, clock: _BudgetClock) ->
     complement in `within`, which keeps |A △ B| and the k-TS matching (the
     removed and added vertices swap roles). Moves pivot on additions: only the
     _candidates of a state may enter it. One builder, _moves, serves both
-    rules; it flips each move back and drops the visited ones as it makes
-    them, and it answers to `clock` while it builds.
+    rules; it flips each move back and drops the visited ones, and those the
+    fence leaves out, as it makes them, and it answers to `clock` while it
+    builds.
     """
     nbr = inst.graph.neighbor_masks
     k = inst.rule.k
@@ -397,10 +426,13 @@ def _move_generator(inst: ReconfigInstance, within: int, clock: _BudgetClock) ->
     if slide and k >= 3:
         from .matching import _hopcroft_karp as match
 
-    def neighbours(state: int, visited: dict[int, int | None]) -> list[int]:
+    def neighbours(
+        state: int, visited: dict[int, int | None], fence: _Fence | None = None
+    ) -> list[int]:
         a = state ^ flip
         new = _moves(
-            a, _candidates(a, vertices, nbr, k, slide), nbr, k, slide, flip, visited, match, clock
+            a, _candidates(a, vertices, nbr, k, slide), nbr, k, slide, flip, visited, match, clock,
+            fence,
         )
         new.sort(key=_set_sort_key, reverse=True)
         return new
@@ -411,11 +443,12 @@ def _move_generator(inst: ReconfigInstance, within: int, clock: _BudgetClock) ->
 def _moves(
     a: int, candidates: list[tuple[int, int]], nbr: tuple[int, ...], k: int, slide: bool,
     flip: int, visited: dict[int, int | None], match: Callable[..., dict[int, int]] | None,
-    clock: _BudgetClock,
+    clock: _BudgetClock, fence: _Fence | None = None,
 ) -> list[int]:
-    """The unvisited B ^ flip over the independent sets B with
-    0 < |A - B| = |B - A| <= k, under k-TS (slide) only those where every
-    token of A - B slides along an edge to a vertex of B - A.
+    """The unvisited B ^ flip that the fence, if any, keeps, over the
+    independent sets B with 0 < |A - B| = |B - A| <= k, under k-TS (slide)
+    only those where every token of A - B slides along an edge to a vertex
+    of B - A.
 
     E = B - A is an independent set of j candidates. Under k-TJ, A - B is
     the conflicts ∪c(E), at most j of them, plus j - |∪c(E)| further tokens.
@@ -435,11 +468,13 @@ def _moves(
     the clock is read once per 4096 groups tried or moves made and once
     when the list is done, and the expansion stops with ResourceBudgetError
     as soon as its list holds more moves than the state budget has left,
-    which storing them would exceed anyway.
+    which storing them would exceed anyway: the fence filters each group's
+    moves before they join the list.
     """
     cap = min(k, a.bit_count())
     out: list[int] = []
     work = 0  # groups tried and moves made since the clock was last read
+    keep = fence.keep if fence is not None else None
 
     def grow(
         rest: list[tuple[int, int]], j: int, moved: int, conflicts: int, banned: int
@@ -464,18 +499,23 @@ def _moves(
                 if count < j:  # k-TJ only: j - count free tokens leave too
                     free = [1 << v for v in iter_bits(a & ~joined)]
                     if count == j - 1:
-                        out.extend([b ^ d for d in free if b ^ d not in visited])
+                        made = [b ^ d for d in free if b ^ d not in visited]
+                        out.extend(keep(made) if keep else made)
                         work += len(free)
                     else:
                         drops = map(sum, combinations(free, j - count))
                         while part := list(islice(drops, _CHUNK)):
-                            out.extend([b ^ d for d in part if b ^ d not in visited])
+                            made = [b ^ d for d in part if b ^ d not in visited]
+                            out.extend(keep(made) if keep else made)
                             clock.check_room(len(out))
                 elif b not in visited and (
                     j < 3 or not slide
                     or len(match(nbr, (moved ^ flip ^ a) | bit, joined)) == j
                 ):
-                    out.append(b)
+                    if fence is None or (b ^ fence.far).bit_count() <= fence.room:
+                        out.append(b)
+                    else:
+                        fence.dropped = True
             if j < cap:
                 grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u])
 
@@ -513,8 +553,8 @@ def _chain(parent: dict[int, int | None], end: int) -> ReconfigSequence:
 
 def _bfs_both_ends(
     source: int, target: int, neighbours: Neighbours, adjacent: Callable[[int, int], bool],
-    cost: int, clock: _BudgetClock,
-) -> tuple[int | None, dict[int, int | None], dict[int, int | None], int]:
+    cost: int, clock: _BudgetClock, bound: tuple[int, int] | None = None,
+) -> tuple[int | None, dict[int, int | None], dict[int, int | None], int, bool]:
     """Level-synchronous BFS from source and from target at once.
 
     Each step takes the frontier of the side with fewer frontier states (the
@@ -534,21 +574,44 @@ def _bfs_both_ends(
     more than `cost` better states remain (what one expansion is worth in
     adjacency tests), a is expanded instead, as before the meet.
 
+    A bound (L, w) asks for sequences of L moves only, where one move
+    changes at most w vertices. A state b at depth d is stored only if
+    d + ⌈|b △ e| / w⌉ <= L, where e is the far end: the target for the
+    source side, the source for the target side. The bound is consistent
+    (adjacent states differ by at most one in it), so every state of such a
+    sequence passes it on both sides, and stored states keep the depths of
+    the plain BFS. The pass stops once the depths of the two sides add up
+    to L: a sequence of L moves would have had a state in both searched
+    balls by then, so it would have met. Before that, a meet closes a
+    sequence of at most L moves. Pruned states are neither stored nor
+    charged.
+
     The budget is charged once per state stored on either side, and the
     clock is read once per frontier state taken.
 
     Returns (meeting state or None, parents from source, parents from
-    target, number of expanded states).
+    target, number of expanded states, whether the bound cut the search
+    short by a dropped state or the stop). Only a search that was not cut
+    shows by its missing meet that there is no sequence.
     """
     parents: tuple[dict[int, int | None], dict[int, int | None]] = ({source: None}, {target: None})
     frontiers = [[source], [target]]
+    depths = [0, 0]
+    fences = (_Fence(target), _Fence(source)) if bound is not None else (None, None)
+    length, width = bound or (inf, 0)
     clock.charge(2)
     expanded = 0
+    meet: int | None = None
     while frontiers[0] and frontiers[1]:
+        if depths[0] + depths[1] >= length:
+            return None, parents[0], parents[1], expanded, True
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, other = parents[side], parents[1 - side]
+        fence = fences[side]
+        if fence is not None:
+            # |b △ far| <= room  <=>  depth + 1 + ⌈|b △ far| / w⌉ <= L
+            fence.room = width * (length - depths[side] - 1)
         level: list[int] = []
-        meet: int | None = None
         better: list[int] = []
         for a in frontiers[side]:
             if meet is not None and not better:
@@ -563,7 +626,7 @@ def _bfs_both_ends(
                     del better[first:]
                 continue
             expanded += 1
-            new = neighbours(a, mine)
+            new = neighbours(a, mine, fence)
             for b in new:
                 mine[b] = a
                 clock.charge()
@@ -579,20 +642,35 @@ def _bfs_both_ends(
             if len(better) <= cost:  # pair tests from here on, best first
                 better.sort(key=_set_sort_key, reverse=True)
         if meet is not None:
-            return meet, parents[0], parents[1], expanded
+            break
         frontiers[side] = level
-    return None, parents[0], parents[1], expanded
+        depths[side] += 1
+    cut = any(f is not None and f.dropped for f in fences)
+    return meet, parents[0], parents[1], expanded, cut
 
 
 def _search_both_ends(
     source: int, target: int, neighbours: Neighbours, adjacent: Callable[[int, int], bool],
-    cost: int, clock: _BudgetClock, want_shortest: bool,
+    cost: int, clock: _BudgetClock, want_shortest: bool, bound: tuple[int, int] | None = None,
 ) -> SolveResult:
     """_bfs_both_ends from source to target, with the shortest sequence
-    through the meet when want_shortest is set."""
-    meet, from_source, from_target, expanded = _bfs_both_ends(
-        source, target, neighbours, adjacent, cost, clock
+    through the meet when want_shortest is set.
+
+    With a bound (L, w), where L is at most the shortest length, one pass
+    bounded by it runs first. A meet ends the search: its sequence has at
+    most L moves, so it is a shortest one. A pass that the bound did not
+    cut short was the plain search, so no meet means NO. Otherwise the
+    plain search runs on the same clock. explored_states adds up the
+    expansions of both passes."""
+    meet, from_source, from_target, expanded, cut = _bfs_both_ends(
+        source, target, neighbours, adjacent, cost, clock, bound
     )
+    if meet is None and cut:
+        del from_source, from_target  # the plain pass stores its own
+        meet, from_source, from_target, plain, _ = _bfs_both_ends(
+            source, target, neighbours, adjacent, cost, clock
+        )
+        expanded += plain
     if meet is None:
         return SolveResult(False, None, expanded)
     if not want_shortest:
@@ -702,7 +780,11 @@ def solve_exact(
     YES without want_shortest, is their answer. A YES with want_shortest,
     a connected graph and unconfined tokens take the search of the whole
     instance, on the same budget clock. Each search asks the rule's pair
-    test of its ends first (_search): one move apart, it explores 0 states."""
+    test of its ends first (_search): one move apart, it explores 0 states.
+    Otherwise it tries the sequences of the lower bound L = max(⌈|S △ T| /
+    2k⌉, 2) moves in one bounded pass, and runs the plain search only when
+    that pass finds none and the bound cut it short; explored_states counts
+    the expansions of both passes."""
     if inst.start == inst.target:
         seq = ReconfigSequence((inst.start,)) if want_shortest else None
         return SolveResult(True, seq, 0)
@@ -758,8 +840,16 @@ def _search(
     neighbours, so the route may change the time and `explored_states`
     (the BFS weighs a remaining meet test against `cost`), never the
     answer or the certificate.
-    Either way the BFS runs from both ends, and one budget clock covers
-    counting and search."""
+
+    Either way the BFS runs from both ends, first bounded by L =
+    max(⌈|S △ T| / 2k⌉, 2): one move changes at most 2k vertices, and the
+    pair test refuted one move, so no sequence is shorter. That pass stores
+    only the states that can lie on a sequence of L moves (_bfs_both_ends).
+    A meet is such a sequence, so a shortest one, and ends the search. A
+    pass that neither pruned a state nor stopped early was the plain
+    search, and answers NO. Otherwise the plain search runs with the same
+    neighbour source. One budget clock covers counting and both passes,
+    and explored_states adds up the expansions of both."""
     source, target = (end & within for end in inst.end_masks)
     size = source.bit_count()
     adjacent = _rule_adjacency(inst.graph, inst.rule, size)
@@ -772,7 +862,13 @@ def _search(
         neighbours, cost = _move_generator(inst, within, clock), est
     else:
         neighbours, cost = _state_scan(states, adjacent, clock), len(states)
-    return _search_both_ends(source, target, neighbours, adjacent, cost, clock, want_shortest)
+    # L is at most the shortest length: one move changes at most 2k
+    # vertices, and the pair test refuted a single move.
+    width = 2 * inst.rule.k
+    bound = max(-(-(source ^ target).bit_count() // width), 2), width
+    return _search_both_ends(
+        source, target, neighbours, adjacent, cost, clock, want_shortest, bound
+    )
 
 
 def reachability_classes(
@@ -828,7 +924,9 @@ def _tar_moves(g: Graph, theta: int) -> Neighbours:
     a vertex outside N[A], or remove one while |A| > theta."""
     nbr = g.neighbor_masks
 
-    def neighbours(a: int, visited: dict[int, int | None]) -> list[int]:
+    def neighbours(
+        a: int, visited: dict[int, int | None], fence: _Fence | None = None
+    ) -> list[int]:
         blocked = a
         for v in iter_bits(a):
             blocked |= nbr[v]
@@ -836,7 +934,7 @@ def _tar_moves(g: Graph, theta: int) -> Neighbours:
         moves = [a ^ (1 << v) for v in iter_bits(removable | (g.full_mask & ~blocked))]
         new = [b for b in moves if b not in visited]
         new.sort(key=_set_sort_key, reverse=True)
-        return new
+        return new if fence is None else fence.keep(new)
 
     return neighbours
 

@@ -310,21 +310,26 @@ class Verdict(Record):
         return self.accepted
 
 
-def adjacent_ktj(a: Iterable[int], b: Iterable[int], k: int) -> bool:
-    """k-token-jumping adjacency: equal sizes and |a symmetric-diff b| <= 2k."""
-    sa, sb = frozenset(a), frozenset(b)
-    if len(sa) != len(sb):
-        raise SizeMismatchError(f"set sizes differ: {len(sa)} vs {len(sb)}")
+def adjacent_ktj(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> bool:
+    """k-token-jumping adjacency of two vertex sets of g: equal sizes and
+    |a symmetric-diff b| <= 2k."""
+    return _jump(vertex_mask(g, a), vertex_mask(g, b), k)
+
+
+def _jump(am: int, bm: int, k: int) -> bool:
+    """adjacent_ktj on vertex masks, with its checks of the sizes and k."""
+    if am.bit_count() != bm.bit_count():
+        raise SizeMismatchError(f"set sizes differ: {am.bit_count()} vs {bm.bit_count()}")
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
-    return len(sa ^ sb) <= 2 * k
+    return (am ^ bm).bit_count() <= 2 * k
 
 
 def adjacent_kts(g: Graph, a: Iterable[int], b: Iterable[int], k: int) -> bool:
     """k-token-sliding adjacency: k-TJ plus a perfect matching, along edges of
     g, between the removed vertices (a minus b) and the added ones (b minus a)."""
     am, bm = vertex_mask(g, a), vertex_mask(g, b)
-    if not adjacent_ktj(iter_bits(am), iter_bits(bm), k):  # also checks the sizes and k
+    if not _jump(am, bm, k):
         return False
     return _rule_adjacency(g, Rule(RuleKind.KTS, k), am.bit_count())(am, bm)
 

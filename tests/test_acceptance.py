@@ -566,14 +566,14 @@ def test_criterion_11_rule_algebra():
         a = frozenset(rng.sample(range(n), size))
         b = frozenset(rng.sample(range(n), size))
         k = rng.randint(1, n)
-        tj = adjacent_ktj(a, b, k)
+        tj = adjacent_ktj(g, a, b, k)
         ts = adjacent_kts(g, a, b, k)
         assert not ts or tj
-        assert tj == adjacent_ktj(b, a, k)
+        assert tj == adjacent_ktj(g, b, a, k)
         assert ts == adjacent_kts(g, b, a, k)
         if tj:
-            assert adjacent_ktj(a, b, k + 1)
+            assert adjacent_ktj(g, a, b, k + 1)
         if ts:
             assert adjacent_kts(g, a, b, k + 1)
-        assert adjacent_ktj(a, b, 1) == (len(a ^ b) <= 2)
+        assert adjacent_ktj(g, a, b, 1) == (len(a ^ b) <= 2)
     _report(11, "rule algebra", "10000 random cases")

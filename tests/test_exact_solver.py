@@ -198,9 +198,10 @@ def _grid_instance(rule: Rule) -> ReconfigInstance:
 def test_solve_exact_one_clock_for_enumeration_and_search():
     # The 6 x 6 grid under 4-TS: the move estimate is 12,950 groups, so the
     # count may charge 809 DFS nodes, and it stops there, then the search
-    # runs on the same clock. A budget equal to the counted prefix leaves
-    # nothing for the search, and the budget that pays for both has no
-    # charge to spare.
+    # runs on the same clock. The total is _search's own: the count, then
+    # the bounded pass and, if it falls back, the plain search. A budget
+    # equal to the counted prefix leaves nothing for the search, and the
+    # budget that pays for both has no charge to spare.
     inst = _grid_instance(Rule(RuleKind.KTS, 4))
     g = inst.graph
     est = exact._move_estimate(inst, g.full_mask)
@@ -210,7 +211,8 @@ def test_solve_exact_one_clock_for_enumeration_and_search():
     assert exact._family(g, IS, 9, clock, g.full_mask, 2 * est, nodes) is None
     prefix = clock.counted
     assert prefix == nodes + 1
-    assert _both_ends(inst, clock=clock).explored_states > 0
+    clock = exact._BudgetClock.begin(None)
+    assert exact._search(inst, g.full_mask, clock, want_shortest=False).explored_states > 0
     total = clock.counted
     assert prefix < total
     for short in (prefix, total - 1):
@@ -861,7 +863,7 @@ def _against_full_level(inst, neighbours, adjacent, cost) -> tuple[int, int]:
     the same search. Returns both numbers of expanded states."""
     ends = set_to_mask(inst.start), set_to_mask(inst.target)
     clock, ref_clock = exact._BudgetClock.begin(None), exact._BudgetClock.begin(None)
-    meet, *got, expanded = exact._bfs_both_ends(*ends, neighbours, adjacent, cost, clock)
+    meet, *got, expanded, _ = exact._bfs_both_ends(*ends, neighbours, adjacent, cost, clock)
     ref_meet, *ref, ref_expanded = _full_level_both_ends(*ends, neighbours, ref_clock)
     assert meet == ref_meet
     if meet is None:
@@ -918,6 +920,77 @@ def test_search_from_both_ends_matches_state_scan(n, seed, kind, rule_kind):
         assert both.shortest.length == scan.shortest.length
         assert verify_sequence(inst, both.shortest).accepted
     assert _both_ends(inst) == both  # deterministic, explored_states included
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([IS, VC]),
+    st.sampled_from([RuleKind.KTJ, RuleKind.KTS]),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_bounded_pass_answers_as_the_plain_search(n, seed, kind, rule_kind, k):
+    # _search tries the sequences of L = max(⌈|S △ T| / 2k⌉, 2) moves first
+    # and falls back to the plain search; the unbounded _search_both_ends is
+    # the plain search alone. Same verdict, same length.
+    inst = _random_instance(n, seed, kind, rule_kind)
+    if inst is None or k > len(inst.start):
+        return
+    inst = ReconfigInstance(inst.graph, kind, inst.start, inst.target, Rule(rule_kind, k))
+    got = exact._search(inst, inst.graph.full_mask, exact._BudgetClock.begin(None), True)
+    plain = _both_ends(inst)
+    assert got.reachable == plain.reachable
+    if plain.reachable:
+        assert got.shortest.length == plain.shortest.length
+        assert verify_sequence(inst, got.shortest).accepted
+
+
+def test_bounded_pass_decides_a_planted_instance():
+    # _planted_cubic_k2 under 2-TJ: |S △ T| = 12, so L = 3,
+    # the shortest length. The bounded pass meets after 3 expansions, where
+    # the plain search takes 5, and finds the same certificate.
+    inst = _planted_cubic_k2()
+    got = exact._search(inst, inst.graph.full_mask, exact._BudgetClock.begin(None), True)
+    plain = _both_ends(inst)
+    assert got.shortest.length == 3
+    assert got.explored_states < plain.explored_states
+    assert got.shortest == plain.shortest
+
+
+def test_bounded_pass_falls_back_on_the_grid_under_1_ts():
+    # The 6 x 6 grid under 1-TS: |S △ T| = 18, so L = 9, but the shortest
+    # sequence has 10 moves. The bounded pass finds no meet, and the plain
+    # search that follows on the same clock gives its certificate;
+    # explored_states counts both passes.
+    inst = _grid_instance(Rule(RuleKind.KTS, 1))
+    got = exact._search(inst, inst.graph.full_mask, exact._BudgetClock.begin(None), True)
+    plain = _both_ends(inst)
+    assert got.shortest.length == 10
+    assert got.shortest == plain.shortest
+    assert got.explored_states > plain.explored_states
+
+
+def test_bounded_pass_decides_the_grid_under_2_tj_in_a_small_budget():
+    # The 6 x 6 grid under 2-TJ: |S △ T| = 18, so L = ⌈18 / 4⌉ = 5, the
+    # shortest length. The bounded pass stores about 1,800 states, where the
+    # plain search stored 213,435. The CLI fixture is this instance.
+    inst = _grid_instance(Rule(RuleKind.KTJ, 2))
+    assert parse_instance((FIXTURES / "grid66_is_ktj2.isr").read_text()) == inst
+    res = solve_exact(inst, want_shortest=True, budget=Budget(max_states=20_000))
+    assert res.reachable and res.shortest.length == 5
+    assert verify_sequence(inst, res.shortest).accepted
+
+
+def test_bounded_pass_that_drops_nothing_answers_no(c4):
+    # C4 from {0, 2} to {1, 3} under 1-TJ: each free vertex sees both
+    # tokens, so the start has no move. The bounded pass expands it, drops
+    # nothing and ends: it was the plain search, so the answer is NO after
+    # one expansion, with no second pass.
+    inst = ReconfigInstance(c4, IS, frozenset({0, 2}), frozenset({1, 3}), Rule(RuleKind.KTJ, 1))
+    assert exact._search(inst, c4.full_mask, exact._BudgetClock.begin(None), True) == SolveResult(
+        False, None, 1
+    )
 
 
 def test_slides_need_hall_condition():
@@ -1015,7 +1088,7 @@ def test_search_from_both_ends_charges_every_stored_state():
     adjacent = exact._rule_adjacency(inst.graph, inst.rule, len(inst.start))
     cost = exact._move_estimate(inst, inst.graph.full_mask)
     clock = exact._BudgetClock.begin(None)
-    meet, from_source, from_target, _ = exact._bfs_both_ends(
+    meet, from_source, from_target, _, _ = exact._bfs_both_ends(
         source, target, _generator(inst, clock), adjacent, cost, clock
     )
     stored = len(from_source) + len(from_target)
@@ -1069,19 +1142,23 @@ def test_solve_exact_generates_moves_on_sparse_k1(monkeypatch):
     assert _picked_source(monkeypatch, _prism_instance()) == ["_move_generator"]
 
 
-def test_solve_exact_generates_moves_on_planted_cubic_k2(monkeypatch):
-    # Built like the k = 2 YES instances of the benchmark: S = 0..5 and
-    # T = 6..11 matched by S_i - T_i, each of them joined to two of the
-    # vertices 12..19, which get three such edges each: a cubic graph. All
-    # 14 vertices outside S have at most two conflicts, so 14 + 91 = 105
-    # candidate groups, and 105 // 16 = 6 is below the 20 vertices: the
-    # 1,600 independent 6-sets are not counted.
+def _planted_cubic_k2() -> ReconfigInstance:
+    """Built like the k = 2 YES instances of the benchmark: S = 0..5 and
+    T = 6..11 matched by S_i - T_i, each of them joined to two of the
+    vertices 12..19, which get three such edges each: a cubic graph, under
+    2-TJ."""
     edges = [(i, 6 + i) for i in range(6)]
     edges += [(u, 12 + u % 8) for u in range(12)] + [(u, 12 + (u + 4) % 8) for u in range(12)]
-    inst = ReconfigInstance(
+    return ReconfigInstance(
         new_graph(20, edges), IS, frozenset(range(6)), frozenset(range(6, 12)), Rule(RuleKind.KTJ, 2)
     )
-    assert _picked_source(monkeypatch, inst) == ["_move_generator"]
+
+
+def test_solve_exact_generates_moves_on_planted_cubic_k2(monkeypatch):
+    # All 14 vertices outside S have at most two conflicts, so 14 + 91 = 105
+    # candidate groups, and 105 // 16 = 6 is below the 20 vertices: the
+    # 1,600 independent 6-sets are not counted.
+    assert _picked_source(monkeypatch, _planted_cubic_k2()) == ["_move_generator"]
 
 
 def test_solve_exact_generates_moves_after_a_capped_count(monkeypatch):

@@ -78,22 +78,23 @@ def test_vertex_cover_examples(c4):
 
 
 def test_adjacent_ktj_examples(c4):
-    assert adjacent_ktj({0, 2}, {0, 2}, 1)
-    assert adjacent_ktj({0, 2}, {1, 3}, 2)
-    assert not adjacent_ktj({0, 2}, {1, 3}, 1)
+    assert adjacent_ktj(c4, {0, 2}, {0, 2}, 1)
+    assert adjacent_ktj(c4, {0, 2}, {1, 3}, 2)
+    assert not adjacent_ktj(c4, {0, 2}, {1, 3}, 1)
 
 
 def test_adjacent_ktj_disjoint_dozen():
     # two disjoint 12-sets differ in 24 vertices: k = 11 is one short
+    g = new_graph(24, [])
     a = frozenset(range(12))
     b = frozenset(range(12, 24))
-    assert not adjacent_ktj(a, b, 11)
-    assert adjacent_ktj(a, b, 12)
+    assert not adjacent_ktj(g, a, b, 11)
+    assert adjacent_ktj(g, a, b, 12)
 
 
 def test_adjacent_ktj_size_mismatch():
     with pytest.raises(SizeMismatchError):
-        adjacent_ktj({0}, {1, 2}, 1)
+        adjacent_ktj(new_graph(3, []), {0}, {1, 2}, 1)
 
 
 def test_adjacent_kts_examples(c4):
@@ -179,6 +180,7 @@ ENTRY_POINTS = {
         lambda g, x: ReconfigInstance(g, FeasibilityKind.INDEPENDENT_SET, x, ODD, Rule(RuleKind.KTJ, 1)),
         [0, 2, 4, 0],
     ),
+    "adjacent_ktj": (lambda g, x: adjacent_ktj(g, x, ODD, 3), [0, 2, 4, 4]),
     "adjacent_kts": (lambda g, x: adjacent_kts(g, x, ODD, 3), [0, 2, 4, 4]),
     "has_perfect_matching_between": (lambda g, x: has_perfect_matching_between(g, x, ODD), [0, 2, 4, 2]),
     "clique_edge_oracle": (
@@ -315,15 +317,15 @@ def rule_algebra_case(draw):
 def test_rule_algebra(case):
     g, a, b, k = case
     ts = adjacent_kts(g, a, b, k)
-    tj = adjacent_ktj(a, b, k)
+    tj = adjacent_ktj(g, a, b, k)
     assert not ts or tj  # sliding implies jumping
-    assert tj == adjacent_ktj(b, a, k)
+    assert tj == adjacent_ktj(g, b, a, k)
     assert ts == adjacent_kts(g, b, a, k)
     if tj:
-        assert adjacent_ktj(a, b, k + 1)  # monotone in k
+        assert adjacent_ktj(g, a, b, k + 1)  # monotone in k
     if ts:
         assert adjacent_kts(g, a, b, k + 1)
-    assert adjacent_ktj(a, b, 1) == (len(a ^ b) <= 2)
+    assert adjacent_ktj(g, a, b, 1) == (len(a ^ b) <= 2)
 
 
 @given(
