@@ -18,13 +18,15 @@ first. When they are not one move apart, it counts the family to choose
 between scanning it and generating moves, but the count may cost at most
 a sixteenth of the candidate groups one expansion tries: when that share
 is below one pass over the vertices, or the count runs past it, moves are
-generated. The search then tries the sequences of L = max(⌈|S △ T| / 2k⌉,
-2) moves first, a lower bound on the length, since one move changes at most
-2k vertices and the pair test refuted one move: one pass of the two-ended
-BFS stores only states that can lie on such a sequence. A meet is a
-shortest sequence; a pass that runs out of states having pruned none was
-the plain search and answers NO; otherwise the plain two-ended BFS runs on
-the same clock. The DFS and the search may be kept inside a vertex mask,
+generated. Under k-TJ the search then tries the sequences of L =
+max(⌈|S △ T| / 2k⌉, 2) moves first, a lower bound on the length, since one
+move changes at most 2k vertices and the pair test refuted one move: one
+pass of the two-ended BFS stores only states that can lie on such a
+sequence. A meet is a shortest sequence; a pass that runs out of states
+having pruned none was the plain search and answers NO; otherwise the plain
+two-ended BFS runs on the same clock. Under k-TS, where tokens that slide
+round each other often make the shortest length exceed L, only the plain
+search runs. The DFS and the search may be kept inside a vertex mask,
 which gives those of the induced subgraph in the parent's ids: a component
 is probed, settled by the pair test or searched without leaving the parent
 graph.
@@ -352,12 +354,14 @@ class _Fence:
         self.room = 0
         self.dropped = False
 
+    def admits(self, b: int) -> bool:
+        if (b ^ self.far).bit_count() <= self.room:
+            return True
+        self.dropped = True
+        return False
+
     def keep(self, states: list[int]) -> list[int]:
-        far, room = self.far, self.room
-        kept = [b for b in states if (b ^ far).bit_count() <= room]
-        if len(kept) < len(states):
-            self.dropped = True
-        return kept
+        return [b for b in states if self.admits(b)]
 
 
 # A neighbour source maps (state, visited states, fence or None) to the
@@ -512,10 +516,8 @@ def _moves(
                     j < 3 or not slide
                     or len(match(nbr, (moved ^ flip ^ a) | bit, joined)) == j
                 ):
-                    if fence is None or (b ^ fence.far).bit_count() <= fence.room:
+                    if fence is None or fence.admits(b):
                         out.append(b)
-                    else:
-                        fence.dropped = True
             if j < cap:
                 grow(rest[i + 1:], j + 1, moved ^ bit, joined, banned | nbr[u])
 
@@ -781,10 +783,11 @@ def solve_exact(
     a connected graph and unconfined tokens take the search of the whole
     instance, on the same budget clock. Each search asks the rule's pair
     test of its ends first (_search): one move apart, it explores 0 states.
-    Otherwise it tries the sequences of the lower bound L = max(⌈|S △ T| /
-    2k⌉, 2) moves in one bounded pass, and runs the plain search only when
-    that pass finds none and the bound cut it short; explored_states counts
-    the expansions of both passes."""
+    Otherwise, under k-TJ, it tries the sequences of the lower bound L =
+    max(⌈|S △ T| / 2k⌉, 2) moves in one bounded pass, and runs the plain
+    search only when that pass finds none and the bound cut it short;
+    explored_states counts the expansions of both passes, and both are
+    charged to the one budget, so a fallback needs room for the two."""
     if inst.start == inst.target:
         seq = ReconfigSequence((inst.start,)) if want_shortest else None
         return SolveResult(True, seq, 0)
@@ -841,15 +844,18 @@ def _search(
     (the BFS weighs a remaining meet test against `cost`), never the
     answer or the certificate.
 
-    Either way the BFS runs from both ends, first bounded by L =
-    max(⌈|S △ T| / 2k⌉, 2): one move changes at most 2k vertices, and the
-    pair test refuted one move, so no sequence is shorter. That pass stores
-    only the states that can lie on a sequence of L moves (_bfs_both_ends).
-    A meet is such a sequence, so a shortest one, and ends the search. A
-    pass that neither pruned a state nor stopped early was the plain
-    search, and answers NO. Otherwise the plain search runs with the same
-    neighbour source. One budget clock covers counting and both passes,
-    and explored_states adds up the expansions of both."""
+    Either way the BFS runs from both ends. Under k-TJ it is first bounded
+    by L = max(⌈|S △ T| / 2k⌉, 2): one move changes at most 2k vertices,
+    and the pair test refuted one move, so no sequence is shorter. That
+    pass stores only the states that can lie on a sequence of L moves
+    (_bfs_both_ends). A meet is such a sequence, so a shortest one, and
+    ends the search. A pass that neither pruned a state nor stopped early
+    was the plain search, and answers NO. Otherwise the plain search runs
+    with the same neighbour source. One budget clock covers counting and
+    both passes, and explored_states adds up the expansions of both.
+    Under k-TS the plain search runs alone: the bound holds there too, but
+    about half of the searches need more than L moves, and a pass that
+    falls back costs what it expanded."""
     source, target = (end & within for end in inst.end_masks)
     size = source.bit_count()
     adjacent = _rule_adjacency(inst.graph, inst.rule, size)
@@ -862,10 +868,11 @@ def _search(
         neighbours, cost = _move_generator(inst, within, clock), est
     else:
         neighbours, cost = _state_scan(states, adjacent, clock), len(states)
-    # L is at most the shortest length: one move changes at most 2k
-    # vertices, and the pair test refuted a single move.
-    width = 2 * inst.rule.k
-    bound = max(-(-(source ^ target).bit_count() // width), 2), width
+    # (L, 2k) under k-TJ; k-TS searches run plain, as the docstring says.
+    bound = None
+    if inst.rule.kind is RuleKind.KTJ:
+        width = 2 * inst.rule.k
+        bound = max(-(-(source ^ target).bit_count() // width), 2), width
     return _search_both_ends(
         source, target, neighbours, adjacent, cost, clock, want_shortest, bound
     )
@@ -921,7 +928,8 @@ def reachability_classes(
 
 def _tar_moves(g: Graph, theta: int) -> Neighbours:
     """Neighbour source for TAR over independent sets of size >= theta: add
-    a vertex outside N[A], or remove one while |A| > theta."""
+    a vertex outside N[A], or remove one while |A| > theta. TAR searches run
+    without a bound, so the fence is always None."""
     nbr = g.neighbor_masks
 
     def neighbours(
@@ -934,7 +942,7 @@ def _tar_moves(g: Graph, theta: int) -> Neighbours:
         moves = [a ^ (1 << v) for v in iter_bits(removable | (g.full_mask & ~blocked))]
         new = [b for b in moves if b not in visited]
         new.sort(key=_set_sort_key, reverse=True)
-        return new if fence is None else fence.keep(new)
+        return new
 
     return neighbours
 

@@ -198,10 +198,9 @@ def _grid_instance(rule: Rule) -> ReconfigInstance:
 def test_solve_exact_one_clock_for_enumeration_and_search():
     # The 6 x 6 grid under 4-TS: the move estimate is 12,950 groups, so the
     # count may charge 809 DFS nodes, and it stops there, then the search
-    # runs on the same clock. The total is _search's own: the count, then
-    # the bounded pass and, if it falls back, the plain search. A budget
-    # equal to the counted prefix leaves nothing for the search, and the
-    # budget that pays for both has no charge to spare.
+    # runs on the same clock. The total is _search's own. A budget equal to
+    # the counted prefix leaves nothing for the search, and the budget that
+    # pays for both has no charge to spare.
     inst = _grid_instance(Rule(RuleKind.KTS, 4))
     g = inst.graph
     est = exact._move_estimate(inst, g.full_mask)
@@ -931,9 +930,9 @@ def test_search_from_both_ends_matches_state_scan(n, seed, kind, rule_kind):
 )
 @settings(max_examples=300, deadline=None)
 def test_bounded_pass_answers_as_the_plain_search(n, seed, kind, rule_kind, k):
-    # _search tries the sequences of L = max(⌈|S △ T| / 2k⌉, 2) moves first
-    # and falls back to the plain search; the unbounded _search_both_ends is
-    # the plain search alone. Same verdict, same length.
+    # Under k-TJ _search tries the sequences of L = max(⌈|S △ T| / 2k⌉, 2)
+    # moves first and falls back to the plain search; the unbounded
+    # _search_both_ends is the plain search alone. Same verdict, same length.
     inst = _random_instance(n, seed, kind, rule_kind)
     if inst is None or k > len(inst.start):
         return
@@ -958,17 +957,59 @@ def test_bounded_pass_decides_a_planted_instance():
     assert got.shortest == plain.shortest
 
 
-def test_bounded_pass_falls_back_on_the_grid_under_1_ts():
-    # The 6 x 6 grid under 1-TS: |S △ T| = 18, so L = 9, but the shortest
-    # sequence has 10 moves. The bounded pass finds no meet, and the plain
-    # search that follows on the same clock gives its certificate;
-    # explored_states counts both passes.
-    inst = _grid_instance(Rule(RuleKind.KTS, 1))
+def _parked_token() -> ReconfigInstance:
+    """C4 0-1-3-4, and 2 joined to 0 and 4, from {0, 3} to {1, 4} under
+    1-TJ. Each vertex of T sees both tokens, so one token parks on 2 first:
+    3 moves, where |S △ T| = 4 gives L = 2."""
+    g = new_graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 4), (3, 4)])
+    return ReconfigInstance(g, IS, frozenset({0, 3}), frozenset({1, 4}), Rule(RuleKind.KTJ, 1))
+
+
+def test_bounded_pass_falls_back_on_a_parked_token():
+    # The bounded pass finds no meet in 2 moves, and the plain search that
+    # follows on the same clock gives its certificate; explored_states
+    # counts both passes.
+    inst = _parked_token()
     got = exact._search(inst, inst.graph.full_mask, exact._BudgetClock.begin(None), True)
     plain = _both_ends(inst)
-    assert got.shortest.length == 10
+    assert got.shortest.length == 3
     assert got.shortest == plain.shortest
     assert got.explored_states > plain.explored_states
+
+
+def test_a_fallback_pays_for_both_passes_on_one_budget(monkeypatch):
+    # A state budget that pays for the plain search alone runs out once the
+    # bounded pass has charged its states first; the sum of both passes is
+    # enough. The graph is connected, so solve_exact is _search on its own
+    # clock.
+    inst = _parked_token()
+
+    def charged() -> int:
+        clock = exact._BudgetClock.begin(None)
+        exact._search(inst, inst.graph.full_mask, clock, True)
+        return clock.counted
+
+    total = charged()
+    bounded = exact._search_both_ends
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_search_both_ends", lambda *args: bounded(*args[:-1]))
+        plain = charged()
+    assert plain < total
+    for short in (plain, total - 1):
+        with pytest.raises(ResourceBudgetError):
+            solve_exact(inst, want_shortest=True, budget=Budget(max_states=short))
+    res = solve_exact(inst, want_shortest=True, budget=Budget(max_states=total))
+    assert res.shortest.length == 3
+
+
+def test_k_ts_searches_run_plain():
+    # Under k-TS tokens that must slide round each other make about half
+    # of the searches longer than L, so they skip the bounded pass: the
+    # 6 x 6 grid under 1-TS (L = 9, 10 moves) is the plain search alone.
+    inst = _grid_instance(Rule(RuleKind.KTS, 1))
+    got = exact._search(inst, inst.graph.full_mask, exact._BudgetClock.begin(None), True)
+    assert got.shortest.length == 10
+    assert got == _both_ends(inst)
 
 
 def test_bounded_pass_decides_the_grid_under_2_tj_in_a_small_budget():
